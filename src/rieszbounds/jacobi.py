@@ -18,9 +18,15 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, ResourceError
 
 _LONG = np.longdouble
+
+# Largest polynomial degree given to the dense k x k eigen-solve, checked
+# before anything is allocated: the matrix takes 8 k^2 bytes (32 MB at the
+# budget), and the Newton polish of all k nodes holds several k x k
+# extended-precision arrays besides.
+_MAX_ORDER = 2000
 
 
 def family_params(d: int, a: int, b: int) -> tuple[float, float]:
@@ -36,6 +42,8 @@ def _rows(kmax: int, alpha: float, beta: float, t: np.ndarray) -> np.ndarray:
     # Conventional normalization (value C(k+alpha, k) at 1), rescaled to
     # 1 at the right endpoint afterwards.
     t = np.asarray(t, dtype=float)
+    if t.size == 1:
+        return _rows_one(kmax, alpha, beta, t.item())
     out = np.empty((kmax + 1, t.size), dtype=_LONG)
     tl = t.astype(_LONG).ravel()
     out[0] = 1.0
@@ -54,6 +62,35 @@ def _rows(kmax: int, alpha: float, beta: float, t: np.ndarray) -> np.ndarray:
     return (out / scale[:, None]).astype(float)
 
 
+def _rows_one(kmax: int, alpha: float, beta: float, t: float) -> np.ndarray:
+    # _rows at a single point: the same extended-precision operations in
+    # the same order, on numpy scalars instead of one-element arrays, so
+    # the result is bit-identical and free of per-step array overhead
+    tl = _LONG(t)
+    out = [_LONG(1.0)]
+    if kmax >= 1:
+        out.append((alpha + 1.0) + (alpha + beta + 2.0) * (tl - 1.0) / 2.0)
+    s = alpha + beta
+    for k in range(2, kmax + 1):
+        c0 = 2.0 * k * (k + s) * (2.0 * k + s - 2.0)
+        c1 = (2.0 * k + s - 1.0) * (2.0 * k + s) * (2.0 * k + s - 2.0)
+        c2 = (2.0 * k + s - 1.0) * (alpha * alpha - beta * beta)
+        c3 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * (2.0 * k + s)
+        out.append(((c1 * tl + c2) * out[k - 1] - c3 * out[k - 2]) / c0)
+    scale = _LONG(1.0)
+    vals = [float(out[0] / scale)]
+    for k in range(1, kmax + 1):
+        scale = scale * (k + alpha) / k
+        vals.append(float(out[k] / scale))
+    return np.array(vals, dtype=float).reshape(kmax + 1, 1)
+
+
+def _check_points(pts: np.ndarray) -> None:
+    # written so that NaN points fail too
+    if not np.all(np.abs(pts) <= 1.0):
+        raise DomainError("evaluation points must lie in [-1, 1]")
+
+
 def jacobi_values(kmax: int, d: int, a: int, b: int, t) -> np.ndarray:
     """All orders 0..kmax of the normalized family at the points t.
 
@@ -64,8 +101,7 @@ def jacobi_values(kmax: int, d: int, a: int, b: int, t) -> np.ndarray:
         raise DomainError(f"kmax must be >= 0, got {kmax}")
     alpha, beta = family_params(d, a, b)
     pts = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(np.abs(pts) > 1.0):
-        raise DomainError("evaluation points must lie in [-1, 1]")
+    _check_points(pts)
     return _rows(kmax, alpha, beta, pts)
 
 
@@ -84,9 +120,9 @@ def _deriv_rows(kmax: int, alpha: float, beta: float, t: np.ndarray) -> np.ndarr
     # polynomial of the (alpha+1, beta+1) family.
     shifted = _rows(max(kmax - 1, 0), alpha + 1.0, beta + 1.0, t)
     out = np.zeros((kmax + 1, t.size), dtype=float)
-    for k in range(1, kmax + 1):
-        ck = k * (k + alpha + beta + 1.0) / (2.0 * (alpha + 1.0))
-        out[k] = ck * shifted[k - 1]
+    k = np.arange(1.0, kmax + 1.0)
+    ck = k * (k + alpha + beta + 1.0) / (2.0 * (alpha + 1.0))
+    out[1:] = ck[:, None] * shifted[:kmax]
     return out
 
 
@@ -96,8 +132,7 @@ def jacobi_deriv(k: int, d: int, a: int, b: int, t):
         raise DomainError(f"order must be >= 0, got {k}")
     alpha, beta = family_params(d, a, b)
     arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(np.abs(arr) > 1.0):
-        raise DomainError("evaluation points must lie in [-1, 1]")
+    _check_points(arr)
     vals = _deriv_rows(k, alpha, beta, arr)[k]
     if np.asarray(t).ndim == 0:
         return float(vals[0])
@@ -198,6 +233,8 @@ def cd_kernel(k: int, d: int, a: int, b: int, x, y, method: str = "auto"):
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     ya = np.atleast_1d(np.asarray(y, dtype=float))
     xa, ya = np.broadcast_arrays(xa, ya)
+    _check_points(xa)
+    _check_points(ya)
     r = norm_ratios(k, d, a, b)
     if method == "auto":
         xr, yr = xa.ravel(), ya.ravel()
@@ -250,25 +287,55 @@ def monic_recurrence(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.
     return avals, bvals
 
 
-def _zeros_raw(k: int, alpha: float, beta: float) -> np.ndarray:
+def _zeros_raw(k: int, alpha: float, beta: float, s: float | None = None,
+               top_only: bool = False) -> np.ndarray:
+    # Golub-Welsch: the zeros of P_k are the eigenvalues of the k x k
+    # recurrence matrix.  Given s, the same matrix with its last diagonal
+    # entry shifted by gamma has as eigenvalues the zeros of the order-k
+    # polynomial F(t) = P_k(t) P_{k-1}(s) - P_{k-1}(t) P_k(s), gamma being
+    # chosen to make monic p_k - gamma p_{k-1} proportional to F; s = None
+    # is gamma = 0, F = P_k.  Two Newton steps on F, evaluated in extended
+    # precision, tighten each eigenvalue (only the largest with top_only)
+    # to a residual at rounding level.
     if k == 0:
         return np.empty(0, dtype=float)
+    if k > _MAX_ORDER:
+        raise ResourceError(
+            f"polynomial degree {k} exceeds the eigen-solve budget of {_MAX_ORDER}")
     avals, bvals = monic_recurrence(k, alpha, beta)
     mat = np.diag(avals)
+    pk_s, pk1_s = 0.0, 1.0
+    if s is not None:
+        ps = _rows(k, alpha, beta, np.array([s]))
+        pk_s = ps[k][0]
+        pk1_s = ps[k - 1][0]
+        if pk1_s == 0.0:
+            raise NumericalError(f"degenerate shift: P_{k-1}({s}) = 0")
+        mk1 = math.exp(_log_lead(k - 1, alpha, beta) - _log_lead(k, alpha, beta))
+        mat[k - 1, k - 1] += mk1 * pk_s / pk1_s
     if k > 1:
         off = np.sqrt(bvals[1:])
         mat += np.diag(off, 1) + np.diag(off, -1)
     nodes = np.linalg.eigvalsh(mat)
-    # one Newton step per node tightens the eigenvalues to residuals at
-    # rounding level; the polynomial is evaluated in extended precision
+    if top_only:
+        nodes = nodes[-1:]
     for _ in range(2):
-        pv = _rows(k, alpha, beta, nodes)[k]
-        dv = _deriv_rows(k, alpha, beta, nodes)[k]
-        nodes = nodes - pv / dv
-    pv = _rows(k, alpha, beta, nodes)[k]
-    dv = _deriv_rows(k, alpha, beta, nodes)[k]
-    if np.any(np.abs(pv) > 1e-13 * np.maximum(1.0, np.abs(dv))):
-        raise NumericalError(f"Jacobi zeros failed to converge for k={k}, alpha={alpha}, beta={beta}")
+        pv = _rows(k, alpha, beta, nodes)
+        dv = _deriv_rows(k, alpha, beta, nodes)
+        fval = pv[k] * pk1_s - pv[k - 1] * pk_s
+        fder = dv[k] * pk1_s - dv[k - 1] * pk_s
+        step = np.where(fder != 0.0, fval / np.where(fder == 0.0, 1.0, fder), 0.0)
+        nodes = nodes - step
+    pv = _rows(k, alpha, beta, nodes)
+    if s is None:
+        dv = _deriv_rows(k, alpha, beta, nodes)
+        if np.any(np.abs(pv[k]) > 1e-13 * np.maximum(1.0, np.abs(dv[k]))):
+            raise NumericalError(
+                f"Jacobi zeros failed to converge for k={k}, alpha={alpha}, beta={beta}")
+        return nodes
+    fval = pv[k] * pk1_s - pv[k - 1] * pk_s
+    if np.any(np.abs(fval) > 1e-10 * max(abs(pk_s), abs(pk1_s), 1e-30)):
+        raise NumericalError(f"node polish failed at polynomial degree {k}")
     return nodes
 
 
@@ -280,9 +347,19 @@ def jacobi_zeros(k: int, d: int, a: int, b: int) -> np.ndarray:
     return _zeros_raw(k, alpha, beta)
 
 
+_LARGEST_ZERO_CACHE: dict[tuple[int, float, float], float] = {}
+
+
 def largest_zero(k: int, d: int, a: int, b: int) -> float:
-    """Largest zero gamma_k of the order-k family member (k >= 1)."""
+    """Largest zero gamma_k of the order-k family member (k >= 1).
+
+    Memoized per (k, alpha, beta) for the life of the process.
+    """
     if k < 1:
         raise DomainError(f"largest_zero needs k >= 1, got {k}")
-    z = jacobi_zeros(k, d, a, b)
-    return float(z[-1])
+    alpha, beta = family_params(d, a, b)
+    key = (k, alpha, beta)
+    z = _LARGEST_ZERO_CACHE.get(key)
+    if z is None:
+        z = _LARGEST_ZERO_CACHE[key] = float(_zeros_raw(k, alpha, beta, top_only=True)[0])
+    return z

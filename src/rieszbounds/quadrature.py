@@ -28,7 +28,6 @@ from .jacobi import (
     family_params,
     jacobi_values,
     lead_ratio,
-    monic_recurrence,
 )
 from .special import lambda_d
 
@@ -71,16 +70,23 @@ def lev_branch(d: int, tau: int, s) -> float:
 
 
 def _resolve_interval(d: int, s: float) -> int:
-    # smallest tau with s in I_tau; the intervals partition [-1, 1)
-    k = 1
-    while True:
-        if s <= jacobi.largest_zero(k, d, 1, 0):
-            return 2 * k - 1
-        if s <= jacobi.largest_zero(k, d, 1, 1):
-            return 2 * k
-        k += 1
-        if k > 2000:
+    # smallest tau with s in I_tau; the intervals partition [-1, 1).  Their
+    # right ends gamma_1^{1,0} < gamma_1^{1,1} < gamma_2^{1,0} < ... increase,
+    # so the smallest k with s <= gamma_k^{1,1} is found by galloping over
+    # k = 1, 2, 4, ... and then bisecting
+    hi = 1
+    while s > jacobi.largest_zero(hi, d, 1, 1):
+        if hi >= jacobi._MAX_ORDER:
             raise NumericalError(f"interval resolution ran away for d={d}, s={s}")
+        hi = min(2 * hi, jacobi._MAX_ORDER)
+    lo = hi // 2  # s > gamma_lo^{1,1}, or lo = 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if s <= jacobi.largest_zero(mid, d, 1, 1):
+            hi = mid
+        else:
+            lo = mid
+    return 2 * hi - 1 if s <= jacobi.largest_zero(hi, d, 1, 0) else 2 * hi
 
 
 def lev_function(d: int, s: float) -> float:
@@ -95,23 +101,80 @@ def lev_function(d: int, s: float) -> float:
     return lev_branch(d, _resolve_interval(d, s), s)
 
 
-def _resolve_tau(d: int, n: float) -> int:
-    tau = 1
-    while n > dgs_bound(d, tau + 1):
-        tau += 1
-    return tau
+def _resolve_tau(d: int, n) -> int:
+    # smallest tau with N <= D(d, tau+1), by galloping and bisecting over
+    # the increasing D(d, .); N must be finite
+    hi = 1
+    while n > dgs_bound(d, hi + 1):
+        hi *= 2
+    lo = hi // 2  # N > D(d, lo+1), or lo = 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if n <= dgs_bound(d, mid + 1):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _lev_slope(d: int, tau: int, s: float) -> float:
+    # derivative in s of lev_branch(d, tau, s), by the quotient rule
+    k = (tau + 1) // 2
+    alpha, beta = family_params(d, 0, 0)
+    pts = np.array([s])
+    p = _rows(k + 1, alpha, beta, pts)[:, 0]
+    dp = _deriv_rows(k + 1, alpha, beta, pts)[:, 0]
+    if tau % 2 == 1:
+        num, dnum = p[k - 1] - p[k], dp[k - 1] - dp[k]
+        den, dden = (1.0 - s) * p[k], (1.0 - s) * dp[k] - p[k]
+        return -math.comb(k + d - 2, k - 1) * (dnum * den - num * dden) / (den * den)
+    num = (1.0 + s) * (p[k] - p[k + 1])
+    dnum = (p[k] - p[k + 1]) + (1.0 + s) * (dp[k] - dp[k + 1])
+    den = (1.0 - s) * (p[k] + p[k + 1])
+    dden = (1.0 - s) * (dp[k] + dp[k + 1]) - (p[k] + p[k + 1])
+    return -math.comb(k + d - 1, k) * (dnum * den - num * dden) / (den * den)
+
+
+# Half-width of the window around the root, relative to max(|s|, 1/2),
+# inside which bisection evaluates the sign of L(d, s) - N instead of
+# reading it off the root: 8 to 16 doubles for s >= 1/2, 8.9e-16 below.
+# Rounding in lev_branch put sign changes at most 1.7e-16 from the root
+# in a scan of 550 (d, N) pairs, d in {2, 3, 4, 8}, N up to 2e4.  Should
+# the window miss the sign change, solve_s_for_n bisects in full.
+_WINDOW = 2.0**-49
+
+
+def _bisect_pair(f, lo: float, hi: float, root: float, w: float) -> tuple[float, float]:
+    # the adjacent doubles a < b that bisection of [lo, hi] on the sign of
+    # f ends on, or (m, m) for a midpoint m where f vanishes; midpoints
+    # farther than w from root take the sign of m - root unevaluated
+    a, b = lo, hi
+    while True:
+        m = 0.5 * (a + b)
+        if m == a or m == b:
+            return a, b
+        fm = f(m) if abs(m - root) <= w else m - root
+        if fm == 0.0:
+            return m, m
+        if fm < 0.0:
+            a = m
+        else:
+            b = m
 
 
 def solve_s_for_n(d: int, n: float) -> float:
-    """The unique s with L(d, s) = N, for N >= D(d, 1) = 2.
+    """The unique s with L(d, s) = N, for finite N >= D(d, 1) = 2.
 
     Endpoint cardinalities N = D(d, tau+1) return the largest zero of
     the corresponding adjacent Jacobi polynomial directly (machine
-    precision); interior N are bracketed in their interval and resolved
-    by bisection with a secant finish to |L(d,s) - N| below 1e-11.
+    precision).  Interior N are bracketed in their interval, where
+    safeguarded Newton steps locate the root; bisection of the bracket
+    then finds the pair of adjacent doubles around the sign change of
+    L(d, s) - N, evaluating L only near the root, and up to three Newton
+    steps finish to |L(d,s) - N| below 1e-11.
     """
-    if n < 2:
-        raise DomainError(f"solve_s_for_n requires N >= 2, got {n}")
+    if not 2 <= n < math.inf:
+        raise DomainError(f"solve_s_for_n requires finite N >= 2, got {n}")
     if n == 2:
         return -1.0
     tau = _resolve_tau(d, n)
@@ -126,33 +189,51 @@ def solve_s_for_n(d: int, n: float) -> float:
     else:
         lo = jacobi.largest_zero(k, d, 1, 0)
         hi = jacobi.largest_zero(k, d, 1, 1)
-    flo = lev_branch(d, tau, lo) - n
-    fhi = lev_branch(d, tau, hi) - n
-    if flo > 0.0 or fhi < 0.0:
+    fvals: dict[float, float] = {}
+
+    def f(x: float) -> float:
+        if x not in fvals:
+            fvals[x] = lev_branch(d, tau, x) - n
+        return fvals[x]
+
+    # L rises from D(d, tau) at lo to D(d, tau+1) at hi.  Newton steps
+    # start at the regula falsi point of those end values and bisect the
+    # bracket [a, b] whenever a step leaves it.  They stop once the step,
+    # or the next step predicted from quadratic convergence, is inside
+    # the window.
+    d_lo, d_hi = dgs_bound(d, tau), dgs_bound(d, tau + 1)
+    a, b = lo, hi
+    x = lo + (n - d_lo) * (hi - lo) / (d_hi - d_lo)
+    last = 0.0
+    for _ in range(100):
+        fx = f(x)
+        if fx < 0.0:
+            a = x
+        elif fx > 0.0:
+            b = x
+        step = fx / _lev_slope(d, tau, x)
+        root = float(x - step)
+        w = _WINDOW * max(abs(root), 0.5)
+        if abs(step) <= w or abs(step) ** 3 <= 0.125 * w * last * last:
+            break
+        last = abs(step)
+        x = root if a < root < b else 0.5 * (a + b)
+    a, b = _bisect_pair(f, lo, hi, root, w)
+    if a < b and not f(a) < 0.0 < f(b):
+        # the sign change lies outside the window: bisect in full
+        a, b = _bisect_pair(f, lo, hi, root, math.inf)
+    if a == b:
+        return a
+    if not f(a) < 0.0 < f(b):
         raise NumericalError(f"bracket failure solving L({d}, s) = {n} in branch {tau}")
-    a, b, fa = lo, hi, flo
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        if m == a or m == b:
-            break
-        fm = lev_branch(d, tau, m) - n
-        if fm == 0.0:
-            return m
-        if fa * fm < 0.0:
-            b = m
-        else:
-            a, fa = m, fm
-    s = a if abs(fa) <= abs(lev_branch(d, tau, b) - n) else b
+    s = a if abs(f(a)) <= abs(f(b)) else b
     for _ in range(3):
-        f0 = lev_branch(d, tau, s) - n
-        h = max(1e-9, 1e-9 * abs(s))
-        df = (lev_branch(d, tau, min(s + h, hi)) - lev_branch(d, tau, max(s - h, lo))) / (
-            min(s + h, hi) - max(s - h, lo)
-        )
-        if df == 0.0:
+        slope = _lev_slope(d, tau, s)
+        step = s if slope == 0.0 else min(max(s - f(s) / slope, lo), hi)
+        if step == s:
             break
-        s = min(max(s - f0 / df, lo), hi)
-    if abs(lev_branch(d, tau, s) - n) > 1e-11 * max(1.0, n):
+        s = float(step)
+    if abs(f(s)) > 1e-11 * max(1.0, n):
         raise NumericalError(f"Levenshtein inversion stalled for d={d}, N={n}")
     return s
 
@@ -208,41 +289,6 @@ class QuadratureRule:
         return json.dumps(payload)
 
 
-def _shifted_jacobi_nodes(k: int, alpha: float, beta: float, s: float) -> np.ndarray:
-    # roots of monic p_k - gamma p_{k-1}, gamma chosen so the polynomial
-    # is proportional to P_k(t) P_{k-1}(s) - P_{k-1}(t) P_k(s); they are
-    # the eigenvalues of the recurrence matrix with the last diagonal
-    # entry shifted by gamma.  gamma = 0 recovers the plain zeros.
-    ps = _rows(k, alpha, beta, np.array([s]))
-    pk_s = ps[k][0]
-    pk1_s = ps[k - 1][0]
-    if pk1_s == 0.0:
-        raise NumericalError(f"degenerate shift: P_{k-1}({s}) = 0")
-    mk1 = math.exp(jacobi._log_lead(k - 1, alpha, beta) - jacobi._log_lead(k, alpha, beta))
-    gamma = mk1 * pk_s / pk1_s
-    avals, bvals = monic_recurrence(k, alpha, beta)
-    mat = np.diag(avals)
-    mat[k - 1, k - 1] += gamma
-    if k > 1:
-        off = np.sqrt(bvals[1:])
-        mat += np.diag(off, 1) + np.diag(off, -1)
-    nodes = np.linalg.eigvalsh(mat)
-    # Newton-polish on F(t) = P_k(t) P_{k-1}(s) - P_{k-1}(t) P_k(s)
-    for _ in range(2):
-        pv = _rows(k, alpha, beta, nodes)
-        dv = _deriv_rows(k, alpha, beta, nodes)
-        fval = pv[k] * pk1_s - pv[k - 1] * pk_s
-        fder = dv[k] * pk1_s - dv[k - 1] * pk_s
-        step = np.where(fder != 0.0, fval / np.where(fder == 0.0, 1.0, fder), 0.0)
-        nodes = nodes - step
-    pv = _rows(k, alpha, beta, nodes)
-    fval = pv[k] * pk1_s - pv[k - 1] * pk_s
-    scale = max(abs(pk_s), abs(pk1_s), 1e-30)
-    if np.any(np.abs(fval) > 1e-10 * scale):
-        raise NumericalError(f"node polish failed at polynomial degree {k}")
-    return nodes
-
-
 def _exactness_system_weights(d: int, n: int, nodes: np.ndarray) -> np.ndarray:
     # fallback: solve sum_j w_j P_i(x_j) = delta_{i0} - P_i(1)/N in the
     # Gegenbauer basis, i = 0..k-1
@@ -261,6 +307,8 @@ def build_rule(d: int, n: int) -> QuadratureRule:
     case.  Even strength appends the node -1.  The returned rule is
     validated: positive weights, decreasing nodes, weight sum 1 - 1/N.
     """
+    if not abs(n) < math.inf:
+        raise DomainError(f"build_rule requires a finite N, got {n}")
     if n != int(n):
         raise DomainError(f"build_rule requires integer N, got {n}")
     n = int(n)
@@ -276,7 +324,7 @@ def build_rule(d: int, n: int) -> QuadratureRule:
         if n == 2:
             interior = np.array([-1.0])
         else:
-            interior = _shifted_jacobi_nodes(k, alpha, beta, s)
+            interior = jacobi._zeros_raw(k, alpha, beta, s)
         interior = np.sort(interior)
         if abs(interior[-1] - s) > 5e-11:
             raise NumericalError(f"largest node drifted from s at polynomial degree {k}")
@@ -298,7 +346,7 @@ def build_rule(d: int, n: int) -> QuadratureRule:
         )
     else:
         alpha, beta = family_params(d, 1, 1)
-        interior = np.sort(_shifted_jacobi_nodes(k, alpha, beta, s))
+        interior = np.sort(jacobi._zeros_raw(k, alpha, beta, s))
         if abs(interior[-1] - s) > 5e-11:
             raise NumericalError(f"largest node drifted from s at polynomial degree {k}")
         interior[-1] = s
@@ -379,6 +427,6 @@ def verify_exactness(rule: QuadratureRule, max_degree: int) -> float:
 
 def separation_bound(d: int, n: int) -> float:
     """Largest quadrature node: no N-point set has all inner products below it."""
-    if n < 2 or n != int(n):
+    if not 2 <= n < math.inf or n != int(n):
         raise DomainError(f"separation_bound requires integer N >= 2, got {n}")
-    return solve_s_for_n(d, float(n))
+    return solve_s_for_n(d, n)

@@ -7,6 +7,7 @@ the library takes, so agreement is evidence rather than tautology.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -154,6 +155,20 @@ def gauss_d1_direct(alpha: float) -> float:
 def finite_diff(f, x: float, h: float = 1e-6) -> float:
     """Central difference derivative estimate."""
     return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+@functools.lru_cache(maxsize=None)
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights, computed once per n.
+
+    numpy builds them from an n x n eigenproblem (about 4 s at n = 4096),
+    so tests that share a rule share one computation.  The arrays are
+    read-only.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def weighted_inner(fvals, d: int, a: int, b: int, nodes, gl_weights) -> float:

@@ -171,3 +171,10 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert out == ""
     content = target.read_text()
     assert content.startswith("d,s,theta")
+
+
+def test_quadrature_huge_n_exits_three_without_traceback(capsys):
+    code, out, err = run(capsys, "quadrature", "--d", "2", "--N", str(10**30))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("rieszbounds:") and err.count("\n") == 1

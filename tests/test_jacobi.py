@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from rieszbounds import jacobi
-from rieszbounds.errors import DomainError
+from rieszbounds.errors import DomainError, ResourceError
 
 
 def test_family_params_convention():
@@ -42,7 +42,7 @@ def test_values_rows_match_point_evaluators():
 
 @pytest.mark.parametrize("d,a,b", [(2, 0, 0), (3, 0, 0), (5, 1, 1)])
 def test_orthogonality_under_weight(d, a, b):
-    nodes, glw = np.polynomial.legendre.leggauss(4096)
+    nodes, glw = oracles.gauss_legendre(4096)
     vals = np.stack([jacobi.jacobi_p(k, d, a, b, nodes) for k in range(21)])
     norms = np.array(
         [oracles.weighted_inner(vals[k] * vals[k], d, a, b, nodes, glw) for k in range(21)]
@@ -64,7 +64,7 @@ def test_norm_ratios_are_harmonic_dimensions():
 def test_norm_ratios_match_quadrature_means():
     # r_k must invert the mean of P_k^2 against the family's probability measure
     d, a, b = 4, 1, 0
-    nodes, glw = np.polynomial.legendre.leggauss(2048)
+    nodes, glw = oracles.gauss_legendre(2048)
     mass = oracles.weighted_inner(np.ones_like(nodes), d, a, b, nodes, glw)
     r = jacobi.norm_ratios(8, d, a, b)
     for k in range(9):
@@ -177,3 +177,64 @@ def test_largest_zero_scaling_limit():
         errs.append(abs(val - target))
     assert errs[3] < 0.05
     assert errs[0] > errs[1] > errs[2] > errs[3]
+
+
+@pytest.mark.parametrize("a,b", [(0, 0), (1, 0), (0, 1), (1, 1)])
+def test_rows_one_point_matches_multi_point_column(a, b):
+    # a single point takes the scalar recurrence, which must reproduce the
+    # matching column of the array recurrence bit for bit
+    pts = np.array([-1.0, -0.73, -0.2, 0.0, 0.41, 0.9, 0.999, np.nextafter(1.0, 0.0)])
+    for d in (2, 3, 8):
+        alpha, beta = jacobi.family_params(d, a, b)
+        for kmax in (0, 1, 2, 17, 700):
+            full = jacobi._rows(kmax, alpha, beta, pts)
+            for i in range(pts.size):
+                one = jacobi._rows(kmax, alpha, beta, pts[i:i + 1])
+                assert one.shape == (kmax + 1, 1)
+                assert np.array_equal(one[:, 0], full[:, i]), (d, kmax, pts[i])
+            one_deriv = jacobi._deriv_rows(kmax, alpha, beta, pts[2:3])
+            assert np.array_equal(one_deriv[:, 0], jacobi._deriv_rows(kmax, alpha, beta, pts)[:, 2])
+
+
+def test_largest_zero_is_the_full_solve_top_and_memoized(monkeypatch):
+    for d, a, b in ((2, 1, 0), (3, 1, 1), (8, 0, 0)):
+        for k in (1, 2, 9, 40):
+            assert jacobi.largest_zero(k, d, a, b) == jacobi.jacobi_zeros(k, d, a, b)[-1]
+    monkeypatch.setattr(jacobi, "_LARGEST_ZERO_CACHE", {})
+    calls = []
+    eig = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eig(m))
+    first = jacobi.largest_zero(37, 5, 1, 1)
+    assert jacobi.largest_zero(37, 5, 1, 1) == first
+    assert calls == [(37, 37)]
+
+
+@pytest.mark.parametrize("bad", [math.nan, [0.2, math.nan], 1.5, -math.inf])
+def test_non_finite_or_outside_points_rejected(bad):
+    with pytest.raises(DomainError):
+        jacobi.jacobi_values(4, 3, 1, 0, bad)
+    with pytest.raises(DomainError):
+        jacobi.jacobi_p(4, 3, 1, 0, bad)
+    with pytest.raises(DomainError):
+        jacobi.jacobi_deriv(4, 3, 1, 0, bad)
+    with pytest.raises(DomainError):
+        jacobi.cd_kernel(4, 3, 1, 0, bad, 0.5)
+    with pytest.raises(DomainError):
+        jacobi.cd_kernel(4, 3, 1, 0, bad, bad)
+
+
+def test_eigen_solve_budget_checked_before_allocation():
+    # the k x k matrix at k = 2**20 would take 8 TiB; the refusal must come
+    # before anything of that order is allocated
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError):
+            jacobi.largest_zero(2**20, 2, 1, 0)
+        with pytest.raises(ResourceError):
+            jacobi.jacobi_zeros(jacobi._MAX_ORDER + 1, 3, 0, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from rieszbounds import jacobi, quadrature
-from rieszbounds.errors import DomainError
+from rieszbounds import energy, jacobi, quadrature
+from rieszbounds.errors import DomainError, ResourceError
 
 
 def test_design_cardinality_anchors():
@@ -117,7 +117,7 @@ def test_gegenbauer_moments():
     assert quadrature.gegenbauer_moment(2, 4) == pytest.approx(1.0 / 5.0, abs=1e-16)
     assert quadrature.gegenbauer_moment(3, 2) == pytest.approx(1.0 / 4.0, abs=1e-16)
     # cross-check against direct numeric integration on S^3 projection
-    nodes, glw = np.polynomial.legendre.leggauss(2048)
+    nodes, glw = oracles.gauss_legendre(2048)
     mass = oracles.weighted_inner(np.ones_like(nodes), 3, 0, 0, nodes, glw)
     for j in (2, 6):
         direct = oracles.weighted_inner(nodes**j, 3, 0, 0, nodes, glw) / mass
@@ -158,3 +158,115 @@ def test_separation_bound_behaviour():
     assert vals[-1] > 0.9
     with pytest.raises(DomainError):
         quadrature.separation_bound(2, 1)
+
+
+def _linear_scan_tau(d, s):
+    # the interval search as it was first written: k = 1, 2, ... in turn
+    k = 1
+    while True:
+        if s <= jacobi.largest_zero(k, d, 1, 0):
+            return 2 * k - 1
+        if s <= jacobi.largest_zero(k, d, 1, 1):
+            return 2 * k
+        k += 1
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_interval_search_matches_linear_scan(d):
+    for k in range(1, 61):
+        for b in (0, 1):
+            g = jacobi.largest_zero(k, d, 1, b)
+            for s in (math.nextafter(g, -2.0), g, math.nextafter(g, 2.0)):
+                tau = _linear_scan_tau(d, s)
+                assert quadrature._resolve_interval(d, s) == tau, (k, b, s)
+                assert quadrature.lev_function(d, s) == quadrature.lev_branch(d, tau, s)
+
+
+def _bisection_s(d, n):
+    # the inversion as plain bisection of the bracket down to adjacent
+    # doubles, the one of the pair with the smaller |L - N|, then three
+    # finite-difference secant steps
+    tau = quadrature._resolve_tau(d, n)
+    k = (tau + 1) // 2
+    assert n != quadrature.dgs_bound(d, tau + 1)
+    if tau % 2 == 1:
+        lo = -1.0 if k == 1 else jacobi.largest_zero(k - 1, d, 1, 1)
+        hi = jacobi.largest_zero(k, d, 1, 0)
+    else:
+        lo, hi = jacobi.largest_zero(k, d, 1, 0), jacobi.largest_zero(k, d, 1, 1)
+
+    def f(x):
+        return quadrature.lev_branch(d, tau, x) - n
+
+    a, b, fa = lo, hi, f(lo)
+    while True:
+        m = 0.5 * (a + b)
+        if m == a or m == b:
+            break
+        fm = f(m)
+        if fm == 0.0:
+            return m
+        if fa * fm < 0.0:
+            b = m
+        else:
+            a, fa = m, fm
+    s = a if abs(fa) <= abs(f(b)) else b
+    for _ in range(3):
+        h = max(1e-9, 1e-9 * abs(s))
+        right, left = min(s + h, hi), max(s - h, lo)
+        s = min(max(s - f(s) * (right - left) / (f(right) - f(left)), lo), hi)
+    return s
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_solve_s_for_n_lands_where_bisection_does(d):
+    # the search evaluates L only near the root but must end on the same
+    # double as a full bisection; these N include pairs where rounding
+    # spreads the sign change of L - N over up to 30 doubles
+    for n in (3, 5, 7, 8, 17, 19, 21, 23, 60, 89, 197, 1001, 5001):
+        if n != quadrature.dgs_bound(d, quadrature._resolve_tau(d, n) + 1):
+            assert quadrature.solve_s_for_n(d, n) == _bisection_s(d, n), n
+
+
+def test_solve_s_for_n_needs_few_branch_evaluations(monkeypatch):
+    calls = []
+    branch = quadrature.lev_branch
+    monkeypatch.setattr(quadrature, "lev_branch", lambda *args: calls.append(args) or branch(*args))
+    for n in (10, 11, 100, 101, 1000, 1001, 10**4, 10**4 + 1, 10**5, 10**5 + 1):
+        calls.clear()
+        s = quadrature.solve_s_for_n(2, n)
+        assert len(calls) <= 12, (n, len(calls))
+        assert abs(quadrature.lev_function(2, s) - n) <= 1e-11 * n
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_n_rejected(bad):
+    with pytest.raises(DomainError):
+        quadrature.solve_s_for_n(2, bad)
+    with pytest.raises(DomainError):
+        quadrature.build_rule(2, bad)
+    with pytest.raises(DomainError):
+        quadrature.separation_bound(2, bad)
+    with pytest.raises(DomainError):
+        energy.ulb_energy(2, bad, energy.RieszPotential(1.0))
+
+
+def test_huge_n_refused_before_allocation():
+    # at N = 2**40 the rule has about 2**20 nodes, an 8 TiB eigen-matrix
+    import time
+    import tracemalloc
+
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError):
+            quadrature.separation_bound(2, 2**40)
+        with pytest.raises(ResourceError):
+            quadrature.build_rule(2, 10**30)
+        with pytest.raises(ResourceError):
+            energy.ulb_energy(8, 10**400, energy.RieszPotential(1.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert time.perf_counter() - start < 1.0
