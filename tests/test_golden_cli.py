@@ -1,0 +1,111 @@
+"""Golden corpus: the CLI's exact bytes on fixed invocations.
+
+Each case in ``golden_cli.json`` runs ``main(argv)`` in process and pins
+stdout, stderr and the exit code byte for byte; the ``--out`` case pins
+the written file as well.  The corpus covers all six subcommands in CSV
+and JSON plus the refusals that fail within milliseconds, so refactoring
+under ``src/`` can be checked to move no printed digit.
+
+Regenerate only when an output changes on purpose, and say which digits
+moved and why:
+
+    PYTHONPATH=src python3 tests/test_golden_cli.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import functools
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from rieszbounds.cli import main
+
+GOLDEN_PATH = Path(__file__).with_name("golden_cli.json")
+OUT = "{out}"  # stands for the --out path in argv
+
+ARGVS = (
+    ("bounds", "--d", "2", "--s", "4"),
+    ("bounds", "--d", "2", "--s", "4", "--format", "json"),
+    ("bounds", "--d", "1", "--s", "2"),
+    ("bounds", "--d", "3", "--s", "3.5"),
+    ("bounds", "--d", "4", "--s", "34"),
+    ("bounds", "--d", "8", "--s", "12", "--format", "json"),
+    ("bounds", "--d", "24", "--s", "25"),
+    ("table-bd",),
+    ("table-bd", "--format", "json"),
+    ("plot-fs", "--d", "2", "--s-range", "2.1:10:0.7"),
+    ("plot-fs", "--d", "4", "--s-range", "5:20:5"),
+    ("plot-fs", "--d", "8", "--s-range", "9:12:1.5", "--format", "json"),
+    ("plot-fs", "--d", "24", "--s-range", "25:40:7.5"),
+    ("quadrature", "--d", "2", "--N", "4"),
+    ("quadrature", "--d", "2", "--N", "6"),
+    ("quadrature", "--d", "2", "--N", "100"),
+    ("quadrature", "--d", "2", "--N", "961", "--format", "json"),
+    ("quadrature", "--d", "2", "--N", "20000"),
+    ("quadrature", "--d", "3", "--N", "14", "--format", "json"),
+    ("quadrature", "--d", "4", "--N", "7"),
+    ("quadrature", "--d", "8", "--N", "50", "--format", "json"),
+    ("ulb", "--d", "2", "--N", "6", "--potential", "riesz:4"),
+    ("ulb", "--d", "2", "--N", "961", "--potential", "riesz:1", "--format", "json"),
+    ("ulb", "--d", "3", "--N", "120", "--potential", "gauss:1.5"),
+    ("ulb", "--d", "8", "--N", "1000", "--potential", "riesz:10"),
+    ("gauss", "--d", "1", "--alpha", "2"),
+    ("gauss", "--d", "2", "--alpha", "1", "--rho", "1"),
+    ("gauss", "--d", "3", "--alpha", "0.5", "--rho", "2", "--format", "json"),
+    ("gauss", "--d", "8", "--alpha", "0.3"),
+    ("quadrature", "--d", "3", "--N", "30", "--format", "json", "--out", OUT),
+    # refusals that fail fast
+    ("bounds", "--d", "2", "--s", "1"),
+    ("quadrature", "--d", "3", "--N", "1"),
+    ("plot-fs", "--d", "2", "--s-range", "3:6"),
+    ("ulb", "--d", "2", "--N", "6", "--potential", "coulomb:1"),
+    ("quadrature", "--d", "2", "--N", str(10**30)),
+)
+
+
+def run_case(argv: list[str], out_path: str) -> dict:
+    """Run the CLI in process; return its exit code, streams and --out file."""
+    writes_file = OUT in argv
+    argv = [out_path if a == OUT else a for a in argv]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    result = {"code": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
+    if writes_file:
+        with open(out_path, encoding="utf-8") as fh:
+            result["file"] = fh.read()
+    return result
+
+
+@functools.lru_cache(maxsize=None)
+def _golden() -> dict[tuple[str, ...], dict]:
+    with open(GOLDEN_PATH, encoding="utf-8") as fh:
+        return {tuple(case.pop("argv")): case for case in json.load(fh)}
+
+
+@pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+def test_cli_bytes_match_golden(argv, tmp_path):
+    assert run_case(list(argv), str(tmp_path / "out.txt")) == _golden()[argv]
+
+
+def test_corpus_matches_invocation_list():
+    assert list(_golden()) == list(ARGVS)
+
+
+if __name__ == "__main__":
+    cases = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in ARGVS:
+            cases.append({"argv": list(argv),
+                          **run_case(list(argv), os.path.join(tmp, "out.txt"))})
+    with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
+        json.dump(cases, fh, indent=1)
+        fh.write("\n")
+    sys.exit(0)
