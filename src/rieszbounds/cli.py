@@ -15,11 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .energy import (
     BOUND_REPORT_CSV_COLUMNS,
-    BoundReport,
     asd_bound,
     bd_ratio,
     bounds_report,
@@ -33,36 +31,10 @@ from .errors import DomainError, NumericalError, ResourceError
 from .lattices import CONJECTURED_DIMENSIONS, LATTICE_FOR_DIMENSION, c_tilde, packing_density
 from .quadrature import build_rule
 
-__all__ = [
-    "CliConfig",
-    "cmd_bounds",
-    "cmd_table_bd",
-    "cmd_plot_fs",
-    "cmd_quadrature",
-    "cmd_ulb",
-    "cmd_gauss",
-    "main",
-]
+__all__ = ["main"]
 
 C_TILDE_DIMENSIONS = (2, 4, 8, 24)
 TABLE_BD_DIMENSIONS = (1, 2, 3, 4, 5, 6, 7, 8, 24)
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Parsed invocation; one command plus its arguments."""
-
-    command: str
-    d: int | None = None
-    s: float | None = None
-    s_range: tuple[float, float, float] | None = None
-    n: int | None = None
-    potential: str | None = None
-    alpha: float | None = None
-    rho: float = 1.0
-    tol: float = 1e-10
-    format: str = "csv"
-    out: str | None = None
 
 
 def _fmt(x: float) -> str:
@@ -76,20 +48,24 @@ def _csv(header: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# subcommands: each renders its parsed arguments to the output text
 # ---------------------------------------------------------------------------
 
 
-def cmd_bounds(d: int, s: float, tol: float = 1e-10) -> BoundReport:
+def _bounds(ns: argparse.Namespace) -> str:
     """All asymptotic bounds at one (d, s), with the conjectured constant
     when the dimension has one."""
+    d, s = ns.d, ns.s
     if not s > d:
         raise DomainError(f"bounds requires s > d, got s={s}, d={d}")
     ct = c_tilde(d, s) if d in C_TILDE_DIMENSIONS else None
-    return bounds_report(d, s, tol, c_tilde=ct)
+    report = bounds_report(d, s, ns.tol, c_tilde=ct)
+    if ns.format == "json":
+        return json.dumps(report.to_dict()) + "\n"
+    return _csv(BOUND_REPORT_CSV_COLUMNS, [report.csv_row()])
 
 
-def cmd_table_bd() -> list[tuple[int, float, bool]]:
+def _table_bd(ns: argparse.Namespace) -> str:
     """Rows (d, B_d, conjectured) of the limiting ratio table.
 
     B_d compares the sphere-packing corollary's density bound with the
@@ -100,21 +76,38 @@ def cmd_table_bd() -> list[tuple[int, float, bool]]:
     for d in TABLE_BD_DIMENSIONS:
         delta = packing_density(LATTICE_FOR_DIMENSION[d])
         rows.append((d, bd_ratio(d, delta), d in CONJECTURED_DIMENSIONS))
-    return rows
+    if ns.format == "json":
+        return json.dumps([
+            {"d": d, "b_d": float(f"{b:.8f}"), "conjectured": flag}
+            for d, b, flag in rows]) + "\n"
+    return _csv(("d", "b_d", "conjectured"),
+                [(str(d), f"{b:.8f}", "yes" if flag else "no")
+                 for d, b, flag in rows])
 
 
-def cmd_plot_fs(d: int, s_range: tuple[float, float, float],
-                tol: float = 1e-10) -> tuple[tuple[str, ...], list[tuple[float, ...]]]:
+def _parse_s_range(text: str) -> tuple[float, float, float]:
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise DomainError(f"s-range must be start:stop:step, got {text!r}")
+    try:
+        start, stop, step = (float(p) for p in parts)
+    except ValueError:
+        raise DomainError(f"s-range must be three numbers, got {text!r}") from None
+    return start, stop, step
+
+
+def _plot_fs(ns: argparse.Namespace) -> str:
     """Figure-curve grid: (s, A, C-tilde, f = (C~/A)^(1/s)) per row.
 
     The root-scale gap column |c_tilde^(1/s) - a_sd^(1/s)| quantifies how
     close the two curves run; for d = 2 the companion columns add the
     root-scale volume and Gamma-ratio bounds.
     """
+    d = ns.d
+    start, stop, step = _parse_s_range(ns.s_range)
     if d not in C_TILDE_DIMENSIONS:
         raise DomainError(
             f"plot-fs requires d in {C_TILDE_DIMENSIONS} (conjectured constant), got {d}")
-    start, stop, step = s_range
     if not step > 0.0:
         raise DomainError(f"s-range step must be positive, got {step}")
     if not start > d:
@@ -130,7 +123,7 @@ def cmd_plot_fs(d: int, s_range: tuple[float, float, float],
         s = start + i * step
         if s > stop + 1e-9 * step:
             break
-        a = asd_bound(d, s, tol).value
+        a = asd_bound(d, s, ns.tol).value
         ct = c_tilde(d, s)
         a_root = a ** (1.0 / s)
         ct_root = ct ** (1.0 / s)
@@ -140,86 +133,57 @@ def cmd_plot_fs(d: int, s_range: tuple[float, float, float],
                          xi_bound(d, s) ** (1.0 / s), a_root)
         rows.append(row)
         i += 1
-    return header, rows
+    if ns.format == "json":
+        return json.dumps([dict(zip(header, row)) for row in rows]) + "\n"
+    return _csv(header, [tuple(_fmt(x) for x in row) for row in rows])
 
 
-def cmd_quadrature(d: int, n: int):
-    return build_rule(d, n)
+def _quadrature(ns: argparse.Namespace) -> str:
+    rule = build_rule(ns.d, ns.n)
+    interior = list(zip(rule.nodes, rule.weights))[::-1]  # ascending
+    if ns.format == "json":
+        payload = {
+            "d": rule.d, "N": rule.n, "tau": rule.tau,
+            "exact_degree": rule.exact_degree, "parity": rule.parity,
+            "nodes": [float(_fmt(t)) for t, _ in interior],
+            "weights": [float(_fmt(w)) for _, w in interior],
+            "endpoint_weight": float(_fmt(1.0 / rule.n)),
+        }
+        return json.dumps(payload) + "\n"
+    rows = [(_fmt(t), _fmt(w), "interior") for t, w in interior]
+    rows.append((_fmt(1.0), _fmt(1.0 / rule.n), "endpoint"))
+    return _csv(("node", "weight", "kind"), rows)
 
 
-def cmd_ulb(d: int, n: int, potential: str) -> float:
-    return ulb_energy(d, n, parse_potential(potential))
+def _ulb(ns: argparse.Namespace) -> str:
+    value = ulb_energy(ns.d, ns.n, parse_potential(ns.potential))
+    if ns.format == "json":
+        return json.dumps({"d": ns.d, "N": ns.n, "potential": ns.potential,
+                           "value": float(_fmt(value))}) + "\n"
+    return _csv(("d", "N", "potential", "value"),
+                [(str(ns.d), str(ns.n), ns.potential, _fmt(value))])
 
 
-def cmd_gauss(d: int, alpha: float, rho: float = 1.0):
-    return gauss_bound(d, alpha, rho)
+def _gauss(ns: argparse.Namespace) -> str:
+    gb = gauss_bound(ns.d, ns.alpha, ns.rho)
+    if ns.format == "json":
+        return json.dumps({"d": ns.d, "alpha": ns.alpha, "rho": ns.rho,
+                           "value": float(_fmt(gb.value)),
+                           "terms_used": gb.terms_used,
+                           "tail_bound": float(_fmt(gb.tail_bound))}) + "\n"
+    return _csv(("d", "alpha", "rho", "value", "terms_used", "tail_bound"),
+                [(str(ns.d), _fmt(ns.alpha), _fmt(ns.rho), _fmt(gb.value),
+                  str(gb.terms_used), _fmt(gb.tail_bound))])
 
 
-# ---------------------------------------------------------------------------
-# rendering
-# ---------------------------------------------------------------------------
-
-
-def _render(cfg: CliConfig) -> str:
-    if cfg.command == "bounds":
-        report = cmd_bounds(cfg.d, cfg.s, cfg.tol)
-        if cfg.format == "json":
-            return json.dumps(report.to_dict()) + "\n"
-        return _csv(BOUND_REPORT_CSV_COLUMNS, [report.csv_row()])
-
-    if cfg.command == "table-bd":
-        rows = cmd_table_bd()
-        if cfg.format == "json":
-            return json.dumps([
-                {"d": d, "b_d": float(f"{b:.8f}"), "conjectured": flag}
-                for d, b, flag in rows]) + "\n"
-        return _csv(("d", "b_d", "conjectured"),
-                    [(str(d), f"{b:.8f}", "yes" if flag else "no")
-                     for d, b, flag in rows])
-
-    if cfg.command == "plot-fs":
-        header, rows = cmd_plot_fs(cfg.d, cfg.s_range, cfg.tol)
-        if cfg.format == "json":
-            return json.dumps([dict(zip(header, row)) for row in rows]) + "\n"
-        return _csv(header, [tuple(_fmt(x) for x in row) for row in rows])
-
-    if cfg.command == "quadrature":
-        rule = cmd_quadrature(cfg.d, cfg.n)
-        interior = list(zip(rule.nodes, rule.weights))[::-1]  # ascending
-        if cfg.format == "json":
-            payload = {
-                "d": rule.d, "N": rule.n, "tau": rule.tau,
-                "exact_degree": rule.exact_degree, "parity": rule.parity,
-                "nodes": [float(_fmt(t)) for t, _ in interior],
-                "weights": [float(_fmt(w)) for _, w in interior],
-                "endpoint_weight": float(_fmt(1.0 / rule.n)),
-            }
-            return json.dumps(payload) + "\n"
-        rows = [(_fmt(t), _fmt(w), "interior") for t, w in interior]
-        rows.append((_fmt(1.0), _fmt(1.0 / rule.n), "endpoint"))
-        return _csv(("node", "weight", "kind"), rows)
-
-    if cfg.command == "ulb":
-        value = cmd_ulb(cfg.d, cfg.n, cfg.potential)
-        if cfg.format == "json":
-            return json.dumps({"d": cfg.d, "N": cfg.n,
-                               "potential": cfg.potential,
-                               "value": float(_fmt(value))}) + "\n"
-        return _csv(("d", "N", "potential", "value"),
-                    [(str(cfg.d), str(cfg.n), cfg.potential, _fmt(value))])
-
-    if cfg.command == "gauss":
-        gb = cmd_gauss(cfg.d, cfg.alpha, cfg.rho)
-        if cfg.format == "json":
-            return json.dumps({"d": cfg.d, "alpha": cfg.alpha, "rho": cfg.rho,
-                               "value": float(_fmt(gb.value)),
-                               "terms_used": gb.terms_used,
-                               "tail_bound": float(_fmt(gb.tail_bound))}) + "\n"
-        return _csv(("d", "alpha", "rho", "value", "terms_used", "tail_bound"),
-                    [(str(cfg.d), _fmt(cfg.alpha), _fmt(cfg.rho), _fmt(gb.value),
-                      str(gb.terms_used), _fmt(gb.tail_bound))])
-
-    raise DomainError(f"unknown command {cfg.command!r}")
+RENDERERS = {
+    "bounds": _bounds,
+    "table-bd": _table_bd,
+    "plot-fs": _plot_fs,
+    "quadrature": _quadrature,
+    "ulb": _ulb,
+    "gauss": _gauss,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -227,22 +191,10 @@ def _render(cfg: CliConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _parse_s_range(text: str) -> tuple[float, float, float]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise DomainError(f"s-range must be start:stop:step, got {text!r}")
-    try:
-        start, stop, step = (float(p) for p in parts)
-    except ValueError:
-        raise DomainError(f"s-range must be three numbers, got {text!r}") from None
-    return start, stop, step
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rieszbounds",
-        description="Linear-programming lower bounds for minimal energy on spheres.",
-        epilog="Bessel zero tables are cached under $RIESZBOUNDS_CACHE when set.")
+        description="Linear-programming lower bounds for minimal energy on spheres.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
@@ -285,36 +237,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(ns: argparse.Namespace) -> CliConfig:
-    return CliConfig(
-        command=ns.command,
-        d=getattr(ns, "d", None),
-        s=getattr(ns, "s", None),
-        s_range=_parse_s_range(ns.s_range) if getattr(ns, "s_range", None) else None,
-        n=getattr(ns, "n", None),
-        potential=getattr(ns, "potential", None),
-        alpha=getattr(ns, "alpha", None),
-        rho=getattr(ns, "rho", 1.0),
-        tol=getattr(ns, "tol", 1e-10),
-        format=ns.format,
-        out=ns.out,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(ns)
-        text = _render(cfg)
+        text = RENDERERS[ns.command](ns)
     except DomainError as exc:
         print(f"rieszbounds: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, ResourceError) as exc:
         print(f"rieszbounds: {exc}", file=sys.stderr)
         return 3
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+    if ns.out:
+        with open(ns.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

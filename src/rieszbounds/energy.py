@@ -159,8 +159,8 @@ def ulb_energy(d: int, n: int, h, rule: QuadratureRule | None = None) -> float:
 def _check_s_gt_d(d: int, s: float) -> None:
     if d < 1 or d != int(d):
         raise DomainError(f"dimension must be a positive integer, got {d}")
-    if not s > d:
-        raise DomainError(f"requires s > d, got s={s}, d={d}")
+    if not d < s < math.inf:
+        raise DomainError(f"requires finite s > d, got s={s}, d={d}")
 
 
 def theta_bound(d: int, s: float) -> float:
@@ -329,8 +329,8 @@ def asd_bound(d: int, s: float, tol: float = 1e-10) -> AsdBound:
     precision and raise ResourceError.
     """
     _check_s_gt_d(d, s)
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
     delta = s - d
     q = d / 4.0 - 0.25
     log_scale = ((s / d) * (0.5 * (d + 1) * math.log(math.pi)
@@ -425,10 +425,10 @@ def gauss_bound(d: int, alpha: float, rho: float = 1.0) -> GaussBound:
     """
     if d < 1 or d != int(d):
         raise DomainError(f"dimension must be a positive integer, got {d}")
-    if not alpha > 0.0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    if not rho > 0.0:
-        raise DomainError(f"rho must be positive, got {rho}")
+    if not 0.0 < alpha < math.inf:
+        raise DomainError(f"alpha must be positive and finite, got {alpha}")
+    if not 0.0 < rho < math.inf:
+        raise DomainError(f"rho must be positive and finite, got {rho}")
     radius = 2.0 * (rho / ball_volume(d)) ** (1.0 / d)
     scale = 4.0 / (lambda_d(d) * math.gamma(d + 1.0))
     decay = alpha / (math.pi * radius) ** 2
@@ -503,7 +503,6 @@ class BoundReport:
     a_sd_terms_used: int
     a_sd_tail_bound: float
     c_tilde: float | None = None
-    finite_n_entries: tuple[tuple[int, float], ...] | None = None
 
     def to_dict(self) -> dict:
         out = {
@@ -518,8 +517,6 @@ class BoundReport:
         }
         if self.c_tilde is not None:
             out["c_tilde"] = self.c_tilde
-        if self.finite_n_entries is not None:
-            out["finite_n_entries"] = [[n, v] for n, v in self.finite_n_entries]
         return out
 
     def csv_row(self) -> tuple[str, ...]:
@@ -533,18 +530,12 @@ class BoundReport:
 
 
 def bounds_report(d: int, s: float, tol: float = 1e-10,
-                  c_tilde: float | None = None,
-                  finite_n: tuple[int, ...] = ()) -> BoundReport:
+                  c_tilde: float | None = None) -> BoundReport:
     """Compute every applicable bound at (d, s) into one record."""
     theta = theta_bound(d, s)
     xi = xi_bound(d, s)
     asd = asd_bound(d, s, tol)
-    entries = None
-    if finite_n:
-        entries = tuple(
-            (n, ulb_energy(d, n, RieszPotential(s))) for n in finite_n)
     return BoundReport(
         d=d, s=s, theta=theta, xi=xi, xi_flag=xi_flags(d, s),
         a_sd=asd.value, a_sd_terms_used=asd.terms_used,
-        a_sd_tail_bound=asd.tail_bound, c_tilde=c_tilde,
-        finite_n_entries=entries)
+        a_sd_tail_bound=asd.tail_bound, c_tilde=c_tilde)

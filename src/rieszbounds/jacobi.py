@@ -126,19 +126,6 @@ def _deriv_rows(kmax: int, alpha: float, beta: float, t: np.ndarray) -> np.ndarr
     return out
 
 
-def jacobi_deriv(k: int, d: int, a: int, b: int, t):
-    """Derivative of the normalized order-k polynomial at t."""
-    if k < 0:
-        raise DomainError(f"order must be >= 0, got {k}")
-    alpha, beta = family_params(d, a, b)
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    _check_points(arr)
-    vals = _deriv_rows(k, alpha, beta, arr)[k]
-    if np.asarray(t).ndim == 0:
-        return float(vals[0])
-    return vals.reshape(np.asarray(t).shape)
-
-
 def _log_norm_const(alpha: float, beta: float) -> float:
     # log of 2^(alpha+beta+1) B(alpha+1, beta+1), the total mass of the
     # weight (1-t)^alpha (1+t)^beta on [-1, 1]
@@ -162,19 +149,22 @@ def norm_ratios(kmax: int, d: int, a: int, b: int) -> np.ndarray:
         raise DomainError(f"kmax must be >= 0, got {kmax}")
     alpha, beta = family_params(d, a, b)
     log_lam = _log_norm_const(alpha, beta)
-    out = np.empty(kmax + 1, dtype=float)
-    for k in range(kmax + 1):
-        log_binom = math.lgamma(k + alpha + 1.0) - math.lgamma(alpha + 1.0) - math.lgamma(k + 1.0)
-        log_h = (
-            (alpha + beta + 1.0) * math.log(2.0)
-            - math.log(2.0 * k + alpha + beta + 1.0)
-            + math.lgamma(k + alpha + 1.0)
-            + math.lgamma(k + beta + 1.0)
-            - math.lgamma(k + alpha + beta + 1.0)
-            - math.lgamma(k + 1.0)
-        )
-        out[k] = math.exp(log_lam + 2.0 * log_binom - log_h)
-    return out
+    return np.array([_norm_ratio(k, alpha, beta, log_lam) for k in range(kmax + 1)],
+                    dtype=float)
+
+
+def _norm_ratio(k: int, alpha: float, beta: float, log_lam: float) -> float:
+    # r_k of norm_ratios; log_lam is _log_norm_const(alpha, beta)
+    log_binom = math.lgamma(k + alpha + 1.0) - math.lgamma(alpha + 1.0) - math.lgamma(k + 1.0)
+    log_h = (
+        (alpha + beta + 1.0) * math.log(2.0)
+        - math.log(2.0 * k + alpha + beta + 1.0)
+        + math.lgamma(k + alpha + 1.0)
+        + math.lgamma(k + beta + 1.0)
+        - math.lgamma(k + alpha + beta + 1.0)
+        - math.lgamma(k + 1.0)
+    )
+    return math.exp(log_lam + 2.0 * log_binom - log_h)
 
 
 def _log_lead(k: int, alpha: float, beta: float) -> float:
@@ -224,42 +214,36 @@ def cd_kernel(k: int, d: int, a: int, b: int, x, y, method: str = "auto"):
     The default dispatch evaluates the Christoffel-Darboux quotient away
     from the diagonal and the confluent limit at the midpoint when x and
     y are within 1e-6 of each other, where the quotient starts losing
-    digits to cancellation.  "sum" forces the direct positive-term sum
-    (the cross-check route), "ratio" and "confluent" force a single
-    branch and raise when fed points the branch cannot handle.  All
-    routes agree to rounding; the test suite pins them against each
-    other.
+    digits to cancellation.  "ratio" and "confluent" force a single
+    branch and raise when fed points the branch cannot handle.  The test
+    suite pins the routes against the direct positive-term sum.
     """
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     ya = np.atleast_1d(np.asarray(y, dtype=float))
     xa, ya = np.broadcast_arrays(xa, ya)
     _check_points(xa)
     _check_points(ya)
-    r = norm_ratios(k, d, a, b)
+    if k < 0:
+        raise DomainError(f"order must be >= 0, got {k}")
+    alpha, beta = family_params(d, a, b)
+    rk = _norm_ratio(k, alpha, beta, _log_norm_const(alpha, beta))
     if method == "auto":
         xr, yr = xa.ravel(), ya.ravel()
         eq = np.abs(xr - yr) <= 1e-6
         vals = np.empty(xr.size, dtype=float)
         if np.any(~eq):
-            vals[~eq] = _kernel_ratio(k, d, a, b, xr[~eq], yr[~eq], r[k])
+            vals[~eq] = _kernel_ratio(k, d, a, b, xr[~eq], yr[~eq], rk)
         if np.any(eq):
-            vals[eq] = _kernel_confluent(k, d, a, b, 0.5 * (xr[eq] + yr[eq]), r[k])
-    elif method == "sum":
-        px = jacobi_values(k, d, a, b, xa.ravel())
-        py = px if np.array_equal(xa, ya) else jacobi_values(k, d, a, b, ya.ravel())
-        acc = np.zeros(xa.size, dtype=_LONG)
-        for i in range(k + 1):
-            acc += _LONG(r[i]) * px[i].astype(_LONG) * py[i].astype(_LONG)
-        vals = acc.astype(float)
+            vals[eq] = _kernel_confluent(k, d, a, b, 0.5 * (xr[eq] + yr[eq]), rk)
     elif method == "ratio":
         diff = xa.ravel() - ya.ravel()
         if np.any(diff == 0.0):
             raise DomainError("ratio form of the kernel needs x != y")
-        vals = _kernel_ratio(k, d, a, b, xa.ravel(), ya.ravel(), r[k])
+        vals = _kernel_ratio(k, d, a, b, xa.ravel(), ya.ravel(), rk)
     elif method == "confluent":
         if not np.array_equal(xa, ya):
             raise DomainError("confluent form of the kernel needs x == y")
-        vals = _kernel_confluent(k, d, a, b, xa.ravel(), r[k])
+        vals = _kernel_confluent(k, d, a, b, xa.ravel(), rk)
     else:
         raise DomainError(f"unknown kernel method {method!r}")
     if np.asarray(x).ndim == 0 and np.asarray(y).ndim == 0:

@@ -2,9 +2,8 @@
 
 The conjectured sharp constants compare the Bessel-series constant with
 covolume-normalized Epstein zeta values of the best known lattices.  Theta
-coefficients come either from closed divisor-sum formulas (A1, A2, D4, E8,
-Leech) or from direct enumeration of short vectors; the two routes are
-cross-checked in the test suite.
+coefficients come from closed divisor-sum formulas (A1, A2, D4, E8, Leech);
+the test suite checks them against direct enumeration of short vectors.
 
 Index convention per lattice: for the even lattices in the Cartan scale
 (fcc through E8, Leech) index m corresponds to squared norm 2m, so N(1)
@@ -26,10 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
 from mpmath import gammainc, mp, mpf
 
 from .errors import DomainError, NumericalError, ResourceError
@@ -44,8 +41,6 @@ __all__ = [
     "ramanujan_tau",
     "tau_coefficients",
     "theta_coefficients",
-    "theta_coefficients_csv",
-    "count_by_norm",
     "EpsteinZeta",
     "epstein_zeta",
     "c_tilde",
@@ -57,10 +52,8 @@ __all__ = [
 class LatticeSpec:
     """Static description of one lattice in a fixed scale.
 
-    ``gram`` is an integer matrix with ``Q(x) = x^T gram x / gram_doubling``
-    the squared-norm form; ``None`` means no enumeration model is
-    configured.  ``index_convention`` is ``"even"`` (index m <-> squared
-    norm 2m) or ``"direct"`` (index m <-> squared norm m).
+    ``index_convention`` is ``"even"`` (index m <-> squared norm 2m) or
+    ``"direct"`` (index m <-> squared norm m).
     """
 
     name: str
@@ -68,46 +61,22 @@ class LatticeSpec:
     covolume: float
     min_sq_norm: int
     index_convention: str
-    gram: tuple[tuple[int, ...], ...] | None
-    gram_doubling: int = 1
 
-    def sq_norm_of_index(self, m: int) -> int:
-        return 2 * m if self.index_convention == "even" else m
-
-
-# Cartan matrices for the root lattices; E7/E6 are the leading blocks of
-# the E8 ordering (chain 1-3-4-5-6-7-8, node 2 attached to node 4).
-_E8_GRAM = (
-    (2, 0, -1, 0, 0, 0, 0, 0),
-    (0, 2, 0, -1, 0, 0, 0, 0),
-    (-1, 0, 2, -1, 0, 0, 0, 0),
-    (0, -1, -1, 2, -1, 0, 0, 0),
-    (0, 0, 0, -1, 2, -1, 0, 0),
-    (0, 0, 0, 0, -1, 2, -1, 0),
-    (0, 0, 0, 0, 0, -1, 2, -1),
-    (0, 0, 0, 0, 0, 0, -1, 2),
-)
-_E7_GRAM = tuple(row[:7] for row in _E8_GRAM[:7])
-_E6_GRAM = tuple(row[:6] for row in _E8_GRAM[:6])
 
 LATTICES: dict[str, LatticeSpec] = {
     # integers at spacing 1: covolume 1, shortest vector 1
-    "A1": LatticeSpec("A1", 1, 1.0, 1, "direct", ((2,),), 2),
+    "A1": LatticeSpec("A1", 1, 1.0, 1, "direct"),
     # hexagonal at minimal distance 1: form u^2 + uv + v^2, covolume sqrt(3)/2
-    "A2": LatticeSpec("A2", 2, math.sqrt(3.0) / 2.0, 1, "direct", ((2, 1), (1, 2)), 2),
+    "A2": LatticeSpec("A2", 2, math.sqrt(3.0) / 2.0, 1, "direct"),
     # face-centered cubic = D3, Cartan scale: covolume 2, shortest sq norm 2
-    "fcc": LatticeSpec("fcc", 3, 2.0, 2, "even",
-                       ((2, -1, 0), (-1, 2, -1), (0, -1, 2))),
-    "D4": LatticeSpec("D4", 4, 2.0, 2, "even",
-                      ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))),
-    "D5": LatticeSpec("D5", 5, 2.0, 2, "even",
-                      ((2, -1, 0, 0, 0), (-1, 2, -1, 0, 0), (0, -1, 2, -1, -1),
-                       (0, 0, -1, 2, 0), (0, 0, -1, 0, 2))),
-    "E6": LatticeSpec("E6", 6, math.sqrt(3.0), 2, "even", _E6_GRAM),
-    "E7": LatticeSpec("E7", 7, math.sqrt(2.0), 2, "even", _E7_GRAM),
-    "E8": LatticeSpec("E8", 8, 1.0, 2, "even", _E8_GRAM),
-    # Leech: even unimodular, shortest sq norm 4; no enumeration model here
-    "Leech": LatticeSpec("Leech", 24, 1.0, 4, "even", None),
+    "fcc": LatticeSpec("fcc", 3, 2.0, 2, "even"),
+    "D4": LatticeSpec("D4", 4, 2.0, 2, "even"),
+    "D5": LatticeSpec("D5", 5, 2.0, 2, "even"),
+    "E6": LatticeSpec("E6", 6, math.sqrt(3.0), 2, "even"),
+    "E7": LatticeSpec("E7", 7, math.sqrt(2.0), 2, "even"),
+    "E8": LatticeSpec("E8", 8, 1.0, 2, "even"),
+    # Leech: even unimodular, shortest sq norm 4
+    "Leech": LatticeSpec("Leech", 24, 1.0, 4, "even"),
 }
 
 # best known packing lattice per dimension; optimality in d = 4..7 is open
@@ -233,7 +202,16 @@ def ramanujan_tau(m: int, limit: int = TAU_TRUNCATION_DEFAULT) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _theta_formula(lat: LatticeSpec, m_max: int) -> list[int]:
+def theta_coefficients(lattice: LatticeSpec | str, m_max: int) -> list[int]:
+    """Shell counts N(1..m_max) in the lattice's index convention.
+
+    Closed divisor-sum formulas; the lattices without one raise
+    DomainError.  The test suite checks the formulas against direct
+    enumeration of short vectors.
+    """
+    lat = _spec(lattice)
+    if m_max < 1:
+        raise DomainError(f"theta_coefficients requires m_max >= 1, got {m_max}")
     name = lat.name
     if name == "A1":
         out = [0] * (m_max + 1)
@@ -252,7 +230,7 @@ def _theta_formula(lat: LatticeSpec, m_max: int) -> list[int]:
         return [240 * s3[m] for m in range(1, m_max + 1)]
     if name == "Leech":
         s11 = _sieve_sigma(11, m_max)
-        tau = tau_coefficients(m_max) if m_max >= 1 else [0]
+        tau = tau_coefficients(m_max)
         out = []
         for m in range(1, m_max + 1):
             num = 65520 * (s11[m] - tau[m])
@@ -277,147 +255,6 @@ def _a2_counts(m_max: int) -> list[int]:
             if 0 < q <= m_max:
                 out[q] += 1
     return out[1:]
-
-
-def count_by_norm(gram: tuple[tuple[int, ...], ...], q_max: int,
-                  doubling: int = 1) -> dict[int, int]:
-    """Counts of nonzero integer vectors by form value x^T gram x / doubling.
-
-    Depth-first enumeration inside the ellipsoid, bounds from the Cholesky
-    factor with conservative padding; the form value at each leaf is
-    recomputed in exact integer arithmetic, so the padding cannot admit a
-    wrong count.  Cost is proportional to the number of lattice points in
-    the ball, which grows like q_max^(d/2).
-    """
-    if q_max < 1:
-        raise DomainError(f"count_by_norm requires q_max >= 1, got {q_max}")
-    g = np.array(gram, dtype=float)
-    n = g.shape[0]
-    if g.shape != (n, n) or not np.allclose(g, g.T):
-        raise DomainError("gram must be a symmetric square matrix")
-    try:
-        upper = np.linalg.cholesky(g).T
-    except np.linalg.LinAlgError:
-        raise DomainError("gram must be positive definite") from None
-    rows = [list(map(int, row)) for row in gram]
-    budget = float(q_max * doubling) + 1e-7
-    counts: dict[int, int] = {}
-    x = [0] * n
-
-    def descend(i: int, partial: float) -> None:
-        if i < 0:
-            q2 = 0
-            for a in range(n):
-                xa = x[a]
-                if xa:
-                    row = rows[a]
-                    q2 += xa * (row[a] * xa
-                                + 2 * sum(row[b] * x[b] for b in range(a + 1, n)))
-            if 0 < q2 <= q_max * doubling and q2 % doubling == 0:
-                q = q2 // doubling
-                counts[q] = counts.get(q, 0) + 1
-            return
-        center = -sum(upper[i, j] * x[j] for j in range(i + 1, n)) / upper[i, i]
-        half = math.sqrt(max(budget - partial, 0.0)) / upper[i, i]
-        for xi in range(math.ceil(center - half - 1e-9),
-                        math.floor(center + half + 1e-9) + 1):
-            x[i] = xi
-            t = upper[i, i] * (xi - center)
-            descend(i - 1, partial + t * t)
-        x[i] = 0
-
-    descend(n - 1, 0.0)
-    return counts
-
-
-def _theta_enumerate(lat: LatticeSpec, m_max: int) -> list[int]:
-    if lat.gram is None:
-        raise DomainError(f"no enumeration model configured for lattice {lat.name}")
-    if lat.name == "E8":
-        return _e8_coset_counts(m_max)
-    q_max = lat.sq_norm_of_index(m_max)
-    counts = count_by_norm(lat.gram, q_max, lat.gram_doubling)
-    out = [0] * (m_max + 1)
-    for q, c in counts.items():
-        if lat.index_convention == "even":
-            if q % 2 != 0:
-                raise NumericalError(
-                    f"odd squared norm {q} enumerated in even lattice {lat.name}")
-            out[q // 2] += c
-        else:
-            out[q] += c
-    return out[1:]
-
-
-def _e8_coset_counts(m_max: int) -> list[int]:
-    """E8 counts through the integral/half-integral coordinate model.
-
-    Vectors are the even-coordinate-sum points of Z^8 together with the
-    same constraint on Z^8 + (1/2,...,1/2).  Both pieces reduce to 8-fold
-    convolutions of one-dimensional square series: the parity constraint
-    keeps (theta3^8 + theta4^8)/2 on the integral part and exactly half of
-    the half-integral part.  Exponents are tracked in quarter-steps so
-    everything stays integral.
-    """
-    qmax4 = 8 * m_max  # squared norm 2m -> quarter-units 8m
-    size = qmax4 + 1
-    a3 = np.zeros(size, dtype=np.int64)
-    a4 = np.zeros(size, dtype=np.int64)
-    a3[0] = a4[0] = 1
-    k = 1
-    while 4 * k * k < size:
-        a3[4 * k * k] = 2
-        a4[4 * k * k] = 2 if k % 2 == 0 else -2
-        k += 1
-    a2 = np.zeros(size, dtype=np.int64)
-    k = 1
-    while k * k < size:
-        a2[k * k] = 2
-        k += 2
-
-    def conv_pow8(a: np.ndarray) -> np.ndarray:
-        p2 = np.convolve(a, a)[:size]
-        p4 = np.convolve(p2, p2)[:size]
-        return np.convolve(p4, p4)[:size]
-
-    total = conv_pow8(a3) + conv_pow8(a4) + conv_pow8(a2)
-    out = []
-    for m in range(1, m_max + 1):
-        v = total[8 * m]
-        if v % 2 != 0:
-            raise NumericalError("E8 coset expansion lost the parity pairing")
-        out.append(int(v) // 2)
-    return out
-
-
-def theta_coefficients(lattice: LatticeSpec | str, m_max: int,
-                       mode: str = "auto") -> list[int]:
-    """Shell counts N(1..m_max) in the lattice's index convention.
-
-    ``mode`` selects the closed divisor-sum formula, direct enumeration,
-    or ``"auto"`` (formula when one exists).  The two routes agree; the
-    test suite checks this on overlapping ranges.
-    """
-    lat = _spec(lattice)
-    if m_max < 1:
-        raise DomainError(f"theta_coefficients requires m_max >= 1, got {m_max}")
-    if mode == "auto":
-        mode = "formula" if lat.name in ("A1", "A2", "D4", "E8", "Leech") else "enumerate"
-    if mode == "formula":
-        return _theta_formula(lat, m_max)
-    if mode == "enumerate":
-        return _theta_enumerate(lat, m_max)
-    raise DomainError(f"unknown theta mode {mode!r}; use formula, enumerate, or auto")
-
-
-def theta_coefficients_csv(lattice: LatticeSpec | str, m_max: int,
-                           mode: str = "auto") -> str:
-    lat = _spec(lattice)
-    counts = theta_coefficients(lat, m_max, mode)
-    lines = ["m,sq_norm,count"]
-    for m, c in enumerate(counts, start=1):
-        lines.append(f"{m},{lat.sq_norm_of_index(m)},{c}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +291,7 @@ def _epstein_plain(lat: LatticeSpec, s: float, tol: float) -> EpsteinZeta:
     kappa = 2.0 if lat.index_convention == "even" else 1.0
     m = 256
     while True:
-        counts = theta_coefficients(lat, m, "formula")
+        counts = theta_coefficients(lat, m)
         total = math.fsum(counts[k - 1] * (kappa * k) ** -w
                           for k in range(m, 0, -1) if counts[k - 1])
         cmaj, p = _coeff_majorant(lat, counts)
@@ -488,7 +325,7 @@ def _epstein_accel(lat: LatticeSpec, s: float, tol: float) -> EpsteinZeta:
     covol = lat.covolume
     shells = 48
     while True:
-        counts = theta_coefficients(lat, shells, "formula")
+        counts = theta_coefficients(lat, shells)
         cmaj, p = _coeff_majorant(lat, counts)
         with mp.workdps(30):
             mw = mpf(w)
@@ -545,18 +382,18 @@ def epstein_zeta(lattice: LatticeSpec | str, s: float, tol: float = 1e-10) -> Ep
     Returns the value and a tail bound; the bound accounts for shell
     truncation under the calibrated coefficient majorant plus a floating
     point floor, and the target is tail <= tol * value.  Only lattices
-    with closed coefficient formulas are supported; the enumeration-only
-    root lattices would need infeasibly deep vector counts.
+    with closed coefficient formulas are supported; the other root
+    lattices would need infeasibly deep vector counts.
     """
     lat = _spec(lattice)
     if lat.name not in _FORMULA_LATTICES:
         raise DomainError(
             f"zeta evaluation is not configured for {lat.name}; "
             f"supported lattices: {', '.join(_FORMULA_LATTICES)}")
-    if not s > lat.d:
-        raise DomainError(f"lattice zeta of {lat.name} requires s > {lat.d}, got {s}")
-    if not tol > 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    if not lat.d < s < math.inf:
+        raise DomainError(f"lattice zeta of {lat.name} requires finite s > {lat.d}, got {s}")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tolerance must be positive and finite, got {tol}")
     gap_switch = _PLAIN_GAP_LEECH if lat.name == "Leech" else _PLAIN_GAP
     if s - lat.d >= gap_switch:
         return _epstein_plain(lat, s, tol)
@@ -573,7 +410,7 @@ def c_tilde(d: int, s: float) -> float:
     if lat_name is None:
         raise DomainError(f"c_tilde is defined for d in (2, 4, 8, 24), got {d}")
     lat = LATTICES[lat_name]
-    if not s > d:
-        raise DomainError(f"c_tilde requires s > d = {d}, got s={s}")
+    if not d < s < math.inf:
+        raise DomainError(f"c_tilde requires finite s > d = {d}, got s={s}")
     z = epstein_zeta(lat, s, 1e-10)
     return lat.covolume ** (s / d) * z.value

@@ -11,7 +11,6 @@ degenerate exactly to plain Jacobi-zero rules.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,7 +26,6 @@ from .jacobi import (
     cd_kernel,
     family_params,
     jacobi_values,
-    lead_ratio,
 )
 from .special import lambda_d
 
@@ -278,16 +276,6 @@ class QuadratureRule:
                 f"rule for d={self.d}, N={self.n} weight sum off by {total - 1.0:.3e}"
             )
 
-    def to_json(self) -> str:
-        payload = {
-            "d": self.d,
-            "N": self.n,
-            "tau": self.tau,
-            "nodes": [float(f"{x:.17g}") for x in self.nodes],
-            "weights": [float(f"{w:.17g}") for w in self.weights],
-        }
-        return json.dumps(payload)
-
 
 def _exactness_system_weights(d: int, n: int, nodes: np.ndarray) -> np.ndarray:
     # fallback: solve sum_j w_j P_i(x_j) = delta_{i0} - P_i(1)/N in the
@@ -319,43 +307,32 @@ def build_rule(d: int, n: int) -> QuadratureRule:
     s = solve_s_for_n(d, n)
     endpoint = n == dgs_bound(d, tau + 1)
     lam_d = lambda_d(d)
-    if tau % 2 == 1:
-        alpha, beta = family_params(d, 1, 0)
-        if n == 2:
-            interior = np.array([-1.0])
-        else:
-            interior = jacobi._zeros_raw(k, alpha, beta, s)
-        interior = np.sort(interior)
-        if abs(interior[-1] - s) > 5e-11:
-            raise NumericalError(f"largest node drifted from s at polynomial degree {k}")
-        interior[-1] = s
-        lam_10 = math.exp(_log_norm_const(alpha, beta))
-        qdiag = np.atleast_1d(cd_kernel(k - 1, d, 1, 0, interior, interior, "confluent"))
-        weights = lam_10 / (lam_d * (1.0 - interior) * qdiag)
-        nodes = interior[::-1]
-        weights = weights[::-1]
-        rule = QuadratureRule(
-            d=d,
-            n=n,
-            tau=tau,
-            parity="odd",
-            nodes=tuple(float(x) for x in nodes),
-            weights=tuple(float(w) for w in weights),
-            includes_minus_one=bool(nodes[-1] == -1.0),
-            endpoint=endpoint,
-        )
+    odd = tau % 2 == 1
+    # interior nodes: zeros of the shifted (1, 0) family polynomial for odd
+    # tau, of the (1, 1) family for even tau, the largest pinned to s
+    b = 0 if odd else 1
+    alpha, beta = family_params(d, 1, b)
+    if n == 2:
+        interior = np.array([-1.0])
     else:
-        alpha, beta = family_params(d, 1, 1)
-        interior = np.sort(jacobi._zeros_raw(k, alpha, beta, s))
-        if abs(interior[-1] - s) > 5e-11:
-            raise NumericalError(f"largest node drifted from s at polynomial degree {k}")
-        interior[-1] = s
-        lam_11 = math.exp(_log_norm_const(alpha, beta))
-        # kernel order k-1, matching the node polynomial; the order-k
-        # diagonal breaks the weight-sum identity away from endpoint
-        # cardinalities (checked: d=2, N=5 gives weight sum 0.96)
-        qdiag = np.atleast_1d(cd_kernel(k - 1, d, 1, 1, interior, interior, "confluent"))
-        eta = lam_11 / (lam_d * (1.0 - interior * interior) * qdiag)
+        interior = jacobi._zeros_raw(k, alpha, beta, s)
+    interior = np.sort(interior)
+    if abs(interior[-1] - s) > 5e-11:
+        raise NumericalError(f"largest node drifted from s at polynomial degree {k}")
+    interior[-1] = s
+    lam_1b = math.exp(_log_norm_const(alpha, beta))
+    # kernel order k-1, matching the node polynomial; the order-k
+    # diagonal breaks the weight-sum identity away from endpoint
+    # cardinalities (checked: d=2, N=5 gives weight sum 0.96)
+    qdiag = np.atleast_1d(cd_kernel(k - 1, d, 1, b, interior, interior, "confluent"))
+    # the family weight (1 - t)(1 + t)^b; (1 - t)(1 + t) would round
+    # differently from 1 - t*t and move the even-tau weights
+    factor = (1.0 - interior) if odd else (1.0 - interior * interior)
+    weights = lam_1b / (lam_d * factor * qdiag)
+    nodes = interior[::-1]
+    weights = weights[::-1]
+    fallback = False
+    if not odd:
         # weight at the node -1 from the Gegenbauer kernel determinant
         q_s1 = cd_kernel(k, d, 0, 0, s, 1.0, "ratio")
         q_mm = cd_kernel(k, d, 0, 0, -1.0, -1.0, "confluent")
@@ -364,25 +341,24 @@ def build_rule(d: int, n: int) -> QuadratureRule:
         den = q_mm * q_s1 - q_m1 * q_sm
         fallback = not abs(den) > 1e-13 * max(1.0, abs(q_mm * q_s1))
         if fallback:
-            all_nodes = np.concatenate(([-1.0], interior))
-            wts = _exactness_system_weights(d, n, all_nodes)
+            wts = _exactness_system_weights(d, n, np.concatenate(([-1.0], interior)))
             eta_last = wts[0]
-            eta = wts[1:]
+            weights = wts[1:][::-1]
         else:
             eta_last = q_s1 / den
-        nodes = np.concatenate((interior[::-1], [-1.0]))
-        weights = np.concatenate((eta[::-1], [eta_last]))
-        rule = QuadratureRule(
-            d=d,
-            n=n,
-            tau=tau,
-            parity="even",
-            nodes=tuple(float(x) for x in nodes),
-            weights=tuple(float(w) for w in weights),
-            includes_minus_one=True,
-            endpoint=endpoint,
-            weight_fallback=fallback,
-        )
+        nodes = np.concatenate((nodes, [-1.0]))
+        weights = np.concatenate((weights, [eta_last]))
+    rule = QuadratureRule(
+        d=d,
+        n=n,
+        tau=tau,
+        parity="odd" if odd else "even",
+        nodes=tuple(float(x) for x in nodes),
+        weights=tuple(float(w) for w in weights),
+        includes_minus_one=bool(nodes[-1] == -1.0),
+        endpoint=endpoint,
+        weight_fallback=fallback,
+    )
     rule.validate()
     return rule
 

@@ -10,8 +10,7 @@ only when the first omitted term certifies an absolute error below
 Newton iteration; a bracketed scan repairs the rare misconvergence for
 large orders where the McMahon guess is poor.
 
-Accuracy targets: ``gamma_fn`` relative error <= 1e-13 for arguments up
-to 50, ``bessel_j`` absolute error <= 1e-12 for 0 <= x <= 500 and
+Accuracy targets: ``bessel_j`` absolute error <= 1e-12 for 0 <= x <= 500 and
 0 <= nu <= 15, zeros to |dz| ~ 1e-14 (or a few ulp once that is below
 the floating point spacing).
 """
@@ -19,7 +18,6 @@ the floating point spacing).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 from mpmath import mp
@@ -28,13 +26,6 @@ from .errors import DomainError, NumericalError
 
 _TWO_PI = 2.0 * math.pi
 _EPS = 2.220446049250313e-16
-
-
-def gamma_fn(x: float) -> float:
-    """Euler Gamma for positive real x."""
-    if not x > 0.0:
-        raise DomainError(f"gamma_fn requires x > 0, got {x}")
-    return math.gamma(x)
 
 
 def lambda_d(d: int) -> float:
@@ -73,10 +64,12 @@ def hurwitz_zeta(s: float, a: float) -> float:
 
     Five Bernoulli correction terms; for s > 1 and a >= 100 the first
     omitted term is below 1e-20 relative, so the result is limited only
-    by double rounding.  Callers wanting a tail over k >= K pass a += K.
+    by double rounding.  Smaller a is refused, since the expansion is not
+    accurate there.  Callers wanting a tail over k >= K pass a += K.
     """
-    if s <= 1.0 or a <= 0.0:
-        raise DomainError(f"hurwitz_zeta requires s > 1 and a > 0, got s={s}, a={a}")
+    if not (1.0 < s < math.inf and 100.0 <= a < math.inf):
+        raise DomainError(
+            f"hurwitz_zeta requires finite s > 1 and a >= 100, got s={s}, a={a}")
     total = 0.5 * a ** (-s) + a ** (1.0 - s) / (s - 1.0)
     poch = s
     apow = a ** (-s - 1.0)
@@ -254,46 +247,17 @@ def _scan_zeros(nu: float, n: int) -> list[float]:
 
 @dataclass(frozen=True)
 class BesselZeroTable:
-    """Immutable table of the first positive zeros of J_nu.
-
-    certified_count says how many leading entries have passed the residual
-    and spacing checks; tables built by bessel_zeros are fully certified,
-    tables loaded from a file are not until validate() runs.
-    """
+    """Immutable table of the first positive zeros of J_nu, each of which
+    has passed the residual and spacing checks."""
 
     nu: float
     zeros: tuple[float, ...]
-    certified_count: int = 0
 
     def __len__(self) -> int:
         return len(self.zeros)
 
     def __getitem__(self, i: int) -> float:
         return self.zeros[i]
-
-    def validate(self) -> "BesselZeroTable":
-        _validate_zero_range(self.nu, self.zeros, 0, len(self.zeros))
-        return BesselZeroTable(self.nu, self.zeros, len(self.zeros))
-
-    def save(self, path: str) -> None:
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="ascii") as fh:
-            fh.write(f"# jzeros v1 nu={self.nu:.17g} n={len(self.zeros)}\n")
-            for z in self.zeros:
-                fh.write(f"{z:.17g}\n")
-        os.replace(tmp, path)
-
-    @classmethod
-    def load(cls, path: str) -> "BesselZeroTable":
-        with open(path, "r", encoding="ascii") as fh:
-            header = fh.readline().split()
-            try:
-                nu_token = next(tok for tok in header if tok.startswith("nu="))
-            except StopIteration:
-                raise NumericalError(f"zero table {path} has no nu= header") from None
-            nu = float(nu_token[3:])
-            vals = tuple(float(line) for line in fh if line.strip())
-        return cls(nu=nu, zeros=vals)
 
 
 def _validate_zero_range(nu: float, zeros: tuple[float, ...] | list[float], lo: int, hi: int) -> None:
@@ -314,27 +278,13 @@ _zero_cache: dict[float, list[float]] = {}
 _zero_checked: dict[float, int] = {}
 
 
-def _cache_path(nu: float, n: int) -> str | None:
-    root = os.environ.get("RIESZBOUNDS_CACHE")
-    if not root:
-        return None
-    os.makedirs(root, exist_ok=True)
-    return os.path.join(root, f"jzeros-v1-nu{nu:.17g}-n{n}.txt")
-
-
 def bessel_zeros(nu: float, n: int) -> BesselZeroTable:
     """First n positive zeros of J_nu, validated and cached per order."""
-    if nu < 0.0:
-        raise DomainError(f"bessel_zeros requires nu >= 0, got {nu}")
+    if not 0.0 <= nu < math.inf:
+        raise DomainError(f"bessel_zeros requires finite nu >= 0, got {nu}")
     if n < 1 or n != int(n):
         raise DomainError(f"bessel_zeros requires a positive integer count, got {n}")
     known = _zero_cache.setdefault(nu, [])
-    if len(known) < n:
-        path = _cache_path(nu, n)
-        if path and os.path.exists(path):
-            loaded = BesselZeroTable.load(path)
-            if loaded.nu == nu and len(loaded) >= n:
-                known[:] = list(loaded.zeros)
     if len(known) < n:
         fresh = [_newton_polish(nu, _mcmahon_guess(nu, i)) for i in range(len(known) + 1, n + 1)]
         candidate = known + fresh
@@ -344,11 +294,8 @@ def bessel_zeros(nu: float, n: int) -> BesselZeroTable:
         if not ok:
             candidate = _scan_zeros(nu, n)
         known[:] = candidate
-        path = _cache_path(nu, n)
-        if path:
-            BesselZeroTable(nu=nu, zeros=tuple(known[:n])).save(path)
     checked = _zero_checked.get(nu, 0)
     if checked < n:
         _validate_zero_range(nu, known, checked, n)
         _zero_checked[nu] = n
-    return BesselZeroTable(nu=nu, zeros=tuple(known[:n]), certified_count=n)
+    return BesselZeroTable(nu=nu, zeros=tuple(known[:n]))

@@ -248,3 +248,129 @@ def riesz_energy(points, s: float) -> float:
     dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     np.fill_diagonal(dist, np.inf)
     return float(np.sum(dist**-s))
+
+
+# Christoffel-Darboux kernel by its defining sum, in mpmath.
+
+
+def cd_kernel_sum(k: int, d: int, a: int, b: int, x: float, y: float) -> float:
+    """Q_k(x, y) = sum_{i<=k} r_i P_i(x) P_i(y) term by term at 30 digits.
+
+    P_i is the Jacobi polynomial of parameters alpha = (d-2)/2 + a,
+    beta = (d-2)/2 + b normalized to 1 at t = 1, from mpmath's
+    hypergeometric evaluation; r_i is the total mass of the weight
+    (1-t)^alpha (1+t)^beta times P_i(1)^2 over the classical squared norm.
+    """
+    with mp.workdps(30):
+        al = mp.mpf(d - 2) / 2 + a
+        be = mp.mpf(d - 2) / 2 + b
+        two = mp.mpf(2) ** (al + be + 1)
+        mass = two * mp.gamma(al + 1) * mp.gamma(be + 1) / mp.gamma(al + be + 2)
+        total = mp.mpf(0)
+        for i in range(k + 1):
+            at_one = mp.binomial(i + al, i)
+            h = (two / (2 * i + al + be + 1) * mp.gamma(i + al + 1) * mp.gamma(i + be + 1)
+                 / (mp.gamma(i + al + be + 1) * mp.factorial(i)))
+            px = mp.jacobi(i, al, be, x) / at_one
+            py = mp.jacobi(i, al, be, y) / at_one
+            total += mass * at_one**2 / h * px * py
+        return float(total)
+
+
+# Lattice shell counts by enumeration, against which the library's closed
+# divisor-sum formulas are checked.
+
+# Cartan matrix of D4: squared norm x^T G x, twice the library's index m
+D4_GRAM = ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))
+
+
+def count_by_norm(gram: tuple[tuple[int, ...], ...], q_max: int,
+                  doubling: int = 1) -> dict[int, int]:
+    """Counts of nonzero integer vectors by form value x^T gram x / doubling.
+
+    Depth-first enumeration inside the ellipsoid, bounds from the Cholesky
+    factor with conservative padding; the form value at each leaf is
+    recomputed in exact integer arithmetic, so the padding cannot admit a
+    wrong count.  Cost is proportional to the number of lattice points in
+    the ball, which grows like q_max^(d/2).
+    """
+    if q_max < 1:
+        raise ValueError(f"count_by_norm requires q_max >= 1, got {q_max}")
+    g = np.array(gram, dtype=float)
+    n = g.shape[0]
+    if g.shape != (n, n) or not np.allclose(g, g.T):
+        raise ValueError("gram must be a symmetric square matrix")
+    try:
+        upper = np.linalg.cholesky(g).T
+    except np.linalg.LinAlgError:
+        raise ValueError("gram must be positive definite") from None
+    rows = [list(map(int, row)) for row in gram]
+    budget = float(q_max * doubling) + 1e-7
+    counts: dict[int, int] = {}
+    x = [0] * n
+
+    def descend(i: int, partial: float) -> None:
+        if i < 0:
+            q2 = 0
+            for a in range(n):
+                xa = x[a]
+                if xa:
+                    row = rows[a]
+                    q2 += xa * (row[a] * xa
+                                + 2 * sum(row[b] * x[b] for b in range(a + 1, n)))
+            if 0 < q2 <= q_max * doubling and q2 % doubling == 0:
+                q = q2 // doubling
+                counts[q] = counts.get(q, 0) + 1
+            return
+        center = -sum(upper[i, j] * x[j] for j in range(i + 1, n)) / upper[i, i]
+        half = math.sqrt(max(budget - partial, 0.0)) / upper[i, i]
+        for xi in range(math.ceil(center - half - 1e-9),
+                        math.floor(center + half + 1e-9) + 1):
+            x[i] = xi
+            t = upper[i, i] * (xi - center)
+            descend(i - 1, partial + t * t)
+        x[i] = 0
+
+    descend(n - 1, 0.0)
+    return counts
+
+
+def e8_coset_counts(m_max: int) -> list[int]:
+    """E8 shell counts N(1..m_max), index m <-> squared norm 2m.
+
+    Vectors are the even-coordinate-sum points of Z^8 together with the
+    same constraint on Z^8 + (1/2,...,1/2).  Both pieces reduce to 8-fold
+    convolutions of one-dimensional square series: the parity constraint
+    keeps (theta3^8 + theta4^8)/2 on the integral part and exactly half of
+    the half-integral part.  Exponents are tracked in quarter-steps so
+    everything stays integral.
+    """
+    qmax4 = 8 * m_max  # squared norm 2m -> quarter-units 8m
+    size = qmax4 + 1
+    a3 = np.zeros(size, dtype=np.int64)
+    a4 = np.zeros(size, dtype=np.int64)
+    a3[0] = a4[0] = 1
+    k = 1
+    while 4 * k * k < size:
+        a3[4 * k * k] = 2
+        a4[4 * k * k] = 2 if k % 2 == 0 else -2
+        k += 1
+    a2 = np.zeros(size, dtype=np.int64)
+    k = 1
+    while k * k < size:
+        a2[k * k] = 2
+        k += 2
+
+    def conv_pow8(a: np.ndarray) -> np.ndarray:
+        p2 = np.convolve(a, a)[:size]
+        p4 = np.convolve(p2, p2)[:size]
+        return np.convolve(p4, p4)[:size]
+
+    total = conv_pow8(a3) + conv_pow8(a4) + conv_pow8(a2)
+    out = []
+    for m in range(1, m_max + 1):
+        v = total[8 * m]
+        if v % 2 != 0:
+            raise ValueError("E8 coset expansion lost the parity pairing")
+        out.append(int(v) // 2)
+    return out

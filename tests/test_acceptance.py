@@ -155,7 +155,7 @@ def test_criterion_08_theta_oracles(capsys):
     n8 = lattices.theta_coefficients("E8", 1)[0]
     leech = lattices.theta_coefficients("Leech", 200)
     brute = oracles.d4_counts_brute(30)
-    d4 = lattices.theta_coefficients("D4", 15, mode="formula")
+    d4 = lattices.theta_coefficients("D4", 15)
     d4_ok = all(d4[m - 1] == brute[2 * m] for m in range(1, 16))
     leech_ok = leech[1] == 196560 and all(
         isinstance(c, int) and c >= 0 for c in leech)

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -171,6 +172,18 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert out == ""
     content = target.read_text()
     assert content.startswith("d,s,theta")
+
+
+@pytest.mark.parametrize("argv", [("bounds", "--d", "2", "--s", "inf"),
+                                  ("bounds", "--d", "3", "--s", "inf"),
+                                  ("gauss", "--d", "2", "--alpha", "1", "--rho", "inf")])
+def test_non_finite_arguments_exit_two_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert out == ""
+    assert err.startswith("rieszbounds:") and err.count("\n") == 1
 
 
 def test_quadrature_huge_n_exits_three_without_traceback(capsys):

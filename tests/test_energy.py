@@ -112,6 +112,17 @@ def test_asd_domain_errors():
         energy.asd_bound(2, 2.0)
     with pytest.raises(DomainError):
         energy.asd_bound(2, 4.0, 0.0)
+    for s, tol in ((math.inf, 1e-10), (math.nan, 1e-10), (4.0, math.inf), (4.0, math.nan)):
+        with pytest.raises(DomainError):
+            energy.asd_bound(2, s, tol)
+
+
+def test_non_finite_s_rejected():
+    # theta_bound(2, inf) used to return NaN
+    for fn in (energy.theta_bound, energy.xi_bound, energy.xi_flags):
+        for s in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                fn(2, s)
 
 
 def test_residue_targets():
@@ -162,6 +173,10 @@ def test_gauss_bound_domain_errors():
         energy.gauss_bound(2, 0.0)
     with pytest.raises(DomainError):
         energy.gauss_bound(2, 1.0, -2.0)
+    # rho = inf used to run for seconds before ResourceError
+    for alpha, rho in ((math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan)):
+        with pytest.raises(DomainError):
+            energy.gauss_bound(2, alpha, rho)
 
 
 def test_packing_bound_values():
@@ -181,7 +196,7 @@ def test_bd_ratio():
 
 
 def test_bounds_report_round_trip():
-    rep = energy.bounds_report(2, 4.0, 1e-10, c_tilde=5.783359299678672, finite_n=(16,))
+    rep = energy.bounds_report(2, 4.0, 1e-10, c_tilde=5.783359299678672)
     row = rep.csv_row()
     assert len(row) == len(energy.BOUND_REPORT_CSV_COLUMNS)
     assert row[0] == "2" and row[1] == "4"
@@ -189,6 +204,5 @@ def test_bounds_report_round_trip():
     assert d["theta"] == pytest.approx(math.pi**2 / 16.0, rel=1e-13)
     assert d["xi"] == pytest.approx(math.pi**2 / 4.0, rel=1e-12)
     assert d["c_tilde"] == pytest.approx(5.783359299678672, rel=1e-12)
-    assert d["finite_n_entries"]
     # the asymptotic ordering theta <= xi <= asd <= c_tilde at this point
     assert d["theta"] < d["xi"] < d["a_sd"] < d["c_tilde"]

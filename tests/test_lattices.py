@@ -67,7 +67,7 @@ def test_kissing_numbers():
 
 def test_d4_formula_against_brute_force():
     brute = oracles.d4_counts_brute(30)
-    coeffs = lattices.theta_coefficients("D4", 15, mode="formula")
+    coeffs = lattices.theta_coefficients("D4", 15)
     for m in range(1, 16):
         assert coeffs[m - 1] == brute[2 * m], m
 
@@ -79,9 +79,8 @@ def test_a2_counts_against_brute_force():
 
 
 def test_e8_enumeration_matches_formula():
-    formula = lattices.theta_coefficients("E8", 20, mode="formula")
-    counted = lattices.theta_coefficients("E8", 20, mode="enumerate")
-    assert counted == formula
+    formula = lattices.theta_coefficients("E8", 20)
+    assert oracles.e8_coset_counts(20) == formula
 
 
 def test_leech_counts_are_divisible_integers():
@@ -97,25 +96,17 @@ def test_leech_counts_are_divisible_integers():
 
 def test_count_by_norm_direct_gram():
     # quick cross-check on the explicit D4 Gram matrix
-    spec = lattices.LATTICES["D4"]
-    counts = lattices.count_by_norm(spec.gram, 6, spec.gram_doubling)
+    counts = oracles.count_by_norm(oracles.D4_GRAM, 6)
     brute = oracles.d4_counts_brute(6)
     for q in range(1, 7):
         assert counts.get(q, 0) == brute[q]
 
 
 def test_count_by_norm_rejects_bad_gram():
-    with pytest.raises(DomainError):
-        lattices.count_by_norm(((1, 2), (2, 1)), 4)  # indefinite
-    with pytest.raises(DomainError):
-        lattices.count_by_norm(((1, 0), (1, 0)), 4)  # not symmetric
-
-
-def test_theta_csv_layout():
-    lines = lattices.theta_coefficients_csv("E8", 3).splitlines()
-    assert lines[0] == "m,sq_norm,count"
-    assert lines[1] == "1,2,240"
-    assert len(lines) == 4
+    with pytest.raises(ValueError):
+        oracles.count_by_norm(((1, 2), (2, 1)), 4)  # indefinite
+    with pytest.raises(ValueError):
+        oracles.count_by_norm(((1, 0), (1, 0)), 4)  # not symmetric
 
 
 @pytest.mark.parametrize(
@@ -167,7 +158,10 @@ def test_epstein_domain_errors():
     with pytest.raises(DomainError):
         lattices.epstein_zeta("A2", 4.0, 0.0)
     with pytest.raises(DomainError):
-        lattices.theta_coefficients("Leech", 5, mode="enumerate")
+        lattices.theta_coefficients("fcc", 5)  # no closed formula
+    for s, tol in ((math.inf, 1e-10), (math.nan, 1e-10), (5.0, math.inf), (5.0, math.nan)):
+        with pytest.raises(DomainError):
+            lattices.epstein_zeta("A2", s, tol)
 
 
 def test_c_tilde_values_and_domain():
@@ -183,3 +177,5 @@ def test_c_tilde_values_and_domain():
         lattices.c_tilde(3, 5.0)
     with pytest.raises(DomainError):
         lattices.c_tilde(2, 2.0)
+    with pytest.raises(DomainError):
+        lattices.c_tilde(2, math.inf)

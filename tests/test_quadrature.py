@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -140,14 +139,6 @@ def test_exactness_at_arbitrary_sizes(n, d):
     rule = quadrature.build_rule(d, n)
     rule.validate()
     assert quadrature.verify_exactness(rule, rule.exact_degree) < 1e-10
-
-
-def test_rule_json_round_trip():
-    rule = quadrature.build_rule(3, 14)
-    payload = json.loads(rule.to_json())
-    assert payload["d"] == 3 and payload["N"] == 14
-    assert np.allclose(payload["nodes"], rule.nodes)
-    assert np.allclose(payload["weights"], rule.weights)
 
 
 def test_separation_bound_behaviour():
