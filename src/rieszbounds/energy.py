@@ -66,8 +66,8 @@ class RieszPotential:
     s: float
 
     def __post_init__(self) -> None:
-        if not self.s > 0.0:
-            raise DomainError(f"Riesz exponent must be positive, got {self.s}")
+        if not 0.0 < self.s < math.inf:
+            raise DomainError(f"Riesz exponent must be positive and finite, got {self.s}")
 
     def __call__(self, t):
         return (2.0 - 2.0 * np.asarray(t, dtype=float)) ** (-0.5 * self.s)
@@ -84,8 +84,8 @@ class GaussianPotential:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0.0:
-            raise DomainError(f"Gaussian width must be positive, got {self.alpha}")
+        if not 0.0 < self.alpha < math.inf:
+            raise DomainError(f"Gaussian width must be positive and finite, got {self.alpha}")
 
     def __call__(self, t):
         return np.exp(-self.alpha * (2.0 - 2.0 * np.asarray(t, dtype=float)))

@@ -251,14 +251,12 @@ def cd_kernel(k: int, d: int, a: int, b: int, x, y, method: str = "auto"):
     return vals.reshape(xa.shape)
 
 
-def monic_recurrence(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+def _monic_recurrence(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """First n monic recurrence coefficient pairs for the Jacobi weight.
 
     p_{j+1}(x) = (x - a_j) p_j(x) - b_j p_{j-1}(x); b_0 is set to 0
-    (by convention the j = 0 step has no lower term).
+    (by convention the j = 0 step has no lower term).  Needs n >= 1.
     """
-    if n < 1:
-        raise DomainError(f"need n >= 1 coefficients, got {n}")
     avals = np.empty(n, dtype=float)
     bvals = np.zeros(n, dtype=float)
     s = alpha + beta
@@ -286,7 +284,7 @@ def _zeros_raw(k: int, alpha: float, beta: float, s: float | None = None,
     if k > _MAX_ORDER:
         raise ResourceError(
             f"polynomial degree {k} exceeds the eigen-solve budget of {_MAX_ORDER}")
-    avals, bvals = monic_recurrence(k, alpha, beta)
+    avals, bvals = _monic_recurrence(k, alpha, beta)
     mat = np.diag(avals)
     pk_s, pk1_s = 0.0, 1.0
     if s is not None:

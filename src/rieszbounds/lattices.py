@@ -18,7 +18,13 @@ tolerance -- the tail only decays like M^(-(s-d)/2) -- so the series is
 rewritten through the theta transformation as two exponentially
 convergent incomplete-gamma sums over the lattice and its dual.  Every
 lattice on this route is similar to its dual, so the dual shell counts
-are the lattice's own counts at rescaled values.
+are the lattice's own counts at rescaled values.  Each of the two sums
+stops at its own shell (at most 48), the first past which the majorant
+bounds its tail by 2^-110 times the first nonzero shell term, a lower
+bound on the value: below the 30-digit working precision, so the double
+is that of all 48 shells.  Each route adds a relative floating-point
+floor to its tail (1e-14 plain, 5e-15 theta); a tolerance below it is
+refused before any work, so on the theta route tol only gates.
 """
 
 from __future__ import annotations
@@ -275,7 +281,10 @@ _FORMULA_LATTICES = ("A1", "A2", "D4", "E8", "Leech")
 _PLAIN_GAP = 6.0
 _PLAIN_GAP_LEECH = 10.0
 _PLAIN_M_CAP = 1 << 20
-_ACCEL_SHELL_CAP = 4096
+_ACCEL_SHELLS = 48
+_ACCEL_LEVEL = 2.0**-110
+_PLAIN_FLOOR = 1e-14
+_ACCEL_FLOOR = 5e-15
 
 
 def _coeff_majorant(lat: LatticeSpec, counts: list[int]) -> tuple[float, float]:
@@ -297,7 +306,7 @@ def _epstein_plain(lat: LatticeSpec, s: float, tol: float) -> EpsteinZeta:
         cmaj, p = _coeff_majorant(lat, counts)
         # integral comparison: sum_{k>m} k^(p-w) <= m^(p-w+1)/(w-p-1)
         tail = cmaj * kappa**-w * m ** (p - w + 1.0) / (w - p - 1.0)
-        tail += 1e-14 * total
+        tail += _PLAIN_FLOOR * total
         if tail <= tol * total:
             return EpsteinZeta(total, tail)
         if 2 * m > _PLAIN_M_CAP or (lat.name == "Leech"
@@ -308,72 +317,63 @@ def _epstein_plain(lat: LatticeSpec, s: float, tol: float) -> EpsteinZeta:
         m *= 2
 
 
-def _gamma_tail_factor(a: float, z: float) -> float:
-    # Gamma(a, z) <= z^(a-1) e^-z * f; valid once z > a - 1
-    if a <= 1.0:
-        return 1.0
-    if z <= a - 1.0 + 0.5:
-        raise NumericalError("incomplete-gamma tail bound applied below its range")
-    return 1.0 / (1.0 - (a - 1.0) / z)
-
-
 def _epstein_accel(lat: LatticeSpec, s: float, tol: float) -> EpsteinZeta:
     w = s / 2.0
     half_d = lat.d / 2.0
     kappa = 2.0 if lat.index_convention == "even" else 1.0
     dual_scale = _DUAL_VALUE_SCALE[lat.name]
     covol = lat.covolume
-    shells = 48
-    while True:
-        counts = theta_coefficients(lat, shells)
-        cmaj, p = _coeff_majorant(lat, counts)
-        with mp.workdps(30):
-            mw = mpf(w)
-            s1 = mpf(0)
-            s2 = mpf(0)
-            for k in range(shells, 0, -1):
-                c = counts[k - 1]
-                if not c:
-                    continue
-                q = mpf(kappa) * k
-                qd = mpf(dual_scale) * q
-                s1 += c * (mp.pi * q) ** (-mw) * gammainc(mw, mp.pi * q)
-                s2 += c * ((mp.pi * qd) ** (mw - half_d)
-                           * gammainc(mpf(half_d) - mw, mp.pi * qd))
-            lam = s1 + s2 / covol + 1.0 / (covol * (mw - half_d)) - 1.0 / mw
-            value = float(mp.pi ** mw / mp.gamma(mw) * lam)
-        if not math.isfinite(value) or value <= 0.0:
-            raise NumericalError(
-                f"theta-transformation zeta for {lat.name} at s={s} "
-                f"evaluated to {value}")
-        # geometric truncation bounds on both incomplete-gamma sums: with
-        # z = pi q the primal term is <= C m^p e^-z f(z)/z and the dual one
-        # (first gamma argument negative) is <= C m^p e^-z / z
-        m1 = shells + 1
+    counts = theta_coefficients(lat, _ACCEL_SHELLS)
+    cmaj, p = _coeff_majorant(lat, counts)
+    scale_out = math.pi**w / math.gamma(w)
+
+    def tails(k: int) -> tuple[float, float]:
+        # geometric bounds on both sums past shell k (inf where invalid):
+        # with z = pi q and Gamma(a, z) <= z^(a-1) e^-z f for z > a - 1, the
+        # primal term is <= C m^p e^-z f/z, the dual one <= C m^p e^-z / z
+        m1 = k + 1
         z1 = math.pi * kappa * m1
         z2 = math.pi * kappa * dual_scale * m1
-        if z1 <= w + 2.0:
-            shells *= 2
-            continue
-        scale_out = math.pi**w / math.gamma(w)
-        f1 = _gamma_tail_factor(w, z1)
-        t1 = cmaj * m1**p * math.exp(-z1) * f1 / z1
-        t2 = cmaj * m1**p * math.exp(-z2) / z2
         grow = (1.0 + 1.0 / m1) ** max(p, 1.0)
         r1 = grow * math.exp(-math.pi * kappa)
         r2 = grow * math.exp(-math.pi * kappa * dual_scale)
-        if r1 >= 0.5 or r2 >= 0.5:
-            shells *= 2
-            continue
-        tail = scale_out * (t1 / (1.0 - r1) + t2 / (covol * (1.0 - r2)))
-        tail += 5e-15 * abs(value)
-        if tail <= tol * abs(value):
-            return EpsteinZeta(value, tail)
-        if shells * 2 > _ACCEL_SHELL_CAP:
-            raise ResourceError(
-                f"theta-transformation zeta for {lat.name} at s={s} still has "
-                f"tail {tail:.3e} at {shells} shells")
-        shells *= 2
+        t1 = t2 = math.inf
+        if z1 > w + 2.0 and r1 < 0.5:
+            f1 = 1.0 / (1.0 - (w - 1.0) / z1) if w > 1.0 else 1.0
+            t1 = cmaj * m1**p * math.exp(-z1) * f1 / z1 / (1.0 - r1)
+        if r2 < 0.5:
+            t2 = cmaj * m1**p * math.exp(-z2) / z2 / (covol * (1.0 - r2))
+        return t1, t2
+
+    m0 = next(m for m, c in enumerate(counts, start=1) if c)
+    cut = _ACCEL_LEVEL * counts[m0 - 1] * (kappa * m0) ** -w / scale_out
+    table = [tails(k) for k in range(1, _ACCEL_SHELLS + 1)]
+    k1, k2 = (next((k for k, t in enumerate(table, start=1) if t[i] <= cut), _ACCEL_SHELLS)
+              for i in (0, 1))
+    with mp.workdps(30):
+        mw = mpf(w)
+        s1 = s2 = mpf(0)
+        for k in range(k1, 0, -1):
+            if counts[k - 1]:
+                q = mpf(kappa) * k
+                s1 += counts[k - 1] * (mp.pi * q) ** (-mw) * gammainc(mw, mp.pi * q)
+        for k in range(k2, 0, -1):
+            if counts[k - 1]:
+                qd = mpf(dual_scale) * (mpf(kappa) * k)
+                s2 += counts[k - 1] * ((mp.pi * qd) ** (mw - half_d)
+                                       * gammainc(mpf(half_d) - mw, mp.pi * qd))
+        lam = s1 + s2 / covol + 1.0 / (covol * (mw - half_d)) - 1.0 / mw
+        value = float(mp.pi ** mw / mp.gamma(mw) * lam)
+    if not math.isfinite(value) or value <= 0.0:
+        raise NumericalError(
+            f"theta-transformation zeta for {lat.name} at s={s} "
+            f"evaluated to {value}")
+    tail = scale_out * (table[k1 - 1][0] + table[k2 - 1][1]) + _ACCEL_FLOOR * abs(value)
+    if not tail <= tol * abs(value):
+        raise ResourceError(
+            f"theta-transformation zeta for {lat.name} at s={s} has tail "
+            f"{tail:.3e} above tol {tol:g} at {k1} and {k2} shells")
+    return EpsteinZeta(value, tail)
 
 
 def epstein_zeta(lattice: LatticeSpec | str, s: float, tol: float = 1e-10) -> EpsteinZeta:
@@ -395,9 +395,13 @@ def epstein_zeta(lattice: LatticeSpec | str, s: float, tol: float = 1e-10) -> Ep
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
     gap_switch = _PLAIN_GAP_LEECH if lat.name == "Leech" else _PLAIN_GAP
-    if s - lat.d >= gap_switch:
-        return _epstein_plain(lat, s, tol)
-    return _epstein_accel(lat, s, tol)
+    plain = s - lat.d >= gap_switch
+    floor = _PLAIN_FLOOR if plain else _ACCEL_FLOOR
+    if tol < floor:
+        raise ResourceError(
+            f"zeta tolerance {tol:g} for {lat.name} at s={s} is below the "
+            f"relative floating-point floor {floor:g} of its route")
+    return (_epstein_plain if plain else _epstein_accel)(lat, s, tol)
 
 
 def c_tilde(d: int, s: float) -> float:

@@ -192,6 +192,34 @@ def epstein_plain_mp(counts: dict[int, int], s: float, scale: float = 1.0) -> fl
         return float(total)
 
 
+def epstein_theta_mp(counts: list[int], kappa: float, dual_scale: float, covol: float,
+                     d: int, s: float, shells: int = 48) -> float:
+    """Epstein zeta by the theta transformation over a fixed shell count.
+
+    counts[m - 1] is the number of vectors of squared norm kappa * m; the
+    dual lattice has the same counts at dual_scale times those norms.  Both
+    incomplete-gamma sums run over all `shells` shells, interleaved in
+    descending order, at 30 digits.
+    """
+    w = s / 2.0
+    half_d = d / 2.0
+    with mp.workdps(30):
+        mw = mp.mpf(w)
+        s1 = mp.mpf(0)
+        s2 = mp.mpf(0)
+        for k in range(shells, 0, -1):
+            c = counts[k - 1]
+            if not c:
+                continue
+            q = mp.mpf(kappa) * k
+            qd = mp.mpf(dual_scale) * q
+            s1 += c * (mp.pi * q) ** (-mw) * mp.gammainc(mw, mp.pi * q)
+            s2 += c * ((mp.pi * qd) ** (mw - half_d)
+                       * mp.gammainc(mp.mpf(half_d) - mw, mp.pi * qd))
+        lam = s1 + s2 / covol + 1.0 / (covol * (mw - half_d)) - 1.0 / mw
+        return float(mp.pi ** mw / mp.gamma(mw) * lam)
+
+
 # Closed forms for lattice zeta functions, via Dirichlet series identities.
 
 

@@ -191,3 +191,12 @@ def test_quadrature_huge_n_exits_three_without_traceback(capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("rieszbounds:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("potential", ["riesz:inf", "gauss:inf"])
+def test_ulb_rejects_infinite_potential_parameter(capsys, potential):
+    code, out, err = run(capsys, "ulb", "--d", "2", "--N", "6", "--potential", potential)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("rieszbounds:") and err.count("\n") == 1
+    assert "finite" in err

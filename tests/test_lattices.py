@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -179,3 +180,59 @@ def test_c_tilde_values_and_domain():
         lattices.c_tilde(2, 2.0)
     with pytest.raises(DomainError):
         lattices.c_tilde(2, math.inf)
+
+
+def _theta_range(d):
+    # the s at which epstein_zeta takes the theta transformation
+    top = 10.0 if d == 24 else 6.0
+    return [d + 1e-6] + [d + top * i / 51 for i in range(1, 51)] + [d + top - 1e-9]
+
+
+@pytest.mark.parametrize("d,name", [(2, "A2"), (4, "D4"), (8, "E8"), (24, "Leech")])
+def test_c_tilde_matches_full_48_shell_theta_transform(d, name):
+    # truncating each sum where its tail is below 2^-110 of the value must
+    # not move a bit against summing all 48 shells of both sums
+    lat = lattices.LATTICES[name]
+    counts = lattices.theta_coefficients(lat, 48)
+    kappa = 2.0 if lat.index_convention == "even" else 1.0
+    dual_scale = {"A2": 4.0 / 3.0, "D4": 0.5, "E8": 1.0, "Leech": 1.0}[name]
+    for s in _theta_range(d):
+        full = oracles.epstein_theta_mp(counts, kappa, dual_scale, lat.covolume, d, s)
+        assert lattices.c_tilde(d, s) == lat.covolume ** (s / d) * full, (name, s)
+
+
+def test_theta_transform_gammainc_calls_per_evaluation(monkeypatch):
+    calls = []
+    real = lattices.gammainc
+
+    def counting(a, z):
+        calls.append(a)
+        return real(a, z)
+
+    monkeypatch.setattr(lattices, "gammainc", counting)
+    for d, name in ((2, "A2"), (4, "D4"), (8, "E8"), (24, "Leech")):
+        for s in _theta_range(d)[::10]:
+            calls.clear()
+            lattices.epstein_zeta(name, s, 1e-10)
+            assert 0 < len(calls) <= 2 * 25, (name, s, len(calls))
+
+
+@pytest.mark.parametrize("name,s,tol", [("A2", 9.0, 1e-15), ("D4", 12.0, 9.9e-15),
+                                        ("E8", 16.0, 9.9e-15), ("A2", 4.0, 4.9e-15),
+                                        ("Leech", 30.0, 1e-20)])
+def test_epstein_tolerance_below_floor_refused_at_once(name, s, tol):
+    # the plain route adds 1e-14 * value to its tail and the theta route
+    # 5e-15 * value, so a tolerance below that can never be met
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match="floor"):
+        lattices.epstein_zeta(name, s, tol)
+    assert time.perf_counter() - start < 0.05
+
+
+def test_epstein_tolerance_at_floor_still_met():
+    # a truncation tail below half an ulp of the floor term rounds away,
+    # so a tolerance equal to the floor is met on both routes
+    plain = lattices.epstein_zeta("A2", 40.0, 1e-14)
+    assert plain.tail_bound == 1e-14 * plain.value
+    theta = lattices.epstein_zeta("A2", 4.0, 5e-15)
+    assert theta.tail_bound == 5e-15 * theta.value
