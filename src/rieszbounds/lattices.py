@@ -348,8 +348,8 @@ def _epstein_accel(lat: LatticeSpec, s: float, tol: float) -> EpsteinZeta:
     m0 = next(m for m, c in enumerate(counts, start=1) if c)
     cut = _ACCEL_LEVEL * counts[m0 - 1] * (kappa * m0) ** -w / scale_out
     table = [tails(k) for k in range(1, _ACCEL_SHELLS + 1)]
-    k1, k2 = (next((k for k, t in enumerate(table, start=1) if t[i] <= cut), _ACCEL_SHELLS)
-              for i in (0, 1))
+    k1 = next((k for k, (t1, _) in enumerate(table, start=1) if t1 <= cut), _ACCEL_SHELLS)
+    k2 = next((k for k, (_, t2) in enumerate(table, start=1) if t2 <= cut), _ACCEL_SHELLS)
     with mp.workdps(30):
         mw = mpf(w)
         s1 = s2 = mpf(0)
@@ -381,9 +381,10 @@ def epstein_zeta(lattice: LatticeSpec | str, s: float, tol: float = 1e-10) -> Ep
 
     Returns the value and a tail bound; the bound accounts for shell
     truncation under the calibrated coefficient majorant plus a floating
-    point floor, and the target is tail <= tol * value.  Only lattices
-    with closed coefficient formulas are supported; the other root
-    lattices would need infeasibly deep vector counts.
+    point floor, and the target is tail <= tol * value; a tol below the
+    floor raises ResourceError at once.  Only lattices with closed
+    coefficient formulas are supported; the other root lattices would need
+    infeasibly deep vector counts.
     """
     lat = _spec(lattice)
     if lat.name not in _FORMULA_LATTICES:
