@@ -26,7 +26,6 @@ from .errors import DomainError, NumericalError, ResourceError
 from .quadrature import QuadratureRule, build_rule
 from .special import (
     ball_volume,
-    bessel_j,
     bessel_zeros,
     hurwitz_zeta,
     lambda_d,
@@ -300,9 +299,8 @@ def _zero_weights(d: int, n: int) -> tuple[list, list]:
     if len(zs) < n:
         table = bessel_zeros(d / 2.0, n)
         for i in range(len(zs), n):
-            z = table.zeros[i]
-            j1 = bessel_j(d / 2.0 + 1.0, z)
-            zs.append(z)
+            j1 = table.j_next[i]
+            zs.append(table.zeros[i])
             ws.append(1.0 / (j1 * j1))
     return zs[:n], ws[:n]
 
@@ -317,6 +315,10 @@ class AsdBound(NamedTuple):
 # above it the series decays fast enough that truncation alone certifies
 _TRUNCATION_DELTA = 28.0
 _MAX_TERMS = 80_000
+# relative floor of the certificate: per-term Bessel evaluation
+# certificates (~1e-13 relative), the Hurwitz pow rounding, and
+# summation roundoff
+_ASD_FLOOR = 2e-13
 
 
 def asd_bound(d: int, s: float, tol: float = 1e-10) -> AsdBound:
@@ -325,12 +327,16 @@ def asd_bound(d: int, s: float, tol: float = 1e-10) -> AsdBound:
     Returns (value, terms_used, tail_bound) with tail_bound an absolute
     majorant of the truncation-plus-model error of the reported value; the
     loop extends the series until tail_bound <= tol * value.  tol is
-    relative; values below ~5e-13 are typically unattainable in double
-    precision and raise ResourceError.
+    relative.  The certificate carries a floor of _ASD_FLOOR times the
+    value, so a tol below it can never be met and raises ResourceError
+    at once; tol equal to the floor is still tried.
     """
     _check_s_gt_d(d, s)
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol}")
+    if tol < _ASD_FLOOR:
+        raise ResourceError(
+            f"asd_bound tol={tol} is below its relative error floor {_ASD_FLOOR}")
     delta = s - d
     q = d / 4.0 - 0.25
     log_scale = ((s / d) * (0.5 * (d + 1) * math.log(math.pi)
@@ -372,9 +378,7 @@ def asd_bound(d: int, s: float, tol: float = 1e-10) -> AsdBound:
             err_rel = math.exp(log_cert - log_t1)
 
         total_rel = s_rel + tail_rel
-        # floor: per-term Bessel evaluation certificates (~1e-13 relative),
-        # the Hurwitz pow rounding, and summation roundoff
-        err_rel += 2e-13 * total_rel
+        err_rel += _ASD_FLOOR * total_rel
         if err_rel <= tol * total_rel:
             log_value = log_scale + log_t1 + math.log(total_rel)
             if log_value > 700.0:
@@ -416,6 +420,9 @@ class GaussBound(NamedTuple):
     tail_bound: float
 
 
+_GAUSS_MAX_TERMS = 200_000
+
+
 def gauss_bound(d: int, alpha: float, rho: float = 1.0) -> GaussBound:
     """Lower bound for Gaussian e^{-alpha r^2} energy at point density rho.
 
@@ -432,6 +439,19 @@ def gauss_bound(d: int, alpha: float, rho: float = 1.0) -> GaussBound:
     radius = 2.0 * (rho / ball_volume(d)) ** (1.0 / d)
     scale = 4.0 / (lambda_d(d) * math.gamma(d + 1.0))
     decay = alpha / (math.pi * radius) ** 2
+    # The loop below returns only once the term ratio past z_next is below
+    # 1/2, which needs 2 pi decay z_next > ln 2.  m doubles from 64 until
+    # the next doubling would pass the cap, so the largest z_next tested
+    # is zs[m_last], and j_{nu,k} <= (k + nu/2 - 1/4) pi for nu >= 1/2.
+    # 0.69 < ln 2 leaves room for the rounding of the test itself.
+    m_last = 64
+    while m_last + 2 * m_last <= _GAUSS_MAX_TERMS:
+        m_last *= 2
+    z_last = (m_last + 1 + d / 4.0 - 0.25) * math.pi
+    if 2.0 * math.pi * decay * z_last < 0.69:
+        raise ResourceError(
+            f"gauss_bound truncation cannot be certified within {_GAUSS_MAX_TERMS} "
+            f"terms for d={d}, alpha={alpha}, rho={rho}")
 
     total = 0.0
     m = 0
@@ -453,9 +473,9 @@ def gauss_bound(d: int, alpha: float, rho: float = 1.0) -> GaussBound:
                 return GaussBound(scale * total, m, scale * cert)
             if total == 0.0 and t_next == 0.0:
                 return GaussBound(0.0, m, 0.0)
-        if m + 2 * max(64, m) > 200_000:
+        if m + 2 * max(64, m) > _GAUSS_MAX_TERMS:
             raise ResourceError(
-                f"gauss_bound truncation not certified within 200000 terms "
+                f"gauss_bound truncation not certified within {_GAUSS_MAX_TERMS} terms "
                 f"for d={d}, alpha={alpha}, rho={rho}")
 
 

@@ -2,17 +2,18 @@
 
 Everything here is self-contained apart from ``math``/``mpmath``: the
 Bessel evaluator switches between the ascending power series (small
-argument, summed at elevated working precision so the alternating-series
-cancellation never reaches the double result) and the Hankel asymptotic
-expansion (large argument, truncated at its smallest term and accepted
-only when the first omitted term certifies an absolute error below
-1e-13).  Bessel zeros start from McMahon's expansion and are finished by
-Newton iteration; a bracketed scan repairs the rare misconvergence for
-large orders where the McMahon guess is poor.
+argument, summed in fixed point at a precision that grows with x so the
+alternating-series cancellation never reaches the double result) and the
+Hankel asymptotic expansion (large argument, taken to at least the DLMF
+10.17(iii) term count and accepted only when its first omitted terms
+certify an absolute error below 1e-13).  Bessel zeros start from
+McMahon's expansion and are finished by Newton iteration, whose last
+Bessel values the zero check and the weights reuse; a bracketed scan
+repairs the rare misconvergence for large orders.
 
-Accuracy targets: ``bessel_j`` absolute error <= 1e-12 for 0 <= x <= 500 and
-0 <= nu <= 15, zeros to |dz| ~ 1e-14 (or a few ulp once that is below
-the floating point spacing).
+Accuracy targets, pinned by the tests against mpmath: ``bessel_j``
+absolute error <= 1e-12 for 0 <= nu <= 32 and x <= 5000, zeros to 1e-14
+relative for nu <= 32 and the first 600 zeros.
 """
 
 from __future__ import annotations
@@ -88,39 +89,53 @@ def hurwitz_zeta(s: float, a: float) -> float:
 
 
 def _bessel_series(nu: float, x: float) -> float:
-    # Ascending series sum_k (-1)^k (x/2)^(nu+2k) / (k! Gamma(nu+k+1)).
-    # The largest intermediate term is of order e^x, so the working
-    # precision grows linearly with x; the double rounding happens once,
-    # at the end.
+    # Ascending series J_nu(x) = (x/2)^nu / Gamma(nu+1) * sum_k (-q)^k /
+    # (k! (nu+1)_k), q = (x/2)^2.  The largest term is of order e^x, so
+    # the working precision grows linearly with x.  The sum runs in binary
+    # fixed point on Python integers, each term ratio taken from the exact
+    # rationals of x and nu; the double rounding happens once, at the end.
     dps = 25 + int(0.46 * x)
+    bits = int(3.33 * dps) + 8
+    xn, xd = x.as_integer_ratio()
+    vn, vd = nu.as_integer_ratio()
+    num = xn * xn * vd
+    den = 4 * xd * xd
+    term = total = 1 << bits
+    k = 1
+    while term:
+        if k > 30000:
+            raise NumericalError(f"bessel series did not converge for nu={nu}, x={x}")
+        term = term * num // (den * k * (vn + k * vd))
+        total += -term if k % 2 else term
+        k += 1
     with mp.workdps(dps):
-        mx = mp.mpf(x)
-        half = mx / 2
-        term = mp.e ** (nu * mp.log(half) - mp.loggamma(nu + 1)) if x > 0 else mp.mpf(1)
-        total = term
-        peak = abs(term)
-        quarter = -(half * half)
-        cutoff = mp.mpf(10) ** (-dps - 2)
-        k = 1
-        while k <= 30000:
-            term = term * quarter / (k * (nu + k))
-            total += term
-            mag = abs(term)
-            if mag > peak:
-                peak = mag
-            if mag <= cutoff * peak:
-                return float(total)
-            k += 1
-    raise NumericalError(f"bessel series did not converge for nu={nu}, x={x}")
+        pref = mp.e ** (nu * mp.log(mp.mpf(x) / 2) - mp.loggamma(nu + 1))
+        return float(pref * mp.ldexp(total, -bits))
 
 
-def _bessel_asymptotic(nu: float, x: float) -> tuple[float, float]:
+def _bessel_asymptotic(nu: float, x: float) -> tuple[float, float, float]:
     # Hankel expansion J_nu(x) ~ sqrt(2/(pi x)) (P cos w - Q sin w) with
-    # w = x - (nu/2 + 1/4) pi.  Both P and Q are truncated at their
-    # smallest term; for real order the remainder is bounded by the
-    # first neglected term once the truncation index clears ~nu/2, so
-    # the second return value is a certified absolute error bound.
+    # w = x - (nu/2 + 1/4) pi.  coeffs[k] is a_k(nu)/x^k: P sums the even
+    # k and Q the odd k, with alternating signs.  For real order, DLMF
+    # 10.17(iii) bounds the remainder of P after l terms by its first
+    # neglected term once l >= max(nu/2 - 1/4, 1), and that of Q once
+    # l >= max(nu/2 - 3/4, 1).  n = len(coeffs) >= nu - 1/2 meets both: P
+    # has ceil(n/2) >= nu/2 - 1/4 terms and Q floor(n/2) >= (n-1)/2 >=
+    # nu/2 - 3/4, and n >= 2 since coeffs[1] is always kept.  So terms are
+    # taken while they shrink until that count is reached, and only then
+    # cut below 1e-18.  When the loop stops at the turnover the first
+    # neglected terms are the omitted c and the one after it; past the
+    # sign change of mu - (2k-1)^2 each term ratio exceeds the previous
+    # one by less than 1/x, so that one is at most 1 + 2/x times larger,
+    # hence the 2.5.
+    #
+    # Returns (value, err, phase_err).  err covers truncation and
+    # arithmetic; phase_err covers the rounding of w, at most about 1.3
+    # ulp(x) for x >= 2 nu, which moves the value by at most
+    # pref sqrt(P^2 + Q^2) <= 1.1 pref times that.
+    # |value - J_nu(x)| <= err + phase_err.
     mu = 4.0 * nu * nu
+    need = nu - 0.5
     coeffs = [1.0]
     c = 1.0
     k = 1
@@ -129,7 +144,7 @@ def _bessel_asymptotic(nu: float, x: float) -> tuple[float, float]:
         if k > 2 and abs(c) >= abs(coeffs[-1]):
             break
         coeffs.append(c)
-        if abs(c) < 1e-18:
+        if abs(c) < 1e-18 and len(coeffs) >= need:
             c = 0.0
             break
         k += 1
@@ -145,9 +160,9 @@ def _bessel_asymptotic(nu: float, x: float) -> tuple[float, float]:
     omega = x - (0.5 * nu + 0.25) * math.pi
     value = pref * (math.cos(omega) * p_sum - math.sin(omega) * q_sum)
     err = pref * (2.5 * omitted + 8.0 * _EPS)
-    if len(coeffs) < nu / 2.0 + 1.0:
-        err = math.inf  # remainder bound not valid this close to the turnover
-    return value, err
+    if len(coeffs) < need:
+        err = math.inf  # the loop turned over before the DLMF term count
+    return value, err, 2.0 * pref * math.ulp(x)
 
 
 def bessel_j(nu: float, x: float) -> float:
@@ -156,7 +171,10 @@ def bessel_j(nu: float, x: float) -> float:
     The evaluation regime switches at x = max(12, 2 nu): below, the
     ascending series at elevated precision; above, the Hankel asymptotic
     expansion, which self-certifies its truncation error and defers back
-    to the series in the rare window where it cannot reach 1e-13.
+    to the series where that error cannot be brought below 1e-13.  The
+    rounding of the Hankel phase is left out of that test: it is 2e-16 to
+    3.5e-16 times sqrt(x), so it passes 1e-13 only beyond x ~ 1e5, where
+    the series would need 0.46 x digits.
     """
     if nu < 0.0:
         raise DomainError(f"bessel_j requires nu >= 0, got {nu}")
@@ -165,17 +183,10 @@ def bessel_j(nu: float, x: float) -> float:
     if x == 0.0:
         return 1.0 if nu == 0.0 else 0.0
     if x >= max(12.0, 2.0 * nu):
-        value, err = _bessel_asymptotic(nu, x)
+        value, err, _ = _bessel_asymptotic(nu, x)
         if err < 1e-13:
             return value
     return _bessel_series(nu, x)
-
-
-def _bessel_j_prime(nu: float, x: float, jx: float | None = None) -> float:
-    # J_nu'(x) = (nu/x) J_nu(x) - J_{nu+1}(x)
-    if jx is None:
-        jx = bessel_j(nu, x)
-    return (nu / x) * jx - bessel_j(nu + 1.0, x)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +196,8 @@ def _bessel_j_prime(nu: float, x: float, jx: float | None = None) -> float:
 
 def _mcmahon_guess(nu: float, i: int) -> float:
     # McMahon's expansion for the i-th positive zero; three correction
-    # terms, adequate as a Newton seed for nu up to ~15.
+    # terms, adequate as a Newton seed for nu up to at least 32.  From
+    # nu ~ 37 on, Newton can stall from it at the first zero.
     beta = (i + 0.5 * nu - 0.25) * math.pi
     mu = 4.0 * nu * nu
     e8 = 8.0 * beta
@@ -196,17 +208,23 @@ def _mcmahon_guess(nu: float, i: int) -> float:
     return z
 
 
-def _newton_polish(nu: float, z0: float) -> float:
+def _newton_polish(nu: float, z0: float) -> tuple[float, tuple[float, float] | None]:
+    # Returns the zero and (J_nu, J_{nu+1}) there.  Newton's last step
+    # usually leaves z unchanged, and then the values it evaluated are
+    # those at the zero; when the step moved z they are None.
+    # J_nu'(z) = (nu/z) J_nu(z) - J_{nu+1}(z).
     z = z0
     for _ in range(100):
         f = bessel_j(nu, z)
-        fp = _bessel_j_prime(nu, z, f)
+        j1 = bessel_j(nu + 1.0, z)
+        fp = (nu / z) * f - j1
         if fp == 0.0:
             break
         dz = f / fp
-        z -= dz
-        if abs(dz) <= max(1e-14, 8.0 * _EPS * abs(z)):
-            return z
+        z_new = z - dz
+        if abs(dz) <= max(1e-14, 8.0 * _EPS * abs(z_new)):
+            return (z, (f, j1)) if z_new == z else (z_new, None)
+        z = z_new
     raise NumericalError(
         f"Newton iteration for a zero of J_{nu} stalled near z={z!r} (seed {z0!r})"
     )
@@ -240,7 +258,7 @@ def _scan_zeros(nu: float, n: int) -> list[float]:
                     a, fa = m, fm
                 if b - a < 1e-12:
                     break
-            zeros.append(_newton_polish(nu, 0.5 * (a + b)))
+            zeros.append(_newton_polish(nu, 0.5 * (a + b))[0])
         x, fx = y, fy
     return zeros[:n]
 
@@ -248,10 +266,12 @@ def _scan_zeros(nu: float, n: int) -> list[float]:
 @dataclass(frozen=True)
 class BesselZeroTable:
     """Immutable table of the first positive zeros of J_nu, each of which
-    has passed the residual and spacing checks."""
+    has passed the residual and spacing checks, with J_{nu+1} at each
+    zero (equal to -J_nu' there) as evaluated by that check."""
 
     nu: float
     zeros: tuple[float, ...]
+    j_next: tuple[float, ...]
 
     def __len__(self) -> int:
         return len(self.zeros)
@@ -260,22 +280,31 @@ class BesselZeroTable:
         return self.zeros[i]
 
 
-def _validate_zero_range(nu: float, zeros: tuple[float, ...] | list[float], lo: int, hi: int) -> None:
+def _validate_zero_range(nu: float, zeros: tuple[float, ...] | list[float], lo: int, hi: int,
+                         values: list | None = None) -> list[float]:
+    # Checks zeros[lo:hi] and returns J_{nu+1} at each.  values[i - lo],
+    # when given and not None, is (J_nu, J_{nu+1}) at zeros[i] already.
     prev = zeros[lo - 1] if lo > 0 else 0.0
-    for z in zeros[lo:hi]:
+    j_next = []
+    for i in range(lo, hi):
+        z = zeros[i]
         if not z > prev:
             raise NumericalError(f"zeros of J_{nu} are not increasing near {z}")
         if prev > 0.0 and z - prev <= 2.0:
             raise NumericalError(f"zeros of J_{nu} separated by {z - prev} <= 2 near {z}")
-        resid = abs(bessel_j(nu, z))
-        scale = max(1.0, abs(_bessel_j_prime(nu, z)) * z)
+        pair = values[i - lo] if values else None
+        f, j1 = pair if pair else (bessel_j(nu, z), bessel_j(nu + 1.0, z))
+        resid = abs(f)
+        scale = max(1.0, abs((nu / z) * f - j1) * z)
         if resid >= 1e-12 * scale:
             raise NumericalError(f"zero {z} of J_{nu} has residual {resid} above tolerance")
+        j_next.append(j1)
         prev = z
+    return j_next
 
 
-_zero_cache: dict[float, list[float]] = {}
-_zero_checked: dict[float, int] = {}
+# per order: the validated zeros and J_{nu+1} at each
+_zero_cache: dict[float, tuple[list[float], list[float]]] = {}
 
 
 def bessel_zeros(nu: float, n: int) -> BesselZeroTable:
@@ -284,18 +313,17 @@ def bessel_zeros(nu: float, n: int) -> BesselZeroTable:
         raise DomainError(f"bessel_zeros requires finite nu >= 0, got {nu}")
     if n < 1 or n != int(n):
         raise DomainError(f"bessel_zeros requires a positive integer count, got {n}")
-    known = _zero_cache.setdefault(nu, [])
-    if len(known) < n:
-        fresh = [_newton_polish(nu, _mcmahon_guess(nu, i)) for i in range(len(known) + 1, n + 1)]
-        candidate = known + fresh
-        ok = all(b - a > 2.0 for a, b in zip(candidate, candidate[1:])) and (
-            not candidate or candidate[0] > max(nu, 0.0)
-        )
+    zeros, j_next = _zero_cache.setdefault(nu, ([], []))
+    lo = len(zeros)
+    if lo < n:
+        polished = [_newton_polish(nu, _mcmahon_guess(nu, i)) for i in range(lo + 1, n + 1)]
+        candidate = zeros + [z for z, _ in polished]
+        values = [pair for _, pair in polished]
+        ok = all(b - a > 2.0 for a, b in zip(candidate, candidate[1:])) and candidate[0] > nu
         if not ok:
             candidate = _scan_zeros(nu, n)
-        known[:] = candidate
-    checked = _zero_checked.get(nu, 0)
-    if checked < n:
-        _validate_zero_range(nu, known, checked, n)
-        _zero_checked[nu] = n
-    return BesselZeroTable(nu=nu, zeros=tuple(known[:n]))
+            lo, values = 0, None
+        fresh = _validate_zero_range(nu, candidate, lo, n, values)
+        zeros[:] = candidate
+        j_next[lo:] = fresh
+    return BesselZeroTable(nu=nu, zeros=tuple(zeros[:n]), j_next=tuple(j_next[:n]))

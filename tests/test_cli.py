@@ -186,6 +186,17 @@ def test_non_finite_arguments_exit_two_at_once(capsys, argv):
     assert err.startswith("rieszbounds:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [("bounds", "--d", "3", "--s", "3.5", "--tol", "1e-13"),
+                                  ("gauss", "--d", "2", "--alpha", "1e-6")])
+def test_certain_failures_exit_three_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 0.05
+    assert code == 3
+    assert out == ""
+    assert err.startswith("rieszbounds:") and err.count("\n") == 1
+
+
 def test_quadrature_huge_n_exits_three_without_traceback(capsys):
     code, out, err = run(capsys, "quadrature", "--d", "2", "--N", str(10**30))
     assert code == 3

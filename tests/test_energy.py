@@ -1,11 +1,12 @@
 import math
+import time
 
 import mpmath as mp
 import pytest
 
 import oracles
-from rieszbounds import energy
-from rieszbounds.errors import DomainError
+from rieszbounds import energy, special
+from rieszbounds.errors import DomainError, ResourceError
 
 
 def test_parse_potential_families():
@@ -100,6 +101,74 @@ def test_asd_42_against_bessel_series():
     assert 0.0 <= got.tail_bound < 1e-9
 
 
+@pytest.fixture
+def cold_zeros(monkeypatch):
+    """Empty zero and weight caches for one test; the warm ones come back."""
+    monkeypatch.setattr(special, "_zero_cache", {})
+    monkeypatch.setattr(energy, "_ZW_CACHE", {})
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    inner = getattr(special, name)
+
+    def counted(nu, x):
+        calls.append(x)
+        return inner(nu, x)
+
+    monkeypatch.setattr(special, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("d", [2, 24, 48])
+def test_zero_weights_evaluate_each_bessel_value_once(cold_zeros, monkeypatch, d):
+    # Newton's last step, the zero check and the weight share their values
+    calls = _count_calls(monkeypatch, "bessel_j")
+    energy._zero_weights(d, 601)
+    assert len(calls) <= 4.5 * 601
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 24, 48])
+def test_zero_weights_equal_direct_bessel(d):
+    zs, ws = energy._zero_weights(d, 601)
+    for z, w in zip(zs, ws):
+        j1 = special.bessel_j(d / 2.0 + 1.0, z)
+        assert w == 1.0 / (j1 * j1)
+
+
+@pytest.mark.parametrize("d", [48, 64])
+def test_cold_asd_at_large_order_leaves_series_to_small_x(cold_zeros, monkeypatch, d):
+    # Hankel used to give up at nu ~ 24 well past x = 2 nu, and the series
+    # at 0.46 x digits took about 10 s for d = 48
+    xs = _count_calls(monkeypatch, "_bessel_series")
+    got = energy.asd_bound(d, d + 12.0)
+    assert max(xs) <= 200.0
+    assert got.tail_bound <= 1e-10 * got.value
+
+
+def test_asd_d48_anchor_values():
+    # the d = 48 anchor of the asd-cold benchmark, bit for bit
+    for s, want in ((58.484616, (4.658542178124878e-16, 600, 9.317084356249791e-29)),
+                    (71.238681, (1.388625613082437e-21, 600, 2.7772512261648835e-34)),
+                    (61.999757, (1.34302463417198e-17, 600, 2.686049268343963e-30)),
+                    (75.155429, (2.9038768199920755e-23, 600, 5.807753639984152e-36)),
+                    (68.533422, (2.0177034982148414e-20, 600, 4.035406996429677e-33))):
+        assert tuple(energy.asd_bound(48, s)) == want, s
+
+
+@pytest.mark.parametrize("tol", [1e-13, 1.9999999999999998e-13, 1e-30])
+def test_asd_tol_below_floor_refused_at_once(tol):
+    start = time.perf_counter()
+    with pytest.raises(ResourceError):
+        energy.asd_bound(3, 3.5, tol)
+    assert time.perf_counter() - start < 0.05
+
+
+def test_asd_tol_at_floor_still_tried():
+    got = energy.asd_bound(3, 40.0, 2e-13)
+    assert got.tail_bound <= 2e-13 * got.value
+
+
 def test_asd_tail_bound_honest():
     loose = energy.asd_bound(3, 4.5, 1e-6)
     tight = energy.asd_bound(3, 4.5, 1e-12)
@@ -159,6 +228,15 @@ def test_gauss_bound_monotone_and_vanishing():
     assert v1 > v2 > v4 > 0.0
     assert energy.gauss_bound(2, 200.0).value < 1e-30
     assert abs(v1 - 2.1417388079459667) < 1e-12 * v1
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gauss_bound_refuses_impossible_alpha_at_once(d):
+    # the ratio test past the last zero before the term cap cannot pass
+    start = time.perf_counter()
+    with pytest.raises(ResourceError):
+        energy.gauss_bound(d, 1e-6)
+    assert time.perf_counter() - start < 0.05
 
 
 def test_gauss_bound_density_scaling():

@@ -35,7 +35,7 @@ def test_ball_volume_monotone_in_radius(r, factor):
     assert special.ball_volume(3, r * factor) > special.ball_volume(3, r)
 
 
-@pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.0, 6.5, 12.0])
+@pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.0, 6.5, 12.0, 24.0, 32.0])
 def test_bessel_j_matches_mpmath(nu):
     with mp.workdps(30):
         for x in (0.1, 1.0, 5.0, 10.0, 40.0, 120.0):
@@ -118,3 +118,40 @@ def test_hurwitz_zeta_refuses_small_a():
     for a in (1.0, 10.0, 99.9):
         with pytest.raises(DomainError):
             special.hurwitz_zeta(2.0, a)
+
+
+def test_hankel_certificate_bounds_true_error():
+    # every point bessel_j takes the Hankel route at must have its true
+    # error, against mpmath at 40 digits, within err + phase_err; the
+    # phase term matters: without it err alone is exceeded up to ~200x
+    accepted = 0
+    for i in range(27):
+        nu = 1.5 * i
+        x = max(12.0, 2.0 * nu)
+        while x <= 5000.0:
+            value, err, phase_err = special._bessel_asymptotic(nu, x)
+            if err < 1e-13:
+                accepted += 1
+                with mp.workdps(40):
+                    true = mp.besselj(nu, x)
+                assert abs(mp.mpf(value) - true) <= err + phase_err, (nu, x)
+            x *= 1.2
+    assert accepted > 600
+
+
+def test_hankel_takes_the_dlmf_term_count_at_large_order():
+    # the terms fall below 1e-18 before the term count is reached; the
+    # expansion used to give up there and hand over to the series, which
+    # at x = 26175 did not converge at all
+    for nu, x in ((25.0, 1925.0), (33.0, 3000.0), (13.0, 26174.96)):
+        assert special._bessel_asymptotic(nu, x)[1] < 1e-13, (nu, x)
+
+
+@pytest.mark.parametrize("nu", [0.5, 12.0, 24.0, 24.5, 32.0])
+def test_bessel_zeros_match_mpmath(nu):
+    table = special.bessel_zeros(nu, 600)
+    for k in (1, 2, 3, 10, 100, 600):
+        with mp.workdps(30):
+            want = mp.besseljzero(nu, k)
+        assert abs(table[k - 1] - want) <= 1e-14 * want, (nu, k)
+
