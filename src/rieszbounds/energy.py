@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DomainError, NumericalError, ResourceError
-from .quadrature import QuadratureRule, build_rule
+from .quadrature import build_rule
 from .special import (
     ball_volume,
     bessel_zeros,
@@ -131,16 +131,12 @@ def parse_potential(text: str):
 # ---------------------------------------------------------------------------
 
 
-def ulb_energy(d: int, n: int, h, rule: QuadratureRule | None = None) -> float:
+def ulb_energy(d: int, n: int, h) -> float:
     """Lower bound N^2 sum w_i h(x_i) for the h-energy of N points on S^d.
 
-    h must be finite on [-1, 1); the rule nodes never include 1.  A
-    prebuilt rule for (d, n) may be passed to amortize construction.
+    h must be finite on [-1, 1); the rule nodes never include 1.
     """
-    if rule is None:
-        rule = build_rule(d, n)
-    elif rule.d != d or rule.n != n:
-        raise DomainError("rule was built for different (d, N)")
+    rule = build_rule(d, n)
     x = np.array(rule.nodes, dtype=float)
     vals = np.asarray(h(x), dtype=float)
     if vals.shape != x.shape:
@@ -290,19 +286,10 @@ def _tail_u(d: int, delta: float) -> tuple[float, float, float]:
     return u2, u4, u6
 
 
-_ZW_CACHE: dict[int, tuple[list, list]] = {}
-
-
-def _zero_weights(d: int, n: int) -> tuple[list, list]:
+def _zero_weights(d: int, n: int) -> tuple[tuple, list]:
     """First n Bessel zeros z_i of J_{d/2} with weights J_{d/2+1}(z_i)^-2."""
-    zs, ws = _ZW_CACHE.setdefault(d, ([], []))
-    if len(zs) < n:
-        table = bessel_zeros(d / 2.0, n)
-        for i in range(len(zs), n):
-            j1 = table.j_next[i]
-            zs.append(table.zeros[i])
-            ws.append(1.0 / (j1 * j1))
-    return zs[:n], ws[:n]
+    table = bessel_zeros(d / 2.0, n)
+    return table.zeros, [1.0 / (j1 * j1) for j1 in table.j_next]
 
 
 class AsdBound(NamedTuple):

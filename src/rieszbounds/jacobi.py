@@ -105,15 +105,6 @@ def jacobi_values(kmax: int, d: int, a: int, b: int, t) -> np.ndarray:
     return _rows(kmax, alpha, beta, pts)
 
 
-def jacobi_p(k: int, d: int, a: int, b: int, t):
-    """Normalized Jacobi polynomial of order k at t (scalar or array)."""
-    arr = np.asarray(t, dtype=float)
-    vals = jacobi_values(k, d, a, b, arr.ravel())[k]
-    if arr.ndim == 0:
-        return float(vals[0])
-    return vals.reshape(arr.shape)
-
-
 def _deriv_rows(kmax: int, alpha: float, beta: float, t: np.ndarray) -> np.ndarray:
     # d/dt of the normalized order-k polynomial equals
     # k (k+alpha+beta+1) / (2 (alpha+1)) times the normalized order-(k-1)

@@ -161,21 +161,20 @@ TAU_TRUNCATION_DEFAULT = 1000
 _TAU_CACHE: list[int] = [0]
 
 
-def tau_coefficients(m_max: int, limit: int = TAU_TRUNCATION_DEFAULT) -> list[int]:
+def tau_coefficients(m_max: int) -> list[int]:
     """Coefficients tau(1..m_max) of the weight-12 discriminant form, exact.
 
     The generating product q * prod (1-q^n)^24 is expanded by cubing the
     Euler product through its sparse alternating series (exponents
     k(k+1)/2, coefficients (-1)^k (2k+1)) and then raising to the 8th
-    power by repeated squaring.  m_max beyond ``limit`` raises
-    ResourceError; pass a larger limit explicitly to go further.
+    power by repeated squaring.  m_max beyond TAU_TRUNCATION_DEFAULT
+    raises ResourceError.
     """
     if m_max < 1:
         raise DomainError(f"tau_coefficients requires m_max >= 1, got {m_max}")
-    if m_max > limit:
+    if m_max > TAU_TRUNCATION_DEFAULT:
         raise ResourceError(
-            f"tau truncation {m_max} exceeds the configured limit {limit}; "
-            "raise the limit explicitly to compute further")
+            f"tau truncation {m_max} exceeds the limit {TAU_TRUNCATION_DEFAULT}")
     if len(_TAU_CACHE) <= m_max:
         length = m_max  # coefficients of the 24th power, before the q shift
         e3 = [0] * length
@@ -199,8 +198,8 @@ def tau_coefficients(m_max: int, limit: int = TAU_TRUNCATION_DEFAULT) -> list[in
     return _TAU_CACHE[: m_max + 1]
 
 
-def ramanujan_tau(m: int, limit: int = TAU_TRUNCATION_DEFAULT) -> int:
-    return tau_coefficients(m, limit)[m]
+def ramanujan_tau(m: int) -> int:
+    return tau_coefficients(m)[m]
 
 
 # ---------------------------------------------------------------------------

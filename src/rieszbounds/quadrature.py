@@ -253,11 +253,9 @@ class QuadratureRule:
     weights: tuple[float, ...]
     includes_minus_one: bool
     endpoint: bool
+    # always False: the exactness-system fallback it flagged was never
+    # reached; the field stays because the benchmark tracer reads it
     weight_fallback: bool = field(default=False)
-
-    @property
-    def k(self) -> int:
-        return len(self.nodes)
 
     @property
     def exact_degree(self) -> int:
@@ -275,16 +273,6 @@ class QuadratureRule:
             raise NumericalError(
                 f"rule for d={self.d}, N={self.n} weight sum off by {total - 1.0:.3e}"
             )
-
-
-def _exactness_system_weights(d: int, n: int, nodes: np.ndarray) -> np.ndarray:
-    # fallback: solve sum_j w_j P_i(x_j) = delta_{i0} - P_i(1)/N in the
-    # Gegenbauer basis, i = 0..k-1
-    k = nodes.size
-    pv = jacobi_values(k - 1, d, 0, 0, nodes)
-    rhs = -np.ones(k) / n
-    rhs[0] += 1.0
-    return np.linalg.solve(pv, rhs)
 
 
 def build_rule(d: int, n: int) -> QuadratureRule:
@@ -331,23 +319,17 @@ def build_rule(d: int, n: int) -> QuadratureRule:
     weights = lam_1b / (lam_d * factor * qdiag)
     nodes = interior[::-1]
     weights = weights[::-1]
-    fallback = False
     if not odd:
-        # weight at the node -1 from the Gegenbauer kernel determinant
+        # weight at the node -1 from the Gegenbauer kernel determinant.
+        # q_m1 q_sm < 0 on the even-strength intervals (pinned by a test
+        # up to degree 300), so den > q_mm q_s1 > 0 and cannot cancel
         q_s1 = cd_kernel(k, d, 0, 0, s, 1.0, "ratio")
         q_mm = cd_kernel(k, d, 0, 0, -1.0, -1.0, "confluent")
         q_m1 = cd_kernel(k, d, 0, 0, -1.0, 1.0, "ratio")
         q_sm = cd_kernel(k, d, 0, 0, s, -1.0, "ratio")
         den = q_mm * q_s1 - q_m1 * q_sm
-        fallback = not abs(den) > 1e-13 * max(1.0, abs(q_mm * q_s1))
-        if fallback:
-            wts = _exactness_system_weights(d, n, np.concatenate(([-1.0], interior)))
-            eta_last = wts[0]
-            weights = wts[1:][::-1]
-        else:
-            eta_last = q_s1 / den
         nodes = np.concatenate((nodes, [-1.0]))
-        weights = np.concatenate((weights, [eta_last]))
+        weights = np.concatenate((weights, [q_s1 / den]))
     rule = QuadratureRule(
         d=d,
         n=n,
@@ -357,7 +339,6 @@ def build_rule(d: int, n: int) -> QuadratureRule:
         weights=tuple(float(w) for w in weights),
         includes_minus_one=bool(nodes[-1] == -1.0),
         endpoint=endpoint,
-        weight_fallback=fallback,
     )
     rule.validate()
     return rule

@@ -8,8 +8,9 @@ Hankel asymptotic expansion (large argument, taken to at least the DLMF
 10.17(iii) term count and accepted only when its first omitted terms
 certify an absolute error below 1e-13).  Bessel zeros start from
 McMahon's expansion and are finished by Newton iteration, whose last
-Bessel values the zero check and the weights reuse; a bracketed scan
-repairs the rare misconvergence for large orders.
+Bessel values the zero check and the weights reuse; where that route fails
+its stall or table checks (from nu ~ 37 on) a bracketed scan rebuilds the
+table.
 
 Accuracy targets, pinned by the tests against mpmath: ``bessel_j``
 absolute error <= 1e-12 for 0 <= nu <= 32 and x <= 5000, zeros to 1e-14
@@ -176,10 +177,10 @@ def bessel_j(nu: float, x: float) -> float:
     3.5e-16 times sqrt(x), so it passes 1e-13 only beyond x ~ 1e5, where
     the series would need 0.46 x digits.
     """
-    if nu < 0.0:
-        raise DomainError(f"bessel_j requires nu >= 0, got {nu}")
-    if x < 0.0:
-        raise DomainError(f"bessel_j requires x >= 0, got {x}")
+    if not 0.0 <= nu < math.inf:
+        raise DomainError(f"bessel_j requires finite nu >= 0, got {nu}")
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"bessel_j requires finite x >= 0, got {x}")
     if x == 0.0:
         return 1.0 if nu == 0.0 else 0.0
     if x >= max(12.0, 2.0 * nu):
@@ -196,8 +197,9 @@ def bessel_j(nu: float, x: float) -> float:
 
 def _mcmahon_guess(nu: float, i: int) -> float:
     # McMahon's expansion for the i-th positive zero; three correction
-    # terms, adequate as a Newton seed for nu up to at least 32.  From
-    # nu ~ 37 on, Newton can stall from it at the first zero.
+    # terms, adequate as a Newton seed for nu up to at least 36.5.  From
+    # nu ~ 37 on, Newton can stall from it or step below 0 at the first
+    # zero, and bessel_zeros falls back to the scan.
     beta = (i + 0.5 * nu - 0.25) * math.pi
     mu = 4.0 * nu * nu
     e8 = 8.0 * beta
@@ -211,8 +213,8 @@ def _mcmahon_guess(nu: float, i: int) -> float:
 def _newton_polish(nu: float, z0: float) -> tuple[float, tuple[float, float] | None]:
     # Returns the zero and (J_nu, J_{nu+1}) there.  Newton's last step
     # usually leaves z unchanged, and then the values it evaluated are
-    # those at the zero; when the step moved z they are None.
-    # J_nu'(z) = (nu/z) J_nu(z) - J_{nu+1}(z).
+    # those at the zero; when the step moved z they are None.  A step to
+    # z <= 0 counts as a stall.  J_nu'(z) = (nu/z) J_nu(z) - J_{nu+1}(z).
     z = z0
     for _ in range(100):
         f = bessel_j(nu, z)
@@ -222,6 +224,8 @@ def _newton_polish(nu: float, z0: float) -> tuple[float, tuple[float, float] | N
             break
         dz = f / fp
         z_new = z - dz
+        if not z_new > 0.0:
+            break
         if abs(dz) <= max(1e-14, 8.0 * _EPS * abs(z_new)):
             return (z, (f, j1)) if z_new == z else (z_new, None)
         z = z_new
@@ -284,13 +288,16 @@ def _validate_zero_range(nu: float, zeros: tuple[float, ...] | list[float], lo: 
                          values: list | None = None) -> list[float]:
     # Checks zeros[lo:hi] and returns J_{nu+1} at each.  values[i - lo],
     # when given and not None, is (J_nu, J_{nu+1}) at zeros[i] already.
-    prev = zeros[lo - 1] if lo > 0 else 0.0
+    # The first zero lies above nu (J_nu > 0 on (0, nu]), where a Newton
+    # iterate could otherwise settle on a merely tiny J_nu; consecutive
+    # zeros are more than 2 apart.
+    prev = zeros[lo - 1] if lo > 0 else nu
     j_next = []
     for i in range(lo, hi):
         z = zeros[i]
         if not z > prev:
-            raise NumericalError(f"zeros of J_{nu} are not increasing near {z}")
-        if prev > 0.0 and z - prev <= 2.0:
+            raise NumericalError(f"zeros of J_{nu} are not increasing above {prev} near {z}")
+        if i > 0 and z - prev <= 2.0:
             raise NumericalError(f"zeros of J_{nu} separated by {z - prev} <= 2 near {z}")
         pair = values[i - lo] if values else None
         f, j1 = pair if pair else (bessel_j(nu, z), bessel_j(nu + 1.0, z))
@@ -311,19 +318,21 @@ def bessel_zeros(nu: float, n: int) -> BesselZeroTable:
     """First n positive zeros of J_nu, validated and cached per order."""
     if not 0.0 <= nu < math.inf:
         raise DomainError(f"bessel_zeros requires finite nu >= 0, got {nu}")
-    if n < 1 or n != int(n):
+    if not (1 <= n < math.inf and n == int(n)):
         raise DomainError(f"bessel_zeros requires a positive integer count, got {n}")
+    n = int(n)
     zeros, j_next = _zero_cache.setdefault(nu, ([], []))
     lo = len(zeros)
     if lo < n:
-        polished = [_newton_polish(nu, _mcmahon_guess(nu, i)) for i in range(lo + 1, n + 1)]
-        candidate = zeros + [z for z, _ in polished]
-        values = [pair for _, pair in polished]
-        ok = all(b - a > 2.0 for a, b in zip(candidate, candidate[1:])) and candidate[0] > nu
-        if not ok:
+        try:
+            polished = [_newton_polish(nu, _mcmahon_guess(nu, i))
+                        for i in range(lo + 1, n + 1)]
+            candidate = zeros + [z for z, _ in polished]
+            fresh = _validate_zero_range(nu, candidate, lo, n, [v for _, v in polished])
+        except NumericalError:
             candidate = _scan_zeros(nu, n)
-            lo, values = 0, None
-        fresh = _validate_zero_range(nu, candidate, lo, n, values)
+            lo = 0
+            fresh = _validate_zero_range(nu, candidate, 0, n)
         zeros[:] = candidate
         j_next[lo:] = fresh
     return BesselZeroTable(nu=nu, zeros=tuple(zeros[:n]), j_next=tuple(j_next[:n]))

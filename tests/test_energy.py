@@ -103,9 +103,8 @@ def test_asd_42_against_bessel_series():
 
 @pytest.fixture
 def cold_zeros(monkeypatch):
-    """Empty zero and weight caches for one test; the warm ones come back."""
+    """An empty zero cache for one test; the warm one comes back."""
     monkeypatch.setattr(special, "_zero_cache", {})
-    monkeypatch.setattr(energy, "_ZW_CACHE", {})
 
 
 def _count_calls(monkeypatch, name):

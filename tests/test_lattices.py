@@ -56,7 +56,7 @@ def test_tau_anchors_and_resource_cap():
     assert lattices.ramanujan_tau(2) == -24
     assert lattices.ramanujan_tau(6) == -6048
     with pytest.raises(ResourceError):
-        lattices.ramanujan_tau(50, limit=10)
+        lattices.ramanujan_tau(lattices.TAU_TRUNCATION_DEFAULT + 1)
 
 
 def test_kissing_numbers():

@@ -110,6 +110,24 @@ def test_rule_validation_invariants():
         assert abs(1.0 / n + sum(rule.weights) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 24])
+@pytest.mark.parametrize("k", [5, 50, 300])
+def test_minus_one_weight_denominator_cannot_cancel(d, k):
+    # even strength 2k: s runs over (gamma_k^{1,0}, gamma_k^{1,1}], and the
+    # weight at -1 is q_s1 / (q_mm q_s1 - q_m1 q_sm).  q_m1 q_sm < 0 there,
+    # so the denominator exceeds q_mm q_s1 > 0 and needs no fallback
+    lo = jacobi.largest_zero(k, d, 1, 0)
+    hi = jacobi.largest_zero(k, d, 1, 1)
+    q_mm = jacobi.cd_kernel(k, d, 0, 0, -1.0, -1.0, "confluent")
+    q_m1 = jacobi.cd_kernel(k, d, 0, 0, -1.0, 1.0, "ratio")
+    for s in (0.5 * (lo + hi), hi):
+        q_s1 = jacobi.cd_kernel(k, d, 0, 0, s, 1.0, "ratio")
+        q_sm = jacobi.cd_kernel(k, d, 0, 0, s, -1.0, "ratio")
+        assert q_m1 * q_sm < 0.0, (s, q_m1, q_sm)
+        assert q_mm * q_s1 > 0.0
+        assert q_mm * q_s1 - q_m1 * q_sm > q_mm * q_s1
+
+
 def test_gegenbauer_moments():
     assert quadrature.gegenbauer_moment(2, 1) == 0.0
     assert quadrature.gegenbauer_moment(2, 2) == pytest.approx(1.0 / 3.0, abs=1e-16)

@@ -77,6 +77,17 @@ def test_bessel_zeros_domain_errors():
     for nu in (math.nan, math.inf):
         with pytest.raises(DomainError):
             special.bessel_zeros(nu, 3)
+    for n in (math.nan, math.inf, 2.5):
+        with pytest.raises(DomainError):
+            special.bessel_zeros(1.0, n)
+    assert special.bessel_zeros(1.0, 3.0) == special.bessel_zeros(1.0, 3)
+
+
+@pytest.mark.parametrize("nu, x", [(-1.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (math.inf, 1.0),
+                                   (1.0, math.nan), (1.0, math.inf)])
+def test_bessel_j_domain_errors(nu, x):
+    with pytest.raises(DomainError):
+        special.bessel_j(nu, x)
 
 
 def test_zero_range_validation_rejects_corrupt_table():
@@ -155,3 +166,21 @@ def test_bessel_zeros_match_mpmath(nu):
             want = mp.besseljzero(nu, k)
         assert abs(table[k - 1] - want) <= 1e-14 * want, (nu, k)
 
+
+@pytest.mark.parametrize("nu", [37.0, 44.5])
+def test_bessel_zeros_scan_where_mcmahon_newton_fails(monkeypatch, nu):
+    # Newton from the McMahon seed of the first zero stalls at nu = 37 and
+    # steps below 0 at nu = 44.5; both count as a stall, and the table is
+    # rebuilt by the scan
+    with pytest.raises(NumericalError):
+        special._newton_polish(nu, special._mcmahon_guess(nu, 1))
+    monkeypatch.setattr(special, "_zero_cache", {})
+    scans = []
+    scan = special._scan_zeros
+    monkeypatch.setattr(special, "_scan_zeros", lambda v, n: scans.append(v) or scan(v, n))
+    table = special.bessel_zeros(nu, 40)
+    assert scans == [nu]
+    for k in (1, 2, 3, 10, 40):
+        with mp.workdps(30):
+            want = mp.besseljzero(nu, k)
+        assert abs(table[k - 1] - want) <= 1e-14 * want, (nu, k)
