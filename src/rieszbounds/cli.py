@@ -17,24 +17,21 @@ import json
 import sys
 
 from .energy import (
-    BOUND_REPORT_CSV_COLUMNS,
     asd_bound,
     bd_ratio,
-    bounds_report,
     gauss_bound,
     parse_potential,
     theta_bound,
     ulb_energy,
     xi_bound,
+    xi_flags,
 )
 from .errors import DomainError, NumericalError, ResourceError
-from .lattices import CONJECTURED_DIMENSIONS, LATTICE_FOR_DIMENSION, c_tilde, packing_density
+from .lattices import (C_TILDE_DIMENSIONS, CONJECTURED_DIMENSIONS, LATTICE_FOR_DIMENSION,
+                       c_tilde, packing_density)
 from .quadrature import build_rule
 
 __all__ = ["main"]
-
-C_TILDE_DIMENSIONS = (2, 4, 8, 24)
-TABLE_BD_DIMENSIONS = (1, 2, 3, 4, 5, 6, 7, 8, 24)
 
 
 def _fmt(x: float) -> str:
@@ -59,10 +56,19 @@ def _bounds(ns: argparse.Namespace) -> str:
     if not s > d:
         raise DomainError(f"bounds requires s > d, got s={s}, d={d}")
     ct = c_tilde(d, s) if d in C_TILDE_DIMENSIONS else None
-    report = bounds_report(d, s, ns.tol, c_tilde=ct)
+    theta, xi = theta_bound(d, s), xi_bound(d, s)
+    asd = asd_bound(d, s, ns.tol)
+    flags = xi_flags(d, s)
     if ns.format == "json":
-        return json.dumps(report.to_dict()) + "\n"
-    return _csv(BOUND_REPORT_CSV_COLUMNS, [report.csv_row()])
+        payload = {"d": d, "s": s, "theta": theta, "xi": xi, "xi_flag": list(flags),
+                   "a_sd": asd.value, "a_sd_terms_used": asd.terms_used,
+                   "a_sd_tail_bound": asd.tail_bound}
+        if ct is not None:
+            payload["c_tilde"] = ct
+        return json.dumps(payload) + "\n"
+    return _csv(("d", "s", "theta", "xi", "xi_flag", "a_sd", "tail_bound", "terms", "c_tilde"),
+                [(str(d), _fmt(s), _fmt(theta), _fmt(xi), "|".join(flags), _fmt(asd.value),
+                  _fmt(asd.tail_bound), str(asd.terms_used), "" if ct is None else _fmt(ct))])
 
 
 def _table_bd(ns: argparse.Namespace) -> str:
@@ -73,8 +79,8 @@ def _table_bd(ns: argparse.Namespace) -> str:
     d = 4..7, so those rows carry the conjectured flag.
     """
     rows = []
-    for d in TABLE_BD_DIMENSIONS:
-        delta = packing_density(LATTICE_FOR_DIMENSION[d])
+    for d, lattice in LATTICE_FOR_DIMENSION.items():
+        delta = packing_density(lattice)
         rows.append((d, bd_ratio(d, delta), d in CONJECTURED_DIMENSIONS))
     if ns.format == "json":
         return json.dumps([

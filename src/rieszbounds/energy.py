@@ -15,6 +15,7 @@ for unit vectors.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -48,8 +49,6 @@ __all__ = [
     "gauss_bound",
     "packing_bound",
     "bd_ratio",
-    "BoundReport",
-    "bounds_report",
 ]
 
 
@@ -71,10 +70,6 @@ class RieszPotential:
     def __call__(self, t):
         return (2.0 - 2.0 * np.asarray(t, dtype=float)) ** (-0.5 * self.s)
 
-    @property
-    def label(self) -> str:
-        return f"riesz:{self.s:g}"
-
 
 @dataclass(frozen=True)
 class GaussianPotential:
@@ -89,24 +84,15 @@ class GaussianPotential:
     def __call__(self, t):
         return np.exp(-self.alpha * (2.0 - 2.0 * np.asarray(t, dtype=float)))
 
-    @property
-    def label(self) -> str:
-        return f"gauss:{self.alpha:g}"
-
 
 @dataclass(frozen=True)
 class CustomPotential:
     """Arbitrary evaluator on [-1, 1); must be finite there."""
 
     evaluator: Callable
-    name: str = "custom"
 
     def __call__(self, t):
         return self.evaluator(t)
-
-    @property
-    def label(self) -> str:
-        return self.name
 
 
 def parse_potential(text: str):
@@ -161,7 +147,10 @@ def _check_s_gt_d(d: int, s: float) -> None:
 def theta_bound(d: int, s: float) -> float:
     """Volume lower bound 2^-s (H_{d-1}(S^{d-1})/d)^(s/d) for s > d."""
     _check_s_gt_d(d, s)
-    return 2.0 ** (-s) * (unit_sphere_area(d - 1) / d) ** (s / d)
+    try:
+        return 2.0 ** (-s) * (unit_sphere_area(d - 1) / d) ** (s / d)
+    except OverflowError:
+        raise NumericalError(f"theta_bound overflows for d={d}, s={s}") from None
 
 
 def xi_bound(d: int, s: float) -> float:
@@ -408,6 +397,7 @@ class GaussBound(NamedTuple):
 
 
 _GAUSS_MAX_TERMS = 200_000
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 
 
 def gauss_bound(d: int, alpha: float, rho: float = 1.0) -> GaussBound:
@@ -423,6 +413,12 @@ def gauss_bound(d: int, alpha: float, rho: float = 1.0) -> GaussBound:
         raise DomainError(f"alpha must be positive and finite, got {alpha}")
     if not 0.0 < rho < math.inf:
         raise DomainError(f"rho must be positive and finite, got {rho}")
+    # The first pass below takes z^(d-2) up to zs[64], which exceeds
+    # nu + 64 pi (j_{nu,1} > nu and the spacing exceeds pi for nu >= 1/2),
+    # so where that power leaves the double range d alone decides.
+    if (d - 2) * math.log(d / 2.0 + 64 * math.pi) > _LOG_DOUBLE_MAX:
+        raise NumericalError(
+            f"gauss_bound overflows for d={d}: z^(d-2) leaves the double range by zs[64]")
     radius = 2.0 * (rho / ball_volume(d)) ** (1.0 / d)
     scale = 4.0 / (lambda_d(d) * math.gamma(d + 1.0))
     decay = alpha / (math.pi * radius) ** 2
@@ -445,12 +441,17 @@ def gauss_bound(d: int, alpha: float, rho: float = 1.0) -> GaussBound:
     while True:
         grow = max(64, m)
         zs, ws = _zero_weights(d, m + grow + 1)
-        for i in range(m, m + grow):
-            z = zs[i]
-            total += z ** (d - 2) * ws[i] * math.exp(-decay * z * z)
-        m += grow
-        z_next = zs[m]
-        t_next = z_next ** (d - 2) * ws[m] * math.exp(-decay * z_next * z_next)
+        try:
+            for i in range(m, m + grow):
+                z = zs[i]
+                total += z ** (d - 2) * ws[i] * math.exp(-decay * z * z)
+            m += grow
+            z_next = zs[m]
+            t_next = z_next ** (d - 2) * ws[m] * math.exp(-decay * z_next * z_next)
+        except OverflowError:
+            total = math.inf  # a power z^(d-2) left the double range
+        if total == math.inf:
+            raise NumericalError(f"gauss_bound overflows for d={d}, alpha={alpha}, rho={rho}")
         # beyond z_next the term ratio is at most exp((d-1)pi/z - 2 decay pi z),
         # decreasing in z; certify once it is below 1/2
         ratio = math.exp((d - 1) * math.pi / z_next - 2.0 * decay * math.pi * z_next)
@@ -488,61 +489,3 @@ def bd_ratio(d: int, delta_d: float) -> float:
         raise DomainError(f"packing density must lie in (0, 1], got {delta_d}")
     return (packing_bound(d) / delta_d) ** (1.0 / d)
 
-
-# ---------------------------------------------------------------------------
-# Aggregated report
-# ---------------------------------------------------------------------------
-
-BOUND_REPORT_CSV_COLUMNS = ("d", "s", "theta", "xi", "xi_flag", "a_sd",
-                            "tail_bound", "terms", "c_tilde")
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """All bounds computed for one (d, s) query, plus diagnostics."""
-
-    d: int
-    s: float
-    theta: float
-    xi: float
-    xi_flag: tuple[str, ...]
-    a_sd: float
-    a_sd_terms_used: int
-    a_sd_tail_bound: float
-    c_tilde: float | None = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "d": self.d,
-            "s": self.s,
-            "theta": self.theta,
-            "xi": self.xi,
-            "xi_flag": list(self.xi_flag),
-            "a_sd": self.a_sd,
-            "a_sd_terms_used": self.a_sd_terms_used,
-            "a_sd_tail_bound": self.a_sd_tail_bound,
-        }
-        if self.c_tilde is not None:
-            out["c_tilde"] = self.c_tilde
-        return out
-
-    def csv_row(self) -> tuple[str, ...]:
-        def num(x) -> str:
-            return "" if x is None else "%.17g" % x
-
-        return (str(self.d), num(self.s), num(self.theta), num(self.xi),
-                "|".join(self.xi_flag), num(self.a_sd),
-                num(self.a_sd_tail_bound), str(self.a_sd_terms_used),
-                num(self.c_tilde))
-
-
-def bounds_report(d: int, s: float, tol: float = 1e-10,
-                  c_tilde: float | None = None) -> BoundReport:
-    """Compute every applicable bound at (d, s) into one record."""
-    theta = theta_bound(d, s)
-    xi = xi_bound(d, s)
-    asd = asd_bound(d, s, tol)
-    return BoundReport(
-        d=d, s=s, theta=theta, xi=xi, xi_flag=xi_flags(d, s),
-        a_sd=asd.value, a_sd_terms_used=asd.terms_used,
-        a_sd_tail_bound=asd.tail_bound, c_tilde=c_tilde)

@@ -40,34 +40,12 @@ def family_params(d: int, a: int, b: int) -> tuple[float, float]:
 
 def _rows(kmax: int, alpha: float, beta: float, t: np.ndarray) -> np.ndarray:
     # Conventional normalization (value C(k+alpha, k) at 1), rescaled to
-    # 1 at the right endpoint afterwards.
+    # 1 at the right endpoint afterwards.  One point runs on numpy scalars,
+    # free of per-step array overhead, through the same operations in the
+    # same order, so a column does not depend on the points beside it.
     t = np.asarray(t, dtype=float)
-    if t.size == 1:
-        return _rows_one(kmax, alpha, beta, t.item())
-    out = np.empty((kmax + 1, t.size), dtype=_LONG)
-    tl = t.astype(_LONG).ravel()
-    out[0] = 1.0
-    if kmax >= 1:
-        out[1] = (alpha + 1.0) + (alpha + beta + 2.0) * (tl - 1.0) / 2.0
-    s = alpha + beta
-    for k in range(2, kmax + 1):
-        c0 = 2.0 * k * (k + s) * (2.0 * k + s - 2.0)
-        c1 = (2.0 * k + s - 1.0) * (2.0 * k + s) * (2.0 * k + s - 2.0)
-        c2 = (2.0 * k + s - 1.0) * (alpha * alpha - beta * beta)
-        c3 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * (2.0 * k + s)
-        out[k] = ((c1 * tl + c2) * out[k - 1] - c3 * out[k - 2]) / c0
-    scale = np.ones(kmax + 1, dtype=_LONG)
-    for k in range(1, kmax + 1):
-        scale[k] = scale[k - 1] * (k + alpha) / k  # C(k+alpha, k) recursively
-    return (out / scale[:, None]).astype(float)
-
-
-def _rows_one(kmax: int, alpha: float, beta: float, t: float) -> np.ndarray:
-    # _rows at a single point: the same extended-precision operations in
-    # the same order, on numpy scalars instead of one-element arrays, so
-    # the result is bit-identical and free of per-step array overhead
-    tl = _LONG(t)
-    out = [_LONG(1.0)]
+    tl = _LONG(t.item()) if t.size == 1 else t.astype(_LONG).ravel()
+    out = [tl ** 0]  # ones shaped like tl
     if kmax >= 1:
         out.append((alpha + 1.0) + (alpha + beta + 2.0) * (tl - 1.0) / 2.0)
     s = alpha + beta
@@ -78,11 +56,10 @@ def _rows_one(kmax: int, alpha: float, beta: float, t: float) -> np.ndarray:
         c3 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * (2.0 * k + s)
         out.append(((c1 * tl + c2) * out[k - 1] - c3 * out[k - 2]) / c0)
     scale = _LONG(1.0)
-    vals = [float(out[0] / scale)]
     for k in range(1, kmax + 1):
-        scale = scale * (k + alpha) / k
-        vals.append(float(out[k] / scale))
-    return np.array(vals, dtype=float).reshape(kmax + 1, 1)
+        scale = scale * (k + alpha) / k  # C(k+alpha, k) recursively
+        out[k] = out[k] / scale
+    return np.array(out).astype(float).reshape(kmax + 1, tl.size)
 
 
 def _check_points(pts: np.ndarray) -> None:

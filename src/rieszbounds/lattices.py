@@ -2,8 +2,9 @@
 
 The conjectured sharp constants compare the Bessel-series constant with
 covolume-normalized Epstein zeta values of the best known lattices.  Theta
-coefficients come from closed divisor-sum formulas (A1, A2, D4, E8, Leech);
-the test suite checks them against direct enumeration of short vectors.
+coefficients are exact: A1 marks the squares, A2 counts its form over a box,
+and D4, E8 and Leech use divisor sums; the test suite checks them against
+direct enumeration of short vectors.
 
 Index convention per lattice: for the even lattices in the Cartan scale
 (fcc through E8, Leech) index m corresponds to squared norm 2m, so N(1)
@@ -43,6 +44,7 @@ __all__ = [
     "LATTICES",
     "LATTICE_FOR_DIMENSION",
     "CONJECTURED_DIMENSIONS",
+    "C_TILDE_DIMENSIONS",
     "sigma_k",
     "ramanujan_tau",
     "tau_coefficients",
@@ -89,16 +91,13 @@ LATTICES: dict[str, LatticeSpec] = {
 LATTICE_FOR_DIMENSION = {1: "A1", 2: "A2", 3: "fcc", 4: "D4", 5: "D5",
                          6: "E6", 7: "E7", 8: "E8", 24: "Leech"}
 CONJECTURED_DIMENSIONS = frozenset({4, 5, 6, 7})
+# dimensions whose lattice is conjecturally optimal, so C~ is defined
+C_TILDE_DIMENSIONS = (2, 4, 8, 24)
 
-# dual form values as a multiple of the primal ones (same count sequence);
-# each of these lattices is similar to its dual
-_DUAL_VALUE_SCALE = {
-    "A1": 1.0,
-    "A2": 4.0 / 3.0,
-    "D4": 0.5,
-    "E8": 1.0,
-    "Leech": 1.0,
-}
+# the lattices theta_coefficients counts, the only ones with a zeta value;
+# each is similar to its dual, whose form values are the primal ones times
+# this factor (same count sequence)
+_DUAL_VALUE_SCALE = {"A1": 1.0, "A2": 4.0 / 3.0, "D4": 0.5, "E8": 1.0, "Leech": 1.0}
 
 
 def _spec(lattice: LatticeSpec | str) -> LatticeSpec:
@@ -210,9 +209,9 @@ def ramanujan_tau(m: int) -> int:
 def theta_coefficients(lattice: LatticeSpec | str, m_max: int) -> list[int]:
     """Shell counts N(1..m_max) in the lattice's index convention.
 
-    Closed divisor-sum formulas; the lattices without one raise
-    DomainError.  The test suite checks the formulas against direct
-    enumeration of short vectors.
+    A1 marks the squares, A2 counts u^2 + uv + v^2 over a box, and D4,
+    E8 and Leech use divisor sums; other lattices raise DomainError.  The
+    test suite checks the counts against direct enumeration of short vectors.
     """
     lat = _spec(lattice)
     if m_max < 1:
@@ -271,8 +270,6 @@ class EpsteinZeta(NamedTuple):
     value: float
     tail_bound: float
 
-
-_FORMULA_LATTICES = ("A1", "A2", "D4", "E8", "Leech")
 
 # below this gap s - d the plain shell sum cannot reach tolerance and the
 # theta-transformation route takes over; Leech switches earlier so the
@@ -381,15 +378,15 @@ def epstein_zeta(lattice: LatticeSpec | str, s: float, tol: float = 1e-10) -> Ep
     Returns the value and a tail bound; the bound accounts for shell
     truncation under the calibrated coefficient majorant plus a floating
     point floor, and the target is tail <= tol * value; a tol below the
-    floor raises ResourceError at once.  Only lattices with closed
-    coefficient formulas are supported; the other root lattices would need
-    infeasibly deep vector counts.
+    floor raises ResourceError at once.  Only lattices with exact shell
+    counts in theta_coefficients are supported; the other root lattices
+    would need infeasibly deep vector counts.
     """
     lat = _spec(lattice)
-    if lat.name not in _FORMULA_LATTICES:
+    if lat.name not in _DUAL_VALUE_SCALE:
         raise DomainError(
             f"zeta evaluation is not configured for {lat.name}; "
-            f"supported lattices: {', '.join(_FORMULA_LATTICES)}")
+            f"supported lattices: {', '.join(_DUAL_VALUE_SCALE)}")
     if not lat.d < s < math.inf:
         raise DomainError(f"lattice zeta of {lat.name} requires finite s > {lat.d}, got {s}")
     if not 0.0 < tol < math.inf:
@@ -410,10 +407,9 @@ def c_tilde(d: int, s: float) -> float:
     Available in the dimensions with a conjecturally optimal modular
     lattice: 2 (hexagonal), 4 (D4), 8 (E8), 24 (Leech).
     """
-    lat_name = {2: "A2", 4: "D4", 8: "E8", 24: "Leech"}.get(d)
-    if lat_name is None:
-        raise DomainError(f"c_tilde is defined for d in (2, 4, 8, 24), got {d}")
-    lat = LATTICES[lat_name]
+    if d not in C_TILDE_DIMENSIONS:
+        raise DomainError(f"c_tilde is defined for d in {C_TILDE_DIMENSIONS}, got {d}")
+    lat = LATTICES[LATTICE_FOR_DIMENSION[d]]
     if not d < s < math.inf:
         raise DomainError(f"c_tilde requires finite s > d = {d}, got s={s}")
     z = epstein_zeta(lat, s, 1e-10)

@@ -46,7 +46,10 @@ def unit_sphere_area(d: int) -> float:
     """Surface measure of the unit sphere S^d embedded in R^(d+1)."""
     if d < 0 or d != int(d):
         raise DomainError(f"unit_sphere_area requires integer d >= 0, got {d}")
-    return 2.0 * math.pi ** ((d + 1) / 2.0) / math.gamma((d + 1) / 2.0)
+    try:
+        return 2.0 * math.pi ** ((d + 1) / 2.0) / math.gamma((d + 1) / 2.0)
+    except OverflowError:
+        raise NumericalError(f"unit_sphere_area overflows for d={d}") from None
 
 
 def ball_volume(d: int, r: float = 1.0) -> float:

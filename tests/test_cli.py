@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import rieszbounds
 from rieszbounds.cli import main
 
 
@@ -187,7 +192,9 @@ def test_non_finite_arguments_exit_two_at_once(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [("bounds", "--d", "3", "--s", "3.5", "--tol", "1e-13"),
-                                  ("gauss", "--d", "2", "--alpha", "1e-6")])
+                                  ("gauss", "--d", "2", "--alpha", "1e-6"),
+                                  ("gauss", "--d", "171", "--alpha", "1"),
+                                  ("gauss", "--d", "130", "--alpha", "1")])
 def test_certain_failures_exit_three_at_once(capsys, argv):
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
@@ -211,3 +218,19 @@ def test_ulb_rejects_infinite_potential_parameter(capsys, potential):
     assert out == ""
     assert err.startswith("rieszbounds:") and err.count("\n") == 1
     assert "finite" in err
+
+
+@pytest.mark.parametrize("argv", [("gauss", "--d", "171", "--alpha", "1"),
+                                  ("gauss", "--d", "130", "--alpha", "1"),
+                                  ("bounds", "--d", "2", "--s", "1e5"),
+                                  ("bounds", "--d", "400", "--s", "401")])
+def test_overflow_is_a_one_line_refusal_in_a_fresh_process(argv):
+    src = str(Path(rieszbounds.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "rieszbounds.cli", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode in (2, 3)
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("rieszbounds:") and proc.stderr.count("\n") == 1

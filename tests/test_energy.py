@@ -5,7 +5,7 @@ import mpmath as mp
 import pytest
 
 import oracles
-from rieszbounds import energy, special
+from rieszbounds import energy, lattices, special
 from rieszbounds.errors import DomainError, ResourceError
 
 
@@ -34,7 +34,7 @@ def test_riesz_potential_values():
 
 
 def test_custom_potential_wraps_callable():
-    h = energy.CustomPotential(lambda t: 1.0 - t, name="linear")
+    h = energy.CustomPotential(lambda t: 1.0 - t)
     assert h(0.25) == 0.75
 
 
@@ -272,14 +272,15 @@ def test_bd_ratio():
         energy.bd_ratio(2, 1.5)
 
 
-def test_bounds_report_round_trip():
-    rep = energy.bounds_report(2, 4.0, 1e-10, c_tilde=5.783359299678672)
-    row = rep.csv_row()
-    assert len(row) == len(energy.BOUND_REPORT_CSV_COLUMNS)
-    assert row[0] == "2" and row[1] == "4"
-    d = rep.to_dict()
-    assert d["theta"] == pytest.approx(math.pi**2 / 16.0, rel=1e-13)
-    assert d["xi"] == pytest.approx(math.pi**2 / 4.0, rel=1e-12)
-    assert d["c_tilde"] == pytest.approx(5.783359299678672, rel=1e-12)
+def test_bounds_at_d2_s4_closed_forms_and_ordering():
+    # the four constants the bounds subcommand prints at (2, 4); its CSV and
+    # JSON layout is pinned by the golden corpus
+    theta = energy.theta_bound(2, 4.0)
+    xi = energy.xi_bound(2, 4.0)
+    a_sd = energy.asd_bound(2, 4.0, 1e-10).value
+    ct = lattices.c_tilde(2, 4.0)
+    assert theta == pytest.approx(math.pi**2 / 16.0, rel=1e-13)
+    assert xi == pytest.approx(math.pi**2 / 4.0, rel=1e-12)
+    assert ct == pytest.approx(5.783359299678672, rel=1e-12)
     # the asymptotic ordering theta <= xi <= asd <= c_tilde at this point
-    assert d["theta"] < d["xi"] < d["a_sd"] < d["c_tilde"]
+    assert theta < xi < a_sd < ct
