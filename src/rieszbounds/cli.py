@@ -151,9 +151,9 @@ def _quadrature(ns: argparse.Namespace) -> str:
         payload = {
             "d": rule.d, "N": rule.n, "tau": rule.tau,
             "exact_degree": rule.exact_degree, "parity": rule.parity,
-            "nodes": [float(_fmt(t)) for t, _ in interior],
-            "weights": [float(_fmt(w)) for _, w in interior],
-            "endpoint_weight": float(_fmt(1.0 / rule.n)),
+            "nodes": [t for t, _ in interior],
+            "weights": [w for _, w in interior],
+            "endpoint_weight": 1.0 / rule.n,
         }
         return json.dumps(payload) + "\n"
     rows = [(_fmt(t), _fmt(w), "interior") for t, w in interior]
@@ -165,7 +165,7 @@ def _ulb(ns: argparse.Namespace) -> str:
     value = ulb_energy(ns.d, ns.n, parse_potential(ns.potential))
     if ns.format == "json":
         return json.dumps({"d": ns.d, "N": ns.n, "potential": ns.potential,
-                           "value": float(_fmt(value))}) + "\n"
+                           "value": value}) + "\n"
     return _csv(("d", "N", "potential", "value"),
                 [(str(ns.d), str(ns.n), ns.potential, _fmt(value))])
 
@@ -174,9 +174,9 @@ def _gauss(ns: argparse.Namespace) -> str:
     gb = gauss_bound(ns.d, ns.alpha, ns.rho)
     if ns.format == "json":
         return json.dumps({"d": ns.d, "alpha": ns.alpha, "rho": ns.rho,
-                           "value": float(_fmt(gb.value)),
+                           "value": gb.value,
                            "terms_used": gb.terms_used,
-                           "tail_bound": float(_fmt(gb.tail_bound))}) + "\n"
+                           "tail_bound": gb.tail_bound}) + "\n"
     return _csv(("d", "alpha", "rho", "value", "terms_used", "tail_bound"),
                 [(str(ns.d), _fmt(ns.alpha), _fmt(ns.rho), _fmt(gb.value),
                   str(gb.terms_used), _fmt(gb.tail_bound))])

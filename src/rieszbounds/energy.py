@@ -17,15 +17,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, NumericalError, ResourceError
 from .quadrature import build_rule
 from .special import (
+    _mcmahon_p,
     ball_volume,
     bessel_zeros,
     hurwitz_zeta,
@@ -36,7 +35,6 @@ from .special import (
 __all__ = [
     "RieszPotential",
     "GaussianPotential",
-    "CustomPotential",
     "parse_potential",
     "ulb_energy",
     "theta_bound",
@@ -83,16 +81,6 @@ class GaussianPotential:
 
     def __call__(self, t):
         return np.exp(-self.alpha * (2.0 - 2.0 * np.asarray(t, dtype=float)))
-
-
-@dataclass(frozen=True)
-class CustomPotential:
-    """Arbitrary evaluator on [-1, 1); must be finite there."""
-
-    evaluator: Callable
-
-    def __call__(self, t):
-        return self.evaluator(t)
 
 
 def parse_potential(text: str):
@@ -183,9 +171,10 @@ def xi_flags(d: int, s: float) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 # Series terms are z_i^{d-s-2} J_{d/2+1}(z_i)^{-2} over the zeros z_i of
-# J_{d/2}.  At those zeros J_{d/2+1}(z)^{-2} = (pi z/2) G(z) where G has an
-# even asymptotic expansion G = 1 + g2/z^2 + g4/z^4 + ... obtainable from
-# the Hankel P/Q series of orders nu and nu+1.  Composing with the zero
+# J_{d/2}.  At a zero of J_nu the Wronskian (DLMF 10.5.2) gives
+# J_{nu+1}(z) Y_nu(z) = 2/(pi z), so J_{nu+1}(z)^{-2} = (pi z/2) G(z) with
+# G = (pi z/2) M_nu(z)^2, M_nu^2 = J_nu^2 + Y_nu^2, and DLMF 10.18.17 expands
+# G = 1 + g2/z^2 + g4/z^4 + g6/z^6 + ...  Composing with McMahon's zero
 # expansion z(c) = pi c + p1/(pi c) + ..., c = i + nu/2 - 1/4, turns the
 # tail into Hurwitz zeta values:
 #
@@ -199,69 +188,20 @@ def xi_flags(d: int, s: float) -> tuple[str, ...]:
 # delta in [1e-4, 25]).
 
 
-def _series_mul(a: list, b: list, n: int) -> list:
-    out = [Fraction(0)] * n
-    for i, ai in enumerate(a[:n]):
-        if ai:
-            for j, bj in enumerate(b[: n - i]):
-                out[i + j] += ai * bj
-    return out
-
-
-def _series_inv(a: list, n: int) -> list:
-    out = [Fraction(0)] * n
-    out[0] = 1 / a[0]
-    for k in range(1, n):
-        acc = Fraction(0)
-        for j in range(1, min(k, len(a) - 1) + 1):
-            acc += a[j] * out[k - j]
-        out[k] = -acc / a[0]
-    return out
-
-
-@lru_cache(maxsize=None)
 def _hankel_g(d: int) -> tuple[float, float, float]:
-    """(g2, g4, g6) of G(z) = 1 + g2/z^2 + g4/z^4 + g6/z^6 + O(z^-8)."""
-    mu = Fraction(d * d)
-    mu1 = Fraction((d + 2) * (d + 2))
-    n = 8  # series order in x = 1/(8z)
+    """(g2, g4, g6) of G(z) = 1 + g2/z^2 + g4/z^4 + g6/z^6 + O(z^-8).
 
-    def pq(m: Fraction) -> tuple[list, list]:
-        p = [Fraction(0)] * n
-        q = [Fraction(0)] * n
-        p[0] = Fraction(1)
-        term = Fraction(1)
-        for k in range(1, n):
-            term = term * (m - (2 * k - 1) ** 2) / k
-            if k % 2 == 1:
-                q[k] = term * (-1) ** ((k - 1) // 2)
-            else:
-                p[k] = term * (-1) ** (k // 2)
-        return p, q
-
-    p0, q0 = pq(mu)
-    p1, q1 = pq(mu1)
-    num = [x + y for x, y in zip(_series_mul(p0, p0, n), _series_mul(q0, q0, n))]
-    den = [x + y for x, y in zip(_series_mul(p1, p0, n), _series_mul(q1, q0, n))]
-    g = _series_mul(num, _series_inv(_series_mul(den, den, n), n), n)
-    # parity: only even powers survive
-    assert g[0] == 1 and not any(g[k] for k in (1, 3, 5, 7))
-    return float(g[2]) / 64.0, float(g[4]) / 4096.0, float(g[6]) / 262144.0
-
-
-def _mcmahon_p(d: int) -> tuple[float, float, float]:
-    """Zero-expansion coefficients: z = pi*c + p1/(pi c) + p3/(pi c)^3 + ..."""
-    mu = float(d * d)
-    p1 = -(mu - 1.0) / 8.0
-    p3 = -4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / 1536.0
-    p5 = -32.0 * (mu - 1.0) * (83.0 * mu * mu - 982.0 * mu + 3779.0) / 491520.0
-    return p1, p3, p5
+    DLMF 10.18.17 at mu = d^2, in integer arithmetic: the int true
+    division rounds once, correctly.
+    """
+    m = int(d) ** 2 - 1
+    return m / 8, 3 * m * (m - 8) / 128, 5 * m * (m - 8) * (m - 24) / 1024
 
 
 def _tail_u(d: int, delta: float) -> tuple[float, float, float]:
     """Coefficients of the Hurwitz-zeta tail expansion at exponent delta."""
     g2, g4, g6 = _hankel_g(d)
-    p1, p3, p5 = _mcmahon_p(d)
+    p1, p3, p5 = _mcmahon_p(d / 2.0)
     e = delta + 1.0
     u2 = g2 - e * p1
     u4 = (g4 - 2.0 * g2 * p1 - e * p1 * g2 - e * p3

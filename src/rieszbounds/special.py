@@ -7,7 +7,8 @@ alternating-series cancellation never reaches the double result) and the
 Hankel asymptotic expansion (large argument, taken to at least the DLMF
 10.17(iii) term count and accepted only when its first omitted terms
 certify an absolute error below 1e-13).  Bessel zeros start from
-McMahon's expansion and are finished by Newton iteration, whose last
+McMahon's expansion, whose coefficients this module owns (``energy`` reads
+them for the A_{s,d} tail), and are finished by Newton iteration, whose last
 Bessel values the zero check and the weights reuse; where that route fails
 its stall or table checks (from nu ~ 37 on) a bracketed scan rebuilds the
 table.
@@ -56,9 +57,15 @@ def ball_volume(d: int, r: float = 1.0) -> float:
     """Volume of the d-dimensional ball of radius r."""
     if d < 1 or d != int(d):
         raise DomainError(f"ball_volume requires a positive integer dimension, got {d}")
-    if r < 0.0:
-        raise DomainError(f"ball_volume requires r >= 0, got {r}")
-    return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * r**d
+    if not 0.0 <= r < math.inf:
+        raise DomainError(f"ball_volume requires finite r >= 0, got {r}")
+    try:
+        value = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * r**d
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise NumericalError(f"ball_volume overflows for d={d}, r={r}")
+    return value
 
 
 _BERNOULLI_2R = (1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66)
@@ -198,19 +205,24 @@ def bessel_j(nu: float, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _mcmahon_guess(nu: float, i: int) -> float:
-    # McMahon's expansion for the i-th positive zero; three correction
-    # terms, adequate as a Newton seed for nu up to at least 36.5.  From
-    # nu ~ 37 on, Newton can stall from it or step below 0 at the first
-    # zero, and bessel_zeros falls back to the scan.
-    beta = (i + 0.5 * nu - 0.25) * math.pi
+def _mcmahon_p(nu: float) -> tuple[float, float, float]:
+    # McMahon's expansion of the i-th positive zero of J_nu, DLMF 10.21.19:
+    # z = beta + p1/beta + p3/beta^3 + p5/beta^5 + ..., with
+    # beta = (i + nu/2 - 1/4) pi and mu = 4 nu^2.
     mu = 4.0 * nu * nu
-    e8 = 8.0 * beta
-    z = beta
-    z -= (mu - 1.0) / e8
-    z -= 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * e8**3)
-    z -= 32.0 * (mu - 1.0) * (83.0 * mu * mu - 982.0 * mu + 3779.0) / (15.0 * e8**5)
-    return z
+    p1 = -(mu - 1.0) / 8.0
+    p3 = -4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / 1536.0
+    p5 = -32.0 * (mu - 1.0) * (83.0 * mu * mu - 982.0 * mu + 3779.0) / 491520.0
+    return p1, p3, p5
+
+
+def _mcmahon_guess(nu: float, i: int) -> float:
+    # Three correction terms, adequate as a Newton seed for nu up to at
+    # least 36.5.  From nu ~ 37 on, Newton can stall from it or step below
+    # 0 at the first zero, and bessel_zeros falls back to the scan.
+    beta = (i + 0.5 * nu - 0.25) * math.pi
+    p1, p3, p5 = _mcmahon_p(nu)
+    return beta + p1 / beta + p3 / beta**3 + p5 / beta**5
 
 
 def _newton_polish(nu: float, z0: float) -> tuple[float, tuple[float, float] | None]:

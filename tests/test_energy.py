@@ -33,9 +33,11 @@ def test_riesz_potential_values():
     assert abs(h(-1.0) - 2.0**-3) < 1e-16  # antipodal distance 2
 
 
-def test_custom_potential_wraps_callable():
-    h = energy.CustomPotential(lambda t: 1.0 - t)
-    assert h(0.25) == 0.75
+@pytest.mark.parametrize("d, n", [(2, 6), (3, 120), (8, 1000)])
+def test_ulb_takes_any_callable(d, n):
+    # the rule is exact on degree 1, and the node t = 1 adds 1 - t = 0
+    got = energy.ulb_energy(d, n, lambda t: 1.0 - t)
+    assert abs(got - n * n) <= 1e-13 * n * n
 
 
 def test_ulb_tetrahedron_closed_form():
@@ -99,6 +101,23 @@ def test_asd_42_against_bessel_series():
     assert abs(got.value - frozen) < 1e-11 * frozen
     assert got.terms_used >= 100
     assert 0.0 <= got.tail_bound < 1e-9
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 24, 48])
+def test_hankel_g_against_mpmath(d):
+    # At the k-th zero z of J_{d/2}, 2/(pi z) J_{d/2+1}(z)^{-2} = G(z); the
+    # remainder after g6 is about the next DLMF 10.18.17 term, which
+    # vanishes for d = 1 and 3, where the series terminates
+    g2, g4, g6 = energy._hankel_g(d)
+    mu = d * d
+    with mp.workdps(40):
+        for k in (50, 200, 600):
+            z = mp.besseljzero(mp.mpf(d) / 2, k)
+            want = 2 / (mp.pi * z) / mp.besselj(mp.mpf(d) / 2 + 1, z) ** 2
+            rem = abs(want - (1 + g2 / z**2 + g4 / z**4 + g6 / z**6))
+            nxt = abs(mp.mpf(105) / 384 * (mu - 1) * (mu - 9) * (mu - 25) * (mu - 49)
+                      / (2 * z) ** 8)
+            assert rem <= 2 * nxt + mp.mpf("1e-30"), (d, k, rem, nxt)
 
 
 @pytest.fixture

@@ -27,6 +27,12 @@ def test_sphere_area_and_ball_volume():
     assert abs(special.ball_volume(2, 1.0) - math.pi) < 1e-15
     assert abs(special.ball_volume(3, 2.0) - 32.0 * math.pi / 3.0) < 1e-13
     assert abs(special.ball_volume(1, 0.5) - 1.0) < 1e-15
+    for d, r in ((342, 1.0), (2, 1e200), (2, 1e154)):
+        with pytest.raises(NumericalError):
+            special.ball_volume(d, r)
+    for r in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            special.ball_volume(2, r)
 
 
 @given(st.floats(min_value=0.01, max_value=3.0), st.floats(min_value=1.001, max_value=2.0))
