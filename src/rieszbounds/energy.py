@@ -42,7 +42,6 @@ __all__ = [
     "xi_flags",
     "AsdBound",
     "asd_bound",
-    "residue_check",
     "GaussBound",
     "gauss_bound",
     "packing_bound",
@@ -307,22 +306,6 @@ def asd_bound(d: int, s: float, tol: float = 1e-10) -> AsdBound:
                 f"asd_bound tail {err_rel / total_rel:.3e} cannot reach "
                 f"tol={tol} within {_MAX_TERMS} terms for d={d}, s={s}")
         m *= 2
-
-
-def residue_check(d: int, bound: str, delta: float) -> float:
-    """(s-d) * bound(d, d+delta); compare against 2 pi^{d/2}/Gamma(d/2)."""
-    if not 0.0 < delta < 1.0:
-        raise DomainError(f"delta must lie in (0, 1), got {delta}")
-    s = d + delta
-    if bound == "theta":
-        value = theta_bound(d, s)
-    elif bound == "xi":
-        value = xi_bound(d, s)
-    elif bound == "asd":
-        value = asd_bound(d, s, 1e-10).value
-    else:
-        raise DomainError(f"bound must be theta, xi, or asd, got {bound!r}")
-    return delta * value
 
 
 # ---------------------------------------------------------------------------

@@ -180,9 +180,10 @@ def cd_kernel(k: int, d: int, a: int, b: int, x, y, method: str = "auto"):
     """Reproducing kernel Q_k(x, y) = sum_{i<=k} r_i P_i(x) P_i(y).
 
     The default dispatch evaluates the Christoffel-Darboux quotient away
-    from the diagonal and the confluent limit at the midpoint when x and
-    y are within 1e-6 of each other, where the quotient starts losing
-    digits to cancellation.  "ratio" and "confluent" force a single
+    from the diagonal and the confluent limit at the midpoint when
+    |x - y| (k+1)^2 <= 1e-6, where the quotient starts losing digits to
+    cancellation; the midpoint's error grows with the slope of Q_k, which
+    reaches order k^2 near t = 1.  "ratio" and "confluent" force a single
     branch and raise when fed points the branch cannot handle.  The test
     suite pins the routes against the direct positive-term sum.
     """
@@ -197,7 +198,7 @@ def cd_kernel(k: int, d: int, a: int, b: int, x, y, method: str = "auto"):
     rk = _norm_ratio(k, alpha, beta, _log_norm_const(alpha, beta))
     if method == "auto":
         xr, yr = xa.ravel(), ya.ravel()
-        eq = np.abs(xr - yr) <= 1e-6
+        eq = np.abs(xr - yr) * (k + 1) ** 2 <= 1e-6
         vals = np.empty(xr.size, dtype=float)
         if np.any(~eq):
             vals[~eq] = _kernel_ratio(k, d, a, b, xr[~eq], yr[~eq], rk)

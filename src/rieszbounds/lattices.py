@@ -45,8 +45,6 @@ __all__ = [
     "LATTICE_FOR_DIMENSION",
     "CONJECTURED_DIMENSIONS",
     "C_TILDE_DIMENSIONS",
-    "sigma_k",
-    "ramanujan_tau",
     "tau_coefficients",
     "theta_coefficients",
     "EpsteinZeta",
@@ -120,24 +118,8 @@ def packing_density(lattice: LatticeSpec | str) -> float:
 # ---------------------------------------------------------------------------
 
 
-def sigma_k(m: int, k: int) -> int:
-    """Sum of k-th powers of the divisors of m, exactly."""
-    if m < 1 or k < 0:
-        raise DomainError(f"sigma_k requires m >= 1 and k >= 0, got m={m}, k={k}")
-    total = 0
-    e = 1
-    while e * e <= m:
-        if m % e == 0:
-            total += e**k
-            f = m // e
-            if f != e:
-                total += f**k
-        e += 1
-    return total
-
-
 def _sieve_sigma(k: int, m_max: int) -> list[int]:
-    # out[m] = sigma_k(m); index 0 unused
+    # out[m] = sum of the k-th powers of the divisors of m; index 0 unused
     out = [0] * (m_max + 1)
     for e in range(1, m_max + 1):
         ek = e**k
@@ -195,10 +177,6 @@ def tau_coefficients(m_max: int) -> list[int]:
         e24 = poly_sq(poly_sq(poly_sq(e3)))
         _TAU_CACHE[:] = [0] + e24
     return _TAU_CACHE[: m_max + 1]
-
-
-def ramanujan_tau(m: int) -> int:
-    return tau_coefficients(m)[m]
 
 
 # ---------------------------------------------------------------------------

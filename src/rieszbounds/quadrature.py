@@ -19,14 +19,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from . import jacobi
-from .jacobi import (
-    _deriv_rows,
-    _log_norm_const,
-    _rows,
-    cd_kernel,
-    family_params,
-    jacobi_values,
-)
+from .jacobi import _log_norm_const, cd_kernel, family_params, jacobi_values
 from .special import lambda_d
 
 _LONG = np.longdouble
@@ -67,24 +60,32 @@ def lev_branch(d: int, tau: int, s) -> float:
     return math.comb(k + d - 1, k) * val
 
 
-def _resolve_interval(d: int, s: float) -> int:
-    # smallest tau with s in I_tau; the intervals partition [-1, 1).  Their
-    # right ends gamma_1^{1,0} < gamma_1^{1,1} < gamma_2^{1,0} < ... increase,
-    # so the smallest k with s <= gamma_k^{1,1} is found by galloping over
-    # k = 1, 2, 4, ... and then bisecting
-    hi = 1
-    while s > jacobi.largest_zero(hi, d, 1, 1):
-        if hi >= jacobi._MAX_ORDER:
-            raise NumericalError(f"interval resolution ran away for d={d}, s={s}")
-        hi = min(2 * hi, jacobi._MAX_ORDER)
-    lo = hi // 2  # s > gamma_lo^{1,1}, or lo = 0
+def _first_true(pred, cap: float = math.inf) -> int | None:
+    # smallest j >= 1 with pred(j), for pred false below some j and true
+    # from there on, by galloping over j = 1, 2, 4, ... (at most cap) and
+    # then bisecting; None when pred(cap) is false
+    lo, hi = 0, 1
+    while not pred(hi):
+        if hi >= cap:
+            return None
+        lo, hi = hi, min(2 * hi, cap)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if s <= jacobi.largest_zero(mid, d, 1, 1):
+        if pred(mid):
             hi = mid
         else:
             lo = mid
-    return 2 * hi - 1 if s <= jacobi.largest_zero(hi, d, 1, 0) else 2 * hi
+    return hi
+
+
+def _resolve_interval(d: int, s: float) -> int:
+    # smallest tau with s in I_tau; the intervals partition [-1, 1).  Their
+    # right ends gamma_1^{1,0} < gamma_1^{1,1} < gamma_2^{1,0} < ... increase,
+    # so k is the smallest order with s <= gamma_k^{1,1}
+    k = _first_true(lambda j: s <= jacobi.largest_zero(j, d, 1, 1), jacobi._MAX_ORDER)
+    if k is None:
+        raise NumericalError(f"interval resolution ran away for d={d}, s={s}")
+    return 2 * k - 1 if s <= jacobi.largest_zero(k, d, 1, 0) else 2 * k
 
 
 def lev_function(d: int, s: float) -> float:
@@ -100,37 +101,9 @@ def lev_function(d: int, s: float) -> float:
 
 
 def _resolve_tau(d: int, n) -> int:
-    # smallest tau with N <= D(d, tau+1), by galloping and bisecting over
-    # the increasing D(d, .); N must be finite
-    hi = 1
-    while n > dgs_bound(d, hi + 1):
-        hi *= 2
-    lo = hi // 2  # N > D(d, lo+1), or lo = 0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if n <= dgs_bound(d, mid + 1):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _lev_slope(d: int, tau: int, s: float) -> float:
-    # derivative in s of lev_branch(d, tau, s), by the quotient rule
-    k = (tau + 1) // 2
-    alpha, beta = family_params(d, 0, 0)
-    pts = np.array([s])
-    p = _rows(k + 1, alpha, beta, pts)[:, 0]
-    dp = _deriv_rows(k + 1, alpha, beta, pts)[:, 0]
-    if tau % 2 == 1:
-        num, dnum = p[k - 1] - p[k], dp[k - 1] - dp[k]
-        den, dden = (1.0 - s) * p[k], (1.0 - s) * dp[k] - p[k]
-        return -math.comb(k + d - 2, k - 1) * (dnum * den - num * dden) / (den * den)
-    num = (1.0 + s) * (p[k] - p[k + 1])
-    dnum = (p[k] - p[k + 1]) + (1.0 + s) * (dp[k] - dp[k + 1])
-    den = (1.0 - s) * (p[k] + p[k + 1])
-    dden = (1.0 - s) * (dp[k] + dp[k + 1]) - (p[k] + p[k + 1])
-    return -math.comb(k + d - 1, k) * (dnum * den - num * dden) / (den * den)
+    # smallest tau with N <= D(d, tau+1), over the increasing D(d, .); N
+    # must be finite
+    return _first_true(lambda t: n <= dgs_bound(d, t + 1))
 
 
 # Half-width of the window around the root, relative to max(|s|, 1/2),
@@ -166,10 +139,10 @@ def solve_s_for_n(d: int, n: float) -> float:
     Endpoint cardinalities N = D(d, tau+1) return the largest zero of
     the corresponding adjacent Jacobi polynomial directly (machine
     precision).  Interior N are bracketed in their interval, where
-    safeguarded Newton steps locate the root; bisection of the bracket
+    safeguarded secant steps locate the root; bisection of the bracket
     then finds the pair of adjacent doubles around the sign change of
-    L(d, s) - N, evaluating L only near the root, and up to three Newton
-    steps finish to |L(d,s) - N| below 1e-11.
+    L(d, s) - N, evaluating L only near the root, and up to three steps
+    along the last secant slope finish to |L(d,s) - N| below 1e-11.
     """
     if not 2 <= n < math.inf:
         raise DomainError(f"solve_s_for_n requires finite N >= 2, got {n}")
@@ -194,27 +167,34 @@ def solve_s_for_n(d: int, n: float) -> float:
             fvals[x] = lev_branch(d, tau, x) - n
         return fvals[x]
 
-    # L rises from D(d, tau) at lo to D(d, tau+1) at hi.  Newton steps
-    # start at the regula falsi point of those end values and bisect the
-    # bracket [a, b] whenever a step leaves it.  They stop once the step,
-    # or the next step predicted from quadratic convergence, is inside
-    # the window.
+    # L rises from D(d, tau) at lo to D(d, tau+1) at hi.  Secant steps
+    # start from (lo, D(d, tau) - N) and the regula falsi point of the end
+    # values, and bisect the bracket [a, b] whenever a step leaves it or
+    # its two points coincide in x or in f.  They stop once the step, or
+    # the next step, which superlinear convergence keeps below
+    # step^2 / last, is inside the window.
     d_lo, d_hi = dgs_bound(d, tau), dgs_bound(d, tau + 1)
     a, b = lo, hi
+    x_prev, f_prev = lo, float(d_lo - n)
     x = lo + (n - d_lo) * (hi - lo) / (d_hi - d_lo)
-    last = 0.0
+    last = slope = 0.0
     for _ in range(100):
         fx = f(x)
         if fx < 0.0:
             a = x
         elif fx > 0.0:
             b = x
-        step = fx / _lev_slope(d, tau, x)
+        if x == x_prev or fx == f_prev:
+            step = x - 0.5 * (a + b)
+        else:
+            slope = (fx - f_prev) / (x - x_prev)
+            step = fx / slope
         root = float(x - step)
         w = _WINDOW * max(abs(root), 0.5)
-        if abs(step) <= w or abs(step) ** 3 <= 0.125 * w * last * last:
+        if abs(step) <= w or step * step <= 0.125 * w * last:
             break
         last = abs(step)
+        x_prev, f_prev = x, fx
         x = root if a < root < b else 0.5 * (a + b)
     a, b = _bisect_pair(f, lo, hi, root, w)
     if a < b and not f(a) < 0.0 < f(b):
@@ -226,7 +206,6 @@ def solve_s_for_n(d: int, n: float) -> float:
         raise NumericalError(f"bracket failure solving L({d}, s) = {n} in branch {tau}")
     s = a if abs(f(a)) <= abs(f(b)) else b
     for _ in range(3):
-        slope = _lev_slope(d, tau, s)
         step = s if slope == 0.0 else min(max(s - f(s) / slope, lo), hi)
         if step == s:
             break

@@ -292,12 +292,6 @@ class BesselZeroTable:
     zeros: tuple[float, ...]
     j_next: tuple[float, ...]
 
-    def __len__(self) -> int:
-        return len(self.zeros)
-
-    def __getitem__(self, i: int) -> float:
-        return self.zeros[i]
-
 
 def _validate_zero_range(nu: float, zeros: tuple[float, ...] | list[float], lo: int, hi: int,
                          values: list | None = None) -> list[float]:

@@ -73,9 +73,9 @@ def test_criterion_04_residue_limits(capsys):
     ok = True
     for d in (1, 2, 3):
         target = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-        for bound in ("xi", "asd"):
-            dev4 = abs(energy.residue_check(d, bound, 1e-4) - target) / target
-            dev5 = abs(energy.residue_check(d, bound, 1e-5) - target) / target
+        for bound in (energy.xi_bound, lambda d, s: energy.asd_bound(d, s, 1e-10).value):
+            dev4 = abs(1e-4 * bound(d, d + 1e-4) - target) / target
+            dev5 = abs(1e-5 * bound(d, d + 1e-5) - target) / target
             worst_dev = max(worst_dev, dev4)
             ratio = dev4 / dev5
             if not 5.0 < ratio < 20.0:

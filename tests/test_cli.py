@@ -220,17 +220,33 @@ def test_ulb_rejects_infinite_potential_parameter(capsys, potential):
     assert "finite" in err
 
 
+def _fresh_cli(*argv):
+    # the CLI in a new interpreter, so that warnings print as a user sees them
+    src = str(Path(rieszbounds.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "rieszbounds.cli", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 @pytest.mark.parametrize("argv", [("gauss", "--d", "171", "--alpha", "1"),
                                   ("gauss", "--d", "130", "--alpha", "1"),
                                   ("bounds", "--d", "2", "--s", "1e5"),
                                   ("bounds", "--d", "400", "--s", "401")])
 def test_overflow_is_a_one_line_refusal_in_a_fresh_process(argv):
-    src = str(Path(rieszbounds.__file__).resolve().parent.parent)
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "rieszbounds.cli", *argv],
-                          capture_output=True, text=True, timeout=60,
-                          env={**os.environ, "PYTHONPATH": path})
+    proc = _fresh_cli(*argv)
     assert proc.returncode in (2, 3)
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("rieszbounds:") and proc.stderr.count("\n") == 1
+
+
+def test_huge_n_refusal_prints_no_warning():
+    # D(8, 600) is so close to this N that the regula falsi start of the
+    # Levenshtein inversion rounds to the bracket end; a secant through two
+    # equal points would divide by zero and numpy would warn on stderr
+    proc = _fresh_cli("ulb", "--d", "8", "--N", "3617698316688337", "--potential", "riesz:1")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("rieszbounds:") and proc.stderr.count("\n") == 1
+    assert "Warning" not in proc.stderr

@@ -215,20 +215,12 @@ def test_non_finite_s_rejected():
 def test_residue_targets():
     # delta * bound(d, d + delta) approaches 2 pi^{d/2}/Gamma(d/2) for the
     # two constants with a pole at s = d (theta stays bounded there)
+    delta = 1e-5
     for d in (1, 2, 3):
         target = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-        for bound in ("xi", "asd"):
-            got = energy.residue_check(d, bound, 1e-5)
+        for bound, got in (("xi", delta * energy.xi_bound(d, d + delta)),
+                           ("asd", delta * energy.asd_bound(d, d + delta, 1e-10).value)):
             assert abs(got - target) < 5e-3 * target, (d, bound, got, target)
-
-
-def test_residue_check_errors():
-    with pytest.raises(DomainError):
-        energy.residue_check(2, "xi", 0.0)
-    with pytest.raises(DomainError):
-        energy.residue_check(2, "xi", 1.0)
-    with pytest.raises(DomainError):
-        energy.residue_check(2, "bogus", 1e-4)
 
 
 def test_gauss_bound_d1_direct_series():

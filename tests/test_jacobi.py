@@ -166,6 +166,17 @@ def test_kernel_routes_agree(k, x, y):
     assert abs(auto - direct) < 1e-8 * max(1.0, abs(direct))
 
 
+def test_kernel_near_diagonal_at_large_order():
+    # a gap of 9e-7 at x near 1 is far from the diagonal at k = 1000: the
+    # slope of Q_k there is of order k^2, so the confluent midpoint value
+    # is 6e-3 off while the quotient loses about 1e-12
+    x = 0.99999
+    y = x - 9e-7
+    direct = oracles.cd_kernel_sum(1000, 3, 0, 0, x, y)
+    auto = jacobi.cd_kernel(1000, 3, 0, 0, x, y)
+    assert abs(auto - direct) < 1e-10 * abs(direct)
+
+
 def test_kernel_diagonal_positive_and_errors():
     assert jacobi.cd_kernel(6, 2, 1, 1, 0.3, 0.3) > 0
     with pytest.raises(DomainError):

@@ -35,12 +35,13 @@ def test_packing_densities_exact():
 
 
 def test_sigma_anchors_and_naive_agreement():
-    assert lattices.sigma_k(2, 3) == 9
-    assert lattices.sigma_k(2, 11) == 2049
-    assert lattices.sigma_k(6, 1) == 12
-    for m in (1, 7, 12, 36, 97):
-        for k in (1, 3, 11):
-            assert lattices.sigma_k(m, k) == oracles.sigma_naive(m, k)
+    for k in (1, 3, 11):
+        sieve = lattices._sieve_sigma(k, 97)
+        for m in (1, 7, 12, 36, 97):
+            assert sieve[m] == oracles.sigma_naive(m, k)
+    assert lattices._sieve_sigma(3, 2)[2] == 9
+    assert lattices._sieve_sigma(11, 2)[2] == 2049
+    assert lattices._sieve_sigma(1, 6)[6] == 12
 
 
 def test_tau_against_eta_product():
@@ -52,11 +53,11 @@ def test_tau_against_eta_product():
 
 
 def test_tau_anchors_and_resource_cap():
-    assert lattices.ramanujan_tau(1) == 1
-    assert lattices.ramanujan_tau(2) == -24
-    assert lattices.ramanujan_tau(6) == -6048
+    assert lattices.tau_coefficients(1)[1] == 1
+    assert lattices.tau_coefficients(2)[2] == -24
+    assert lattices.tau_coefficients(6)[6] == -6048
     with pytest.raises(ResourceError):
-        lattices.ramanujan_tau(lattices.TAU_TRUNCATION_DEFAULT + 1)
+        lattices.tau_coefficients(lattices.TAU_TRUNCATION_DEFAULT + 1)
 
 
 def test_kissing_numbers():

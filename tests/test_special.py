@@ -71,8 +71,7 @@ def test_half_order_zeros_are_multiples_of_pi():
 
 def test_bessel_zeros_table_certification():
     table = special.bessel_zeros(3.0, 6)
-    assert len(table) == 6
-    assert table[0] == table.zeros[0]
+    assert len(table.zeros) == len(table.j_next) == 6
 
 
 def test_bessel_zeros_domain_errors():
@@ -170,7 +169,7 @@ def test_bessel_zeros_match_mpmath(nu):
     for k in (1, 2, 3, 10, 100, 600):
         with mp.workdps(30):
             want = mp.besseljzero(nu, k)
-        assert abs(table[k - 1] - want) <= 1e-14 * want, (nu, k)
+        assert abs(table.zeros[k - 1] - want) <= 1e-14 * want, (nu, k)
 
 
 @pytest.mark.parametrize("nu", [37.0, 44.5])
@@ -189,4 +188,4 @@ def test_bessel_zeros_scan_where_mcmahon_newton_fails(monkeypatch, nu):
     for k in (1, 2, 3, 10, 40):
         with mp.workdps(30):
             want = mp.besseljzero(nu, k)
-        assert abs(table[k - 1] - want) <= 1e-14 * want, (nu, k)
+        assert abs(table.zeros[k - 1] - want) <= 1e-14 * want, (nu, k)
