@@ -7,9 +7,10 @@ alpha = (d-2)/2 + a, beta = (d-2)/2 + b; (0, 0) is the Gegenbauer
 family attached to harmonic analysis on S^(d-1).
 
 Evaluation runs the conventional three-term recurrence in extended
-precision and rescales once at the end; norm ratios and leading
-coefficient ratios are assembled in log space from lgamma so they stay
-finite for every order that fits in a double.
+precision and rescales once at the end.  Norm ratios are the cumulative
+product of their exact order-to-order ratio, also in extended precision,
+and the Christoffel-Darboux kernel is its defining sum of positive terms
+on the diagonal.
 """
 
 from __future__ import annotations
@@ -94,17 +95,6 @@ def _deriv_rows(kmax: int, alpha: float, beta: float, t: np.ndarray) -> np.ndarr
     return out
 
 
-def _log_norm_const(alpha: float, beta: float) -> float:
-    # log of 2^(alpha+beta+1) B(alpha+1, beta+1), the total mass of the
-    # weight (1-t)^alpha (1+t)^beta on [-1, 1]
-    return (
-        (alpha + beta + 1.0) * math.log(2.0)
-        + math.lgamma(alpha + 1.0)
-        + math.lgamma(beta + 1.0)
-        - math.lgamma(alpha + beta + 2.0)
-    )
-
-
 def norm_ratios(kmax: int, d: int, a: int, b: int) -> np.ndarray:
     """Inverse squared norms r_0..r_kmax of the normalized family.
 
@@ -116,23 +106,15 @@ def norm_ratios(kmax: int, d: int, a: int, b: int) -> np.ndarray:
     if kmax < 0:
         raise DomainError(f"kmax must be >= 0, got {kmax}")
     alpha, beta = family_params(d, a, b)
-    log_lam = _log_norm_const(alpha, beta)
-    return np.array([_norm_ratio(k, alpha, beta, log_lam) for k in range(kmax + 1)],
-                    dtype=float)
-
-
-def _norm_ratio(k: int, alpha: float, beta: float, log_lam: float) -> float:
-    # r_k of norm_ratios; log_lam is _log_norm_const(alpha, beta)
-    log_binom = math.lgamma(k + alpha + 1.0) - math.lgamma(alpha + 1.0) - math.lgamma(k + 1.0)
-    log_h = (
-        (alpha + beta + 1.0) * math.log(2.0)
-        - math.log(2.0 * k + alpha + beta + 1.0)
-        + math.lgamma(k + alpha + 1.0)
-        + math.lgamma(k + beta + 1.0)
-        - math.lgamma(k + alpha + beta + 1.0)
-        - math.lgamma(k + 1.0)
-    )
-    return math.exp(log_lam + 2.0 * log_binom - log_h)
+    # r_k / r_{k-1} = (k+alpha)(k+alpha+beta)(2k+alpha+beta+1)
+    #                 / (k (k+beta) (2k+alpha+beta-1));
+    # in extended precision the products of half-integers are exact, and
+    # each order adds two roundings of 2^-64 (the integer r_k at d = 2
+    # come out exact)
+    k = np.arange(1, kmax + 1, dtype=_LONG)
+    s = alpha + beta
+    step = (k + alpha) * (k + s) * (2 * k + s + 1) / (k * (k + beta) * (2 * k + s - 1))
+    return np.cumprod(np.concatenate(([_LONG(1)], step))).astype(float)
 
 
 def _log_lead(k: int, alpha: float, beta: float) -> float:
@@ -147,45 +129,12 @@ def _log_lead(k: int, alpha: float, beta: float) -> float:
     return log_tilde - log_binom
 
 
-def lead_ratio(k: int, d: int, a: int, b: int) -> float:
-    """Ratio of leading coefficients, order k over order k+1.
-
-    Tends to 1/2 as k grows; this is the factor that turns the
-    Christoffel-Darboux numerator into the kernel.
-    """
-    if k < 0:
-        raise DomainError(f"order must be >= 0, got {k}")
-    alpha, beta = family_params(d, a, b)
-    return math.exp(_log_lead(k, alpha, beta) - _log_lead(k + 1, alpha, beta))
-
-
-def _kernel_ratio(k: int, d: int, a: int, b: int, xr: np.ndarray, yr: np.ndarray,
-                  rk: float) -> np.ndarray:
-    mk = lead_ratio(k, d, a, b)
-    px = jacobi_values(k + 1, d, a, b, xr)
-    py = jacobi_values(k + 1, d, a, b, yr)
-    return mk * rk * (px[k + 1] * py[k] - px[k] * py[k + 1]) / (xr - yr)
-
-
-def _kernel_confluent(k: int, d: int, a: int, b: int, pts: np.ndarray,
-                      rk: float) -> np.ndarray:
-    mk = lead_ratio(k, d, a, b)
-    alpha, beta = family_params(d, a, b)
-    pv = _rows(k + 1, alpha, beta, pts)
-    dv = _deriv_rows(k + 1, alpha, beta, pts)
-    return mk * rk * (dv[k + 1] * pv[k] - dv[k] * pv[k + 1])
-
-
-def cd_kernel(k: int, d: int, a: int, b: int, x, y, method: str = "auto"):
+def cd_kernel(k: int, d: int, a: int, b: int, x, y):
     """Reproducing kernel Q_k(x, y) = sum_{i<=k} r_i P_i(x) P_i(y).
 
-    The default dispatch evaluates the Christoffel-Darboux quotient away
-    from the diagonal and the confluent limit at the midpoint when
-    |x - y| (k+1)^2 <= 1e-6, where the quotient starts losing digits to
-    cancellation; the midpoint's error grows with the slope of Q_k, which
-    reaches order k^2 near t = 1.  "ratio" and "confluent" force a single
-    branch and raise when fed points the branch cannot handle.  The test
-    suite pins the routes against the direct positive-term sum.
+    Evaluated as that sum, over one recurrence pass per point set; on the
+    diagonal every term is positive, so nothing cancels there.  The test
+    suite pins it against the same sum at 30 digits.
     """
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     ya = np.atleast_1d(np.asarray(y, dtype=float))
@@ -195,26 +144,12 @@ def cd_kernel(k: int, d: int, a: int, b: int, x, y, method: str = "auto"):
     if k < 0:
         raise DomainError(f"order must be >= 0, got {k}")
     alpha, beta = family_params(d, a, b)
-    rk = _norm_ratio(k, alpha, beta, _log_norm_const(alpha, beta))
-    if method == "auto":
-        xr, yr = xa.ravel(), ya.ravel()
-        eq = np.abs(xr - yr) * (k + 1) ** 2 <= 1e-6
-        vals = np.empty(xr.size, dtype=float)
-        if np.any(~eq):
-            vals[~eq] = _kernel_ratio(k, d, a, b, xr[~eq], yr[~eq], rk)
-        if np.any(eq):
-            vals[eq] = _kernel_confluent(k, d, a, b, 0.5 * (xr[eq] + yr[eq]), rk)
-    elif method == "ratio":
-        diff = xa.ravel() - ya.ravel()
-        if np.any(diff == 0.0):
-            raise DomainError("ratio form of the kernel needs x != y")
-        vals = _kernel_ratio(k, d, a, b, xa.ravel(), ya.ravel(), rk)
-    elif method == "confluent":
-        if not np.array_equal(xa, ya):
-            raise DomainError("confluent form of the kernel needs x == y")
-        vals = _kernel_confluent(k, d, a, b, xa.ravel(), rk)
-    else:
-        raise DomainError(f"unknown kernel method {method!r}")
+    r = norm_ratios(k, d, a, b).astype(_LONG)
+    px = _rows(k, alpha, beta, xa.ravel())
+    py = px if np.array_equal(xa, ya) else _rows(k, alpha, beta, ya.ravel())
+    # summed in extended precision: a double dot product lost up to 6e-16
+    # relative on the diagonal at order 383
+    vals = (r @ np.multiply(px, py, dtype=_LONG)).astype(float)
     if np.asarray(x).ndim == 0 and np.asarray(y).ndim == 0:
         return float(vals[0])
     return vals.reshape(xa.shape)

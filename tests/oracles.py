@@ -299,8 +299,10 @@ def cd_kernel_sum(k: int, d: int, a: int, b: int, x: float, y: float) -> float:
             at_one = mp.binomial(i + al, i)
             h = (two / (2 * i + al + be + 1) * mp.gamma(i + al + 1) * mp.gamma(i + be + 1)
                  / (mp.gamma(i + al + be + 1) * mp.factorial(i)))
-            px = mp.jacobi(i, al, be, x) / at_one
-            py = mp.jacobi(i, al, be, y) / at_one
+            # a value cancelling past zeroprec bits is an exact zero such
+            # as P_1(0), on which hypsum would otherwise raise
+            px = mp.jacobi(i, al, be, x, zeroprec=4 * mp.mp.prec) / at_one
+            py = mp.jacobi(i, al, be, y, zeroprec=4 * mp.mp.prec) / at_one
             total += mass * at_one**2 / h * px * py
         return float(total)
 

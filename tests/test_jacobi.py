@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -79,13 +79,6 @@ def test_norm_ratios_match_quadrature_means():
         assert abs(r[k] * mean - 1.0) < 1e-9
 
 
-def test_lead_ratio_legendre_closed_form():
-    for k in range(9):
-        want = (k + 1.0) / (2.0 * k + 1.0)
-        assert abs(jacobi.lead_ratio(k, 2, 0, 0) - want) < 1e-13
-    assert abs(jacobi.lead_ratio(400, 3, 1, 1) - 0.5) < 3e-3
-
-
 def test_norm_ratio_closed_form_cubic():
     # (1, 0) family on S^2: the inverse mean of P_k^2 is exactly (k+1)^3,
     # pinned independently by the quadrature-mean test below
@@ -158,18 +151,20 @@ def test_adjacent_family_largest_zeros_interlace(d):
     st.integers(min_value=1, max_value=14),
     st.floats(min_value=-0.999, max_value=0.999),
     st.floats(min_value=-0.999, max_value=0.999),
+    st.just((3, 1, 0)),
 )
+# P_1 vanishes at 0, the middle node of the octahedron rule build_rule(2, 6)
+@example(1, 0.0, 1.0, (2, 0, 0))
 @settings(max_examples=80, deadline=None)
-def test_kernel_routes_agree(k, x, y):
-    direct = oracles.cd_kernel_sum(k, 3, 1, 0, x, y)
-    auto = jacobi.cd_kernel(k, 3, 1, 0, x, y)
+def test_kernel_routes_agree(k, x, y, family):
+    direct = oracles.cd_kernel_sum(k, *family, x, y)
+    auto = jacobi.cd_kernel(k, *family, x, y)
     assert abs(auto - direct) < 1e-8 * max(1.0, abs(direct))
 
 
 def test_kernel_near_diagonal_at_large_order():
     # a gap of 9e-7 at x near 1 is far from the diagonal at k = 1000: the
-    # slope of Q_k there is of order k^2, so the confluent midpoint value
-    # is 6e-3 off while the quotient loses about 1e-12
+    # slope of Q_k there is of order k^2
     x = 0.99999
     y = x - 9e-7
     direct = oracles.cd_kernel_sum(1000, 3, 0, 0, x, y)

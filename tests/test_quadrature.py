@@ -118,14 +118,42 @@ def test_minus_one_weight_denominator_cannot_cancel(d, k):
     # so the denominator exceeds q_mm q_s1 > 0 and needs no fallback
     lo = jacobi.largest_zero(k, d, 1, 0)
     hi = jacobi.largest_zero(k, d, 1, 1)
-    q_mm = jacobi.cd_kernel(k, d, 0, 0, -1.0, -1.0, "confluent")
-    q_m1 = jacobi.cd_kernel(k, d, 0, 0, -1.0, 1.0, "ratio")
+    q_mm = jacobi.cd_kernel(k, d, 0, 0, -1.0, -1.0)
+    q_m1 = jacobi.cd_kernel(k, d, 0, 0, -1.0, 1.0)
     for s in (0.5 * (lo + hi), hi):
-        q_s1 = jacobi.cd_kernel(k, d, 0, 0, s, 1.0, "ratio")
-        q_sm = jacobi.cd_kernel(k, d, 0, 0, s, -1.0, "ratio")
+        q_s1 = jacobi.cd_kernel(k, d, 0, 0, s, 1.0)
+        q_sm = jacobi.cd_kernel(k, d, 0, 0, s, -1.0)
         assert q_m1 * q_sm < 0.0, (s, q_m1, q_sm)
         assert q_mm * q_s1 > 0.0
         assert q_mm * q_s1 - q_m1 * q_sm > q_mm * q_s1
+
+
+@pytest.mark.parametrize("d,n", [(2, 6), (2, 20000), (3, 200003), (8, 20000)])
+def test_weights_match_kernel_oracle(d, n):
+    # w = M / (f(x) Q_{k-1}(x, x)) in the (1, b) family, M = 1 (odd tau) or
+    # d/(d+1) (even tau), f = 1 - t or 1 - t^2, at the rule's own nodes;
+    # the smallest nodes carry the smallest weights
+    rule = quadrature.build_rule(d, n)
+    k = (rule.tau + 1) // 2
+    odd = rule.parity == "odd"
+    mass, b = (1.0, 0) if odd else (d / (d + 1.0), 1)
+    for i in sorted({0, k // 2, max(k - 2, 0), k - 1}):
+        x = rule.nodes[i]
+        factor = (1.0 - x) if odd else (1.0 - x) * (1.0 + x)
+        want = mass / (factor * oracles.cd_kernel_sum(k - 1, d, 1, b, x, x))
+        assert abs(rule.weights[i] / want - 1.0) < 1e-14, (i, x)
+    if not odd:
+        s = rule.nodes[0]
+        q_s1, q_mm, q_m1, q_sm = (oracles.cd_kernel_sum(k, d, 0, 0, x, y) for x, y in
+                                  ((s, 1.0), (-1.0, -1.0), (-1.0, 1.0), (s, -1.0)))
+        want = q_s1 / (q_mm * q_s1 - q_m1 * q_sm)
+        assert abs(rule.weights[-1] / want - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("n", [148066, 500009])
+def test_large_rule_passes_weight_sum_gate(n):
+    rule = quadrature.build_rule(2, n)
+    assert quadrature.verify_exactness(rule, rule.exact_degree) <= 1e-12
 
 
 def test_gegenbauer_moments():
