@@ -225,14 +225,6 @@ def _zeros_raw(k: int, alpha: float, beta: float, s: float | None = None,
     return nodes
 
 
-def jacobi_zeros(k: int, d: int, a: int, b: int) -> np.ndarray:
-    """All k zeros of the order-k family member, ascending."""
-    if k < 0:
-        raise DomainError(f"order must be >= 0, got {k}")
-    alpha, beta = family_params(d, a, b)
-    return _zeros_raw(k, alpha, beta)
-
-
 _LARGEST_ZERO_CACHE: dict[tuple[int, float, float], float] = {}
 
 

@@ -11,7 +11,9 @@ degenerate exactly to plain Jacobi-zero rules.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -277,11 +279,7 @@ def build_rule(d: int, n: int) -> QuadratureRule:
     # tau, of the (1, 1) family for even tau, the largest pinned to s
     b = 0 if odd else 1
     alpha, beta = family_params(d, 1, b)
-    if n == 2:
-        interior = np.array([-1.0])
-    else:
-        interior = jacobi._zeros_raw(k, alpha, beta, s)
-    interior = np.sort(interior)
+    interior = np.sort(jacobi._zeros_raw(k, alpha, beta, s))
     if abs(interior[-1] - s) > 5e-11:
         raise NumericalError(f"largest node drifted from s at polynomial degree {k}")
     interior[-1] = s
@@ -317,6 +315,15 @@ def build_rule(d: int, n: int) -> QuadratureRule:
     return rule
 
 
+def _even_moments(d: int) -> Iterator[Fraction]:
+    # mu_0, mu_2, mu_4, ...: mu_{2p} = prod_{i=1}^{p} (2i-1)/(2i+d-1), each
+    # carried exactly from the one before
+    acc = Fraction(1)
+    for i in itertools.count(1):
+        yield acc
+        acc *= Fraction(2 * i - 1, 2 * i + d - 1)
+
+
 def gegenbauer_moment(d: int, j: int) -> float:
     """Normalized moment of t^j against the projected sphere measure.
 
@@ -327,10 +334,7 @@ def gegenbauer_moment(d: int, j: int) -> float:
         raise DomainError(f"moment degree must be >= 0, got {j}")
     if j % 2 == 1:
         return 0.0
-    acc = Fraction(1)
-    for i in range(1, j // 2 + 1):
-        acc *= Fraction(2 * i - 1, 2 * i + d - 1)
-    return float(acc)
+    return float(next(itertools.islice(_even_moments(d), j // 2, None)))
 
 
 def verify_exactness(rule: QuadratureRule, max_degree: int) -> float:
@@ -345,11 +349,12 @@ def verify_exactness(rule: QuadratureRule, max_degree: int) -> float:
     weights = np.array(rule.weights, dtype=_LONG)
     worst = 0.0
     powers = np.ones_like(nodes)
+    moments = _even_moments(rule.d)
     for j in range(max_degree + 1):
         if j > 0:
             powers = powers * nodes
         val = float(1.0 / _LONG(rule.n) + np.sum(weights * powers))
-        defect = abs(val - gegenbauer_moment(rule.d, j))
+        defect = abs(val - (float(next(moments)) if j % 2 == 0 else 0.0))
         if defect > worst:
             worst = defect
     return worst

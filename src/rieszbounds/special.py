@@ -6,16 +6,16 @@ argument, summed in fixed point at a precision that grows with x so the
 alternating-series cancellation never reaches the double result) and the
 Hankel asymptotic expansion (large argument, taken to at least the DLMF
 10.17(iii) term count and accepted only when its first omitted terms
-certify an absolute error below 1e-13).  Bessel zeros start from
-McMahon's expansion, whose coefficients this module owns (``energy`` reads
-them for the A_{s,d} tail), and are finished by Newton iteration, whose last
-Bessel values the zero check and the weights reuse; where that route fails
-its stall or table checks (from nu ~ 37 on) a bracketed scan rebuilds the
-table.
+certify an absolute error below 1e-13).  Bessel zeros are finished by
+Newton iteration, whose last Bessel values the zero check and the weights
+reuse, from one seed per order range: McMahon's expansion for nu <= 36.5
+(its coefficients live here, and ``energy`` reads them for the A_{s,d}
+tail), and above that the leading term of Olver's uniform expansion, since
+Newton from McMahon's seed of the first zero stalls from nu = 37 on.
 
 Accuracy targets, pinned by the tests against mpmath: ``bessel_j``
 absolute error <= 1e-12 for 0 <= nu <= 32 and x <= 5000, zeros to 1e-14
-relative for nu <= 32 and the first 600 zeros.
+relative for the first 600 zeros at orders from 0.5 to 64.
 """
 
 from __future__ import annotations
@@ -217,12 +217,39 @@ def _mcmahon_p(nu: float) -> tuple[float, float, float]:
 
 
 def _mcmahon_guess(nu: float, i: int) -> float:
-    # Three correction terms, adequate as a Newton seed for nu up to at
-    # least 36.5.  From nu ~ 37 on, Newton can stall from it or step below
-    # 0 at the first zero, and bessel_zeros falls back to the scan.
+    # Three correction terms, adequate as a Newton seed for nu <= 36.5.
+    # At nu = 37 Newton stalls from the seed of the first zero, and at
+    # nu = 44.5 it steps below 0, so larger orders take _olver_guess.
     beta = (i + 0.5 * nu - 0.25) * math.pi
     p1, p3, p5 = _mcmahon_p(nu)
     return beta + p1 / beta + p3 / beta**3 + p5 / beta**5
+
+
+def _airy_zero(k: int) -> float:
+    # k-th zero a_k < 0 of Ai: a_k = -T(3 pi (4k - 1) / 8), DLMF 9.9.6,
+    # with T(t) ~ t^(2/3) (1 + 5/48 t^-2 - 5/36 t^-4 + 77125/82944 t^-6),
+    # DLMF 9.9.18.  About 2e-4 relative at k = 1 and 2e-8 at k = 3, which
+    # is ample for a Newton seed.
+    t = 0.375 * math.pi * (4 * k - 1)
+    u = t ** -2
+    return -t ** (2.0 / 3.0) * (1.0 + u * (5.0 / 48.0 + u * (-5.0 / 36.0 + u * 77125.0 / 82944.0)))
+
+
+def _olver_guess(nu: float, i: int) -> float:
+    # Leading term nu z(zeta) of Olver's uniform expansion of the i-th
+    # zero, DLMF 10.21.41, at zeta = nu^(-2/3) a_i.  z > 1 solves DLMF
+    # 10.20.3, sqrt(z^2 - 1) - arcsec z = (2/3) (-zeta)^(3/2) = r.  The
+    # left side is increasing and convex in z and exceeds z - pi/2, so
+    # Newton from r + pi/2 descends to the root without overshooting.
+    r = (2.0 / 3.0) * (-_airy_zero(i)) ** 1.5 / nu
+    z = r + 0.5 * math.pi
+    for _ in range(20):
+        w = math.sqrt(z * z - 1.0)
+        dz = (w - math.acos(1.0 / z) - r) * z / w
+        z -= dz
+        if dz <= 1e-15 * z:
+            break
+    return nu * z
 
 
 def _newton_polish(nu: float, z0: float) -> tuple[float, tuple[float, float] | None]:
@@ -247,39 +274,6 @@ def _newton_polish(nu: float, z0: float) -> tuple[float, tuple[float, float] | N
     raise NumericalError(
         f"Newton iteration for a zero of J_{nu} stalled near z={z!r} (seed {z0!r})"
     )
-
-
-def _scan_zeros(nu: float, n: int) -> list[float]:
-    # Fallback: walk right from x = nu (J_nu > 0 on (0, first zero)),
-    # bracket each sign change, bisect, then polish.  Zero spacing is
-    # always > 2.5 so a step of 0.5 cannot jump a pair of zeros.
-    zeros: list[float] = []
-    x = max(nu, 1e-3)
-    fx = bessel_j(nu, x)
-    step = 0.5
-    guard = 0
-    while len(zeros) < n:
-        guard += 1
-        if guard > 200000:
-            raise NumericalError(f"zero scan for J_{nu} exhausted its budget")
-        y = x + step
-        fy = bessel_j(nu, y)
-        if fx == 0.0:
-            zeros.append(x)
-        elif fx * fy < 0.0:
-            a, b, fa = x, y, fx
-            for _ in range(80):
-                m = 0.5 * (a + b)
-                fm = bessel_j(nu, m)
-                if fa * fm <= 0.0:
-                    b = m
-                else:
-                    a, fa = m, fm
-                if b - a < 1e-12:
-                    break
-            zeros.append(_newton_polish(nu, 0.5 * (a + b))[0])
-        x, fx = y, fy
-    return zeros[:n]
 
 
 @dataclass(frozen=True)
@@ -333,15 +327,9 @@ def bessel_zeros(nu: float, n: int) -> BesselZeroTable:
     zeros, j_next = _zero_cache.setdefault(nu, ([], []))
     lo = len(zeros)
     if lo < n:
-        try:
-            polished = [_newton_polish(nu, _mcmahon_guess(nu, i))
-                        for i in range(lo + 1, n + 1)]
-            candidate = zeros + [z for z, _ in polished]
-            fresh = _validate_zero_range(nu, candidate, lo, n, [v for _, v in polished])
-        except NumericalError:
-            candidate = _scan_zeros(nu, n)
-            lo = 0
-            fresh = _validate_zero_range(nu, candidate, 0, n)
+        guess = _mcmahon_guess if nu <= 36.5 else _olver_guess
+        polished = [_newton_polish(nu, guess(nu, i)) for i in range(lo + 1, n + 1)]
+        candidate = zeros + [z for z, _ in polished]
+        j_next += _validate_zero_range(nu, candidate, lo, n, [v for _, v in polished])
         zeros[:] = candidate
-        j_next[lo:] = fresh
     return BesselZeroTable(nu=nu, zeros=tuple(zeros[:n]), j_next=tuple(j_next[:n]))

@@ -10,6 +10,11 @@ from rieszbounds import jacobi
 from rieszbounds.errors import DomainError, ResourceError
 
 
+def _zeros(k, d, a, b):
+    # all k zeros of the order-k family member, ascending
+    return jacobi._zeros_raw(k, *jacobi.family_params(d, a, b))
+
+
 def _p(k, d, a, b, t):
     # the order-k row of jacobi_values, shaped like t
     arr = np.asarray(t, dtype=float)
@@ -99,21 +104,21 @@ def test_deriv_against_finite_difference():
 
 
 def test_legendre_zeros_against_numpy():
-    got = jacobi.jacobi_zeros(5, 2, 0, 0)
+    got = _zeros(5, 2, 0, 0)
     want = np.polynomial.legendre.Legendre.basis(5).roots()
     assert np.allclose(got, want, atol=1e-13)
 
 
 def test_low_degree_zero_anchors():
-    z2 = jacobi.jacobi_zeros(2, 2, 0, 0)
+    z2 = _zeros(2, 2, 0, 0)
     assert np.allclose(z2, [-1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0)], atol=1e-14)
-    z1 = jacobi.jacobi_zeros(1, 2, 1, 0)
+    z1 = _zeros(1, 2, 1, 0)
     assert abs(z1[0] + 1.0 / 3.0) < 1e-14
 
 
 @pytest.mark.parametrize("d,a,b,k", [(2, 0, 0, 8), (3, 1, 0, 6), (8, 1, 1, 10), (24, 0, 0, 4)])
 def test_zeros_structure(d, a, b, k):
-    z = jacobi.jacobi_zeros(k, d, a, b)
+    z = _zeros(k, d, a, b)
     assert len(z) == k
     assert np.all(np.diff(z) > 0)
     assert z[0] > -1.0 and z[-1] < 1.0
@@ -132,8 +137,8 @@ def test_zeros_structure(d, a, b, k):
 @settings(max_examples=60, deadline=None)
 def test_consecutive_zeros_interlace(k, d, ab):
     a, b = ab
-    zk = jacobi.jacobi_zeros(k, d, a, b)
-    zk1 = jacobi.jacobi_zeros(k + 1, d, a, b)
+    zk = _zeros(k, d, a, b)
+    zk1 = _zeros(k + 1, d, a, b)
     for i in range(k):
         assert zk1[i] < zk[i] < zk1[i + 1]
 
@@ -213,7 +218,7 @@ def test_rows_one_point_matches_multi_point_column(a, b):
 def test_largest_zero_is_the_full_solve_top_and_memoized(monkeypatch):
     for d, a, b in ((2, 1, 0), (3, 1, 1), (8, 0, 0)):
         for k in (1, 2, 9, 40):
-            assert jacobi.largest_zero(k, d, a, b) == jacobi.jacobi_zeros(k, d, a, b)[-1]
+            assert jacobi.largest_zero(k, d, a, b) == _zeros(k, d, a, b)[-1]
     monkeypatch.setattr(jacobi, "_LARGEST_ZERO_CACHE", {})
     calls = []
     eig = np.linalg.eigvalsh
@@ -243,7 +248,7 @@ def test_eigen_solve_budget_checked_before_allocation():
         with pytest.raises(ResourceError):
             jacobi.largest_zero(2**20, 2, 1, 0)
         with pytest.raises(ResourceError):
-            jacobi.jacobi_zeros(jacobi._MAX_ORDER + 1, 3, 0, 0)
+            _zeros(jacobi._MAX_ORDER + 1, 3, 0, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

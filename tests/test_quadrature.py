@@ -95,15 +95,19 @@ def test_octahedron_rule_by_hand():
 
 def test_nine_point_rule_uses_adjacent_zeros():
     rule = quadrature.build_rule(2, 9)
-    want = sorted(jacobi.jacobi_zeros(2, 2, 1, 0), reverse=True)
+    want = sorted(jacobi._zeros_raw(2, *jacobi.family_params(2, 1, 0)), reverse=True)
     assert rule.tau == 3 and rule.exact_degree == 4
     assert np.allclose(rule.nodes, want, atol=1e-12)
 
 
 def test_rule_validation_invariants():
-    for d, n in ((2, 4), (2, 12), (3, 8), (3, 30), (8, 100)):
+    for d, n in ((2, 2), (3, 2), (4, 2), (8, 2), (24, 2),
+                 (2, 4), (2, 12), (3, 8), (3, 30), (8, 100)):
         rule = quadrature.build_rule(d, n)
         rule.validate()
+        if n == 2:
+            # the general path's one node is -1 itself, with weight 1/2
+            assert rule.nodes == (-1.0,) and rule.weights == (0.5,)
         assert all(w > 0 for w in rule.weights)
         assert all(t < 1.0 for t in rule.nodes)
         assert all(a > b for a, b in zip(rule.nodes, rule.nodes[1:]))
