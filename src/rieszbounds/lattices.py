@@ -2,9 +2,12 @@
 
 The conjectured sharp constants compare the Bessel-series constant with
 covolume-normalized Epstein zeta values of the best known lattices.  Theta
-coefficients are exact: A1 marks the squares, A2 counts its form over a box,
-and D4, E8 and Leech use divisor sums; the test suite checks them against
-direct enumeration of short vectors.
+coefficients are exact integers: A1 marks the squares, and every other
+count comes from one weighted divisor sieve, sum_{e | m} weight(e), with
+the weight and scale from one table of the lattices that have a zeta
+value (Leech also needs tau, which the same sieve's sigma_1 generates).
+The test suite checks the counts against direct enumeration of short
+vectors.
 
 Index convention per lattice: for the even lattices in the Cartan scale
 (fcc through E8, Leech) index m corresponds to squared norm 2m, so N(1)
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from mpmath import gammainc, mp, mpf
 
@@ -92,10 +95,18 @@ CONJECTURED_DIMENSIONS = frozenset({4, 5, 6, 7})
 # dimensions whose lattice is conjecturally optimal, so C~ is defined
 C_TILDE_DIMENSIONS = (2, 4, 8, 24)
 
-# the lattices theta_coefficients counts, the only ones with a zeta value;
-# each is similar to its dual, whose form values are the primal ones times
-# this factor (same count sequence)
-_DUAL_VALUE_SCALE = {"A1": 1.0, "A2": 4.0 / 3.0, "D4": 0.5, "E8": 1.0, "Leech": 1.0}
+# name -> (dual_scale, scale, weight) for the lattices with a zeta value.
+# Each is similar to its dual, whose form values are the primal ones times
+# dual_scale (same count sequence).  The shell count is
+# N(m) = scale * sum_{e | m} weight(e), except that A1 (no weight) puts
+# scale at the squares and Leech subtracts tau and divides by 691.
+_ZETA_LATTICES = {
+    "A1": (1.0, 2, None),
+    "A2": (4.0 / 3.0, 6, lambda e: (0, 1, -1)[e % 3]),  # chi_{-3}
+    "D4": (0.5, 24, lambda e: e % 2 * e),  # odd divisors
+    "E8": (1.0, 240, lambda e: e**3),
+    "Leech": (1.0, 65520, lambda e: e**11),
+}
 
 
 def _spec(lattice: LatticeSpec | str) -> LatticeSpec:
@@ -114,41 +125,34 @@ def packing_density(lattice: LatticeSpec | str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# divisor sums and the discriminant cusp form
+# divisor sums, the discriminant cusp form and theta coefficients
 # ---------------------------------------------------------------------------
 
 
-def _sieve_sigma(k: int, m_max: int) -> list[int]:
-    # out[m] = sum of the k-th powers of the divisors of m; index 0 unused
+def _divisor_sums(weight: Callable[[int], int], m_max: int) -> list[int]:
+    # out[m] = sum of weight(e) over the divisors e of m; index 0 unused
     out = [0] * (m_max + 1)
     for e in range(1, m_max + 1):
-        ek = e**k
-        for n in range(e, m_max + 1, e):
-            out[n] += ek
-    return out
-
-
-def _sieve_sigma_odd(m_max: int) -> list[int]:
-    # out[m] = sum of odd divisors of m; equals the odd-divisor sum of 2m
-    out = [0] * (m_max + 1)
-    for e in range(1, m_max + 1, 2):
-        for n in range(e, m_max + 1, e):
-            out[n] += e
+        we = weight(e)
+        if we:
+            for n in range(e, m_max + 1, e):
+                out[n] += we
     return out
 
 
 TAU_TRUNCATION_DEFAULT = 1000
 
-_TAU_CACHE: list[int] = [0]
+# [0, tau(1), tau(2), ...]; tau(1) = 1 starts the recurrence
+_TAU_CACHE: list[int] = [0, 1]
 
 
 def tau_coefficients(m_max: int) -> list[int]:
     """Coefficients tau(1..m_max) of the weight-12 discriminant form, exact.
 
-    The generating product q * prod (1-q^n)^24 is expanded by cubing the
-    Euler product through its sparse alternating series (exponents
-    k(k+1)/2, coefficients (-1)^k (2k+1)) and then raising to the 8th
-    power by repeated squaring.  m_max beyond TAU_TRUNCATION_DEFAULT
+    tau(n + 1) = a_n, the coefficients of prod (1-q^n)^24.  Its logarithmic
+    derivative gives n a_n = -24 sum_{j=1}^{n} sigma_1(j) a_{n-j}, which
+    extends the cached coefficients one at a time.  Index 0 of the result
+    is 0, so tau(m) sits at index m.  m_max beyond TAU_TRUNCATION_DEFAULT
     raises ResourceError.
     """
     if m_max < 1:
@@ -157,86 +161,49 @@ def tau_coefficients(m_max: int) -> list[int]:
         raise ResourceError(
             f"tau truncation {m_max} exceeds the limit {TAU_TRUNCATION_DEFAULT}")
     if len(_TAU_CACHE) <= m_max:
-        length = m_max  # coefficients of the 24th power, before the q shift
-        e3 = [0] * length
-        k = 0
-        while k * (k + 1) // 2 < length:
-            e3[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
-            k += 1
-
-        def poly_sq(a: list[int]) -> list[int]:
-            out = [0] * length
-            for i, ai in enumerate(a):
-                if ai:
-                    jmax = length - i
-                    for j, bj in enumerate(a[:jmax]):
-                        if bj:
-                            out[i + j] += ai * bj
-            return out
-
-        e24 = poly_sq(poly_sq(poly_sq(e3)))
-        _TAU_CACHE[:] = [0] + e24
+        sigma = _divisor_sums(lambda e: e, m_max)
+        a = _TAU_CACHE[1:]
+        for n in range(len(a), m_max):
+            a.append(-24 * sum(sigma[j] * a[n - j] for j in range(1, n + 1)) // n)
+        _TAU_CACHE[:] = [0] + a
     return _TAU_CACHE[: m_max + 1]
-
-
-# ---------------------------------------------------------------------------
-# theta coefficients
-# ---------------------------------------------------------------------------
 
 
 def theta_coefficients(lattice: LatticeSpec | str, m_max: int) -> list[int]:
     """Shell counts N(1..m_max) in the lattice's index convention.
 
-    A1 marks the squares, A2 counts u^2 + uv + v^2 over a box, and D4,
-    E8 and Leech use divisor sums; other lattices raise DomainError.  The
-    test suite checks the counts against direct enumeration of short vectors.
+    Every count is a classical divisor sum (Conway & Sloane, ch. 4): A2
+    has 6 sum chi_{-3}(e), D4 24 times the odd-divisor sum, E8 240 sigma_3,
+    and Leech (65520/691)(sigma_11 - tau) from Theta = E_12 - (65520/691)
+    Delta; A1 has 2 at the squares.  Other lattices raise DomainError.
+    The test suite checks the counts against direct enumeration of short
+    vectors.
     """
     lat = _spec(lattice)
     if m_max < 1:
         raise DomainError(f"theta_coefficients requires m_max >= 1, got {m_max}")
     name = lat.name
-    if name == "A1":
-        out = [0] * (m_max + 1)
-        r = 1
-        while r * r <= m_max:
-            out[r * r] = 2
-            r += 1
-        return out[1:]
-    if name == "A2":
-        return _a2_counts(m_max)
-    if name == "D4":
-        so = _sieve_sigma_odd(m_max)
-        return [24 * so[m] for m in range(1, m_max + 1)]
-    if name == "E8":
-        s3 = _sieve_sigma(3, m_max)
-        return [240 * s3[m] for m in range(1, m_max + 1)]
-    if name == "Leech":
-        s11 = _sieve_sigma(11, m_max)
-        tau = tau_coefficients(m_max)
-        out = []
-        for m in range(1, m_max + 1):
-            num = 65520 * (s11[m] - tau[m])
-            if num % 691 != 0:
-                raise NumericalError(
-                    f"Leech theta coefficient at m={m} is not divisible by 691; "
-                    "divisor-sum or cusp-form expansion is inconsistent")
-            out.append(num // 691)
+    if name not in _ZETA_LATTICES:
+        raise DomainError(f"no closed coefficient formula for lattice {name}")
+    _, scale, weight = _ZETA_LATTICES[name]
+    if weight is None:
+        out = [0] * m_max
+        for r in range(1, math.isqrt(m_max) + 1):
+            out[r * r - 1] = scale
         return out
-    raise DomainError(f"no closed coefficient formula for lattice {name}")
-
-
-def _a2_counts(m_max: int) -> list[int]:
-    # representations of m by u^2 + uv + v^2; one pass over a box covering
-    # the ellipse q <= m_max
-    out = [0] * (m_max + 1)
-    u_lim = int(math.isqrt(4 * m_max // 3)) + 1
-    for u in range(-u_lim, u_lim + 1):
-        uu = u * u
-        for v in range(-u_lim, u_lim + 1):
-            q = uu + u * v + v * v
-            if 0 < q <= m_max:
-                out[q] += 1
-    return out[1:]
+    sums = _divisor_sums(weight, m_max)
+    if name != "Leech":
+        return [scale * sums[m] for m in range(1, m_max + 1)]
+    tau = tau_coefficients(m_max)
+    out = []
+    for m in range(1, m_max + 1):
+        num = scale * (sums[m] - tau[m])
+        if num % 691 != 0:
+            raise NumericalError(
+                f"Leech theta coefficient at m={m} is not divisible by 691; "
+                "divisor-sum or cusp-form expansion is inconsistent")
+        out.append(num // 691)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +262,7 @@ def _epstein_accel(lat: LatticeSpec, s: float, tol: float) -> EpsteinZeta:
     w = s / 2.0
     half_d = lat.d / 2.0
     kappa = 2.0 if lat.index_convention == "even" else 1.0
-    dual_scale = _DUAL_VALUE_SCALE[lat.name]
+    dual_scale = _ZETA_LATTICES[lat.name][0]
     covol = lat.covolume
     counts = theta_coefficients(lat, _ACCEL_SHELLS)
     cmaj, p = _coeff_majorant(lat, counts)
@@ -361,10 +328,10 @@ def epstein_zeta(lattice: LatticeSpec | str, s: float, tol: float = 1e-10) -> Ep
     would need infeasibly deep vector counts.
     """
     lat = _spec(lattice)
-    if lat.name not in _DUAL_VALUE_SCALE:
+    if lat.name not in _ZETA_LATTICES:
         raise DomainError(
             f"zeta evaluation is not configured for {lat.name}; "
-            f"supported lattices: {', '.join(_DUAL_VALUE_SCALE)}")
+            f"supported lattices: {', '.join(_ZETA_LATTICES)}")
     if not lat.d < s < math.inf:
         raise DomainError(f"lattice zeta of {lat.name} requires finite s > {lat.d}, got {s}")
     if not 0.0 < tol < math.inf:

@@ -324,19 +324,6 @@ def _even_moments(d: int) -> Iterator[Fraction]:
         acc *= Fraction(2 * i - 1, 2 * i + d - 1)
 
 
-def gegenbauer_moment(d: int, j: int) -> float:
-    """Normalized moment of t^j against the projected sphere measure.
-
-    Odd moments vanish; mu_{2p} = prod_{i=1}^{p} (2i-1)/(2i+d-1),
-    evaluated in exact rational arithmetic.
-    """
-    if j < 0:
-        raise DomainError(f"moment degree must be >= 0, got {j}")
-    if j % 2 == 1:
-        return 0.0
-    return float(next(itertools.islice(_even_moments(d), j // 2, None)))
-
-
 def verify_exactness(rule: QuadratureRule, max_degree: int) -> float:
     """Worst defect of the rule on monomials t^j, j = 0..max_degree.
 

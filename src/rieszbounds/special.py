@@ -15,7 +15,13 @@ Newton from McMahon's seed of the first zero stalls from nu = 37 on.
 
 Accuracy targets, pinned by the tests against mpmath: ``bessel_j``
 absolute error <= 1e-12 for 0 <= nu <= 32 and x <= 5000, zeros to 1e-14
-relative for the first 600 zeros at orders from 0.5 to 64.
+relative for the first 600 zeros at orders from 0.5 to 64.  The Hankel
+expansion has no term cap, so at any order it certifies wherever its
+terms stop shrinking only after the DLMF term count or never: from about
+x = nu^2 / 6 on, where the third term ratio falls below 1 (it certifies
+from 0.167 to 0.170 nu^2 for nu = 40 to 400).  The tests pin that
+certificate against mpmath for nu <= 39 and x <= 5000, and at
+(nu, x) = (100, 31572.06) and (150, 40000).
 """
 
 from __future__ import annotations
@@ -138,7 +144,12 @@ def _bessel_asymptotic(nu: float, x: float) -> tuple[float, float, float]:
     # neglected terms are the omitted c and the one after it; past the
     # sign change of mu - (2k-1)^2 each term ratio exceeds the previous
     # one by less than 1/x, so that one is at most 1 + 2/x times larger,
-    # hence the 2.5.
+    # hence the 2.5.  A term that underflows to 0.0 is a cut too, even
+    # before the term count: below the sign change the ratio
+    # |mu - (2k-1)^2| / (8 k x) falls as k grows, so once the turnover test
+    # has passed it stays below 1 up to the DLMF count, and every omitted
+    # term up to there, and the remainder past it, is below that one.  So
+    # the loop ends, at the latest where the terms turn over or underflow.
     #
     # Returns (value, err, phase_err).  err covers truncation and
     # arithmetic; phase_err covers the rounding of w, at most about 1.3
@@ -150,16 +161,17 @@ def _bessel_asymptotic(nu: float, x: float) -> tuple[float, float, float]:
     coeffs = [1.0]
     c = 1.0
     k = 1
-    while k < 80:
+    while True:
         c *= (mu - (2.0 * k - 1.0) ** 2) / (8.0 * k * x)
         if k > 2 and abs(c) >= abs(coeffs[-1]):
+            # turned over: certified only past the DLMF term count
+            omitted = abs(c) if len(coeffs) >= need else math.inf
             break
         coeffs.append(c)
-        if abs(c) < 1e-18 and len(coeffs) >= need:
-            c = 0.0
+        if c == 0.0 or (abs(c) < 1e-18 and len(coeffs) >= need):
+            omitted = 0.0
             break
         k += 1
-    omitted = abs(c)
     p_sum = 0.0
     q_sum = 0.0
     for j, cj in enumerate(coeffs):
@@ -171,8 +183,6 @@ def _bessel_asymptotic(nu: float, x: float) -> tuple[float, float, float]:
     omega = x - (0.5 * nu + 0.25) * math.pi
     value = pref * (math.cos(omega) * p_sum - math.sin(omega) * q_sum)
     err = pref * (2.5 * omitted + 8.0 * _EPS)
-    if len(coeffs) < need:
-        err = math.inf  # the loop turned over before the DLMF term count
     return value, err, 2.0 * pref * math.ulp(x)
 
 

@@ -34,14 +34,18 @@ def test_packing_densities_exact():
         assert abs(got - target) < 1e-13 * target, (name, got, target)
 
 
+def _sigma(k, m_max):
+    return lattices._divisor_sums(lambda e: e**k, m_max)
+
+
 def test_sigma_anchors_and_naive_agreement():
     for k in (1, 3, 11):
-        sieve = lattices._sieve_sigma(k, 97)
+        sieve = _sigma(k, 97)
         for m in (1, 7, 12, 36, 97):
             assert sieve[m] == oracles.sigma_naive(m, k)
-    assert lattices._sieve_sigma(3, 2)[2] == 9
-    assert lattices._sieve_sigma(11, 2)[2] == 2049
-    assert lattices._sieve_sigma(1, 6)[6] == 12
+    assert _sigma(3, 2)[2] == 9
+    assert _sigma(11, 2)[2] == 2049
+    assert _sigma(1, 6)[6] == 12
 
 
 def test_tau_against_eta_product():
@@ -61,6 +65,8 @@ def test_tau_anchors_and_resource_cap():
 
 
 def test_kissing_numbers():
+    # A1 has 2 vectors on each square shell and none elsewhere
+    assert lattices.theta_coefficients("A1", 10) == [2, 0, 0, 2, 0, 0, 0, 0, 2, 0]
     assert lattices.theta_coefficients("A2", 1)[0] == 6
     assert lattices.theta_coefficients("D4", 1)[0] == 24
     assert lattices.theta_coefficients("E8", 1)[0] == 240

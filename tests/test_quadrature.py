@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -161,16 +163,17 @@ def test_large_rule_passes_weight_sum_gate(n):
 
 
 def test_gegenbauer_moments():
-    assert quadrature.gegenbauer_moment(2, 1) == 0.0
-    assert quadrature.gegenbauer_moment(2, 2) == pytest.approx(1.0 / 3.0, abs=1e-16)
-    assert quadrature.gegenbauer_moment(2, 4) == pytest.approx(1.0 / 5.0, abs=1e-16)
-    assert quadrature.gegenbauer_moment(3, 2) == pytest.approx(1.0 / 4.0, abs=1e-16)
+    # mu_0, mu_2, ... of the projected sphere measure, exact
+    assert list(itertools.islice(quadrature._even_moments(2), 3)) == [1, Fraction(1, 3),
+                                                                      Fraction(1, 5)]
+    mu3 = list(itertools.islice(quadrature._even_moments(3), 4))
+    assert mu3[:2] == [1, Fraction(1, 4)]
     # cross-check against direct numeric integration on S^3 projection
     nodes, glw = oracles.gauss_legendre(2048)
     mass = oracles.weighted_inner(np.ones_like(nodes), 3, 0, 0, nodes, glw)
     for j in (2, 6):
         direct = oracles.weighted_inner(nodes**j, 3, 0, 0, nodes, glw) / mass
-        assert abs(quadrature.gegenbauer_moment(3, j) - direct) < 5e-9
+        assert abs(float(mu3[j // 2]) - direct) < 5e-9
 
 
 def test_exactness_on_design_sizes():

@@ -158,9 +158,15 @@ def test_hankel_certificate_bounds_true_error():
 def test_hankel_takes_the_dlmf_term_count_at_large_order():
     # the terms fall below 1e-18 before the term count is reached; the
     # expansion used to give up there and hand over to the series, which
-    # at x = 26175 did not converge at all
-    for nu, x in ((25.0, 1925.0), (33.0, 3000.0), (13.0, 26174.96)):
-        assert special._bessel_asymptotic(nu, x)[1] < 1e-13, (nu, x)
+    # at x = 26175 did not converge at all.  Above nu = 80.5 the count
+    # is more than 80 terms, where the loop used to stop.
+    for nu, x in ((25.0, 1925.0), (33.0, 3000.0), (13.0, 26174.96),
+                  (100.0, 31572.06), (150.0, 40000.0)):
+        value, err, phase_err = special._bessel_asymptotic(nu, x)
+        assert err < 1e-13, (nu, x)
+        with mp.workdps(40):
+            true = mp.besselj(nu, x)
+        assert abs(mp.mpf(value) - true) <= err + phase_err, (nu, x)
 
 
 @pytest.mark.parametrize("nu", [0.5, 12.0, 24.0, 24.5, 32.0, 36.5, 37.0, 44.5, 64.0])
