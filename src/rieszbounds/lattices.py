@@ -14,30 +14,25 @@ Index convention per lattice: for the even lattices in the Cartan scale
 is the kissing number.  A1 and A2 are kept at minimal distance 1 and use
 index m = squared norm directly.
 
-Zeta evaluation uses two routes.  Far from the abscissa the plain shell
-sum converges and is truncated under a coefficient majorant
-N(m) <= C * m^(d/2 - 1 + 1/4) with C calibrated on the computed range
-(factor-2 safety).  Near the abscissa no feasible truncation reaches
-tolerance -- the tail only decays like M^(-(s-d)/2) -- so the series is
-rewritten through the theta transformation as two exponentially
-convergent incomplete-gamma sums over the lattice and its dual.  Every
-lattice on this route is similar to its dual, so the dual shell counts
-are the lattice's own counts at rescaled values.  Each of the two sums
-stops at its own shell (at most 48), the first past which the majorant
-bounds its tail by 2^-110 times the first nonzero shell term, a lower
-bound on the value: below the 30-digit working precision, so the double
-is that of all 48 shells.  Each route adds a relative floating-point
-floor to its tail (1e-14 plain, 5e-15 theta); a tolerance below it is
-refused before any work, so on the theta route tol only gates.
-"""
+Because the counts are divisor sums, each zeta value is a product of
+classical Dirichlet series (Riemann zeta, L(w, chi_-3) and, for Leech,
+L(w, Delta)).  They are evaluated at 110 bits as head sums plus
+Euler-Maclaurin tails, whose remainders are below their first omitted
+terms, and the tau sum stops where Deligne's bound puts its tail below a
+quarter ulp; the value is rounded to a double once."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from mpmath import gammainc, mp, mpf
+from mpmath import bernfrac, mp, mpf
+# unused: perfbench/tracer.py traces lattices.gammainc by name, and only a
+# benchmark change may drop that pin
+from mpmath import gammainc  # noqa: F401
 
 from .errors import DomainError, NumericalError, ResourceError
 from .special import ball_volume
@@ -95,17 +90,16 @@ CONJECTURED_DIMENSIONS = frozenset({4, 5, 6, 7})
 # dimensions whose lattice is conjecturally optimal, so C~ is defined
 C_TILDE_DIMENSIONS = (2, 4, 8, 24)
 
-# name -> (dual_scale, scale, weight) for the lattices with a zeta value.
-# Each is similar to its dual, whose form values are the primal ones times
-# dual_scale (same count sequence).  The shell count is
+# name -> (covolume^2, scale, weight) for the lattices with a zeta value,
+# the squared covolume exact.  The shell count is
 # N(m) = scale * sum_{e | m} weight(e), except that A1 (no weight) puts
 # scale at the squares and Leech subtracts tau and divides by 691.
 _ZETA_LATTICES = {
-    "A1": (1.0, 2, None),
-    "A2": (4.0 / 3.0, 6, lambda e: (0, 1, -1)[e % 3]),  # chi_{-3}
-    "D4": (0.5, 24, lambda e: e % 2 * e),  # odd divisors
-    "E8": (1.0, 240, lambda e: e**3),
-    "Leech": (1.0, 65520, lambda e: e**11),
+    "A1": (Fraction(1), 2, None),
+    "A2": (Fraction(3, 4), 6, lambda e: (0, 1, -1)[e % 3]),  # chi_{-3}
+    "D4": (Fraction(4), 24, lambda e: e % 2 * e),  # odd divisors
+    "E8": (Fraction(1), 240, lambda e: e**3),
+    "Leech": (Fraction(1), 65520, lambda e: e**11),
 }
 
 
@@ -216,116 +210,129 @@ class EpsteinZeta(NamedTuple):
     tail_bound: float
 
 
-# below this gap s - d the plain shell sum cannot reach tolerance and the
-# theta-transformation route takes over; Leech switches earlier so the
-# plain route never needs tau beyond its default truncation
-_PLAIN_GAP = 6.0
-_PLAIN_GAP_LEECH = 10.0
-_PLAIN_M_CAP = 1 << 20
-_ACCEL_SHELLS = 48
-_ACCEL_LEVEL = 2.0**-110
-_PLAIN_FLOOR = 1e-14
-_ACCEL_FLOOR = 5e-15
+# The closed forms run at _PREC bits and round once.  Each zeta or L series
+# stops its Euler-Maclaurin tail at the first term below 2^-104 of itself.
+# _ROUNDING is the rounding to double (2^-53 relative) plus 2^-60, which
+# covers those remainders and the arithmetic (together below 2^-95).  The
+# Leech tau tail adds at most 2^-55 where M <= TAU_TRUNCATION_DEFAULT
+# reaches it, so tail bounds stay below _FLOOR, and a smaller tol is refused.
+_PREC = 110
+_ROUNDING = 2.0**-53 + 2.0**-60
+_FLOOR = 2.0**-52
+_EM_START = 24  # zeta heads sum n < 24; L(w, chi_-3) pairs n < 72
+# smallest prime factor of each m <= TAU_TRUNCATION_DEFAULT
+_SPF = list(range(TAU_TRUNCATION_DEFAULT + 1))
+for _p in range(math.isqrt(TAU_TRUNCATION_DEFAULT), 1, -1):
+    _SPF[_p * _p::_p] = [_p] * len(_SPF[_p * _p::_p])
 
 
-def _coeff_majorant(lat: LatticeSpec, counts: list[int]) -> tuple[float, float]:
-    """Calibrated C with N(m) <= C m^p, p = d/2 - 1 + 1/4, factor-2 safety."""
-    p = lat.d / 2.0 - 1.0 + 0.25
-    m_lo = max(1, len(counts) // 2)
-    c = max(counts[m - 1] / m**p for m in range(m_lo, len(counts) + 1))
-    return 2.0 * max(c, 1e-300), p
+def _inverse_powers(a: mpf, n: int) -> list[mpf]:
+    # [0, 1, 2^-a, ..., n^-a]; m^-a is completely multiplicative, so only
+    # the primes take a power
+    out = [mpf(0), mpf(1)]
+    for m in range(2, n + 1):
+        p = _SPF[m]
+        out.append(mpf(m) ** -a if p == m else out[p] * out[m // p])
+    return out
 
 
-def _epstein_plain(lat: LatticeSpec, s: float, tol: float) -> EpsteinZeta:
-    w = s / 2.0
-    kappa = 2.0 if lat.index_convention == "even" else 1.0
-    m = 256
-    while True:
-        counts = theta_coefficients(lat, m)
-        total = math.fsum(counts[k - 1] * (kappa * k) ** -w
-                          for k in range(m, 0, -1) if counts[k - 1])
-        cmaj, p = _coeff_majorant(lat, counts)
-        # integral comparison: sum_{k>m} k^(p-w) <= m^(p-w+1)/(w-p-1)
-        tail = cmaj * kappa**-w * m ** (p - w + 1.0) / (w - p - 1.0)
-        tail += _PLAIN_FLOOR * total
-        if tail <= tol * total:
-            return EpsteinZeta(total, tail)
-        if 2 * m > _PLAIN_M_CAP or (lat.name == "Leech"
-                                    and 2 * m > TAU_TRUNCATION_DEFAULT):
-            raise ResourceError(
-                f"plain zeta sum for {lat.name} at s={s} still has tail "
-                f"{tail:.3e} (relative {tail / total:.3e}) at m_max={m}")
-        m *= 2
+@functools.cache
+def _em_coeffs() -> tuple[mpf, ...]:
+    # B_2r / (2r)!, r = 1..24, built on first use to keep the import light
+    with mp.workprec(_PREC):
+        return tuple(mpf(p) / q / math.factorial(2 * r)
+                     for r, (p, q) in enumerate(map(bernfrac, range(2, 50, 2)), 1))
 
 
-def _epstein_accel(lat: LatticeSpec, s: float, tol: float) -> EpsteinZeta:
-    w = s / 2.0
-    half_d = lat.d / 2.0
-    kappa = 2.0 if lat.index_convention == "even" else 1.0
-    dual_scale = _ZETA_LATTICES[lat.name][0]
-    covol = lat.covolume
-    counts = theta_coefficients(lat, _ACCEL_SHELLS)
-    cmaj, p = _coeff_majorant(lat, counts)
-    scale_out = math.pi**w / math.gamma(w)
+def _em_sum(a: mpf, step: int, ends: list, head: mpf, integral: mpf) -> mpf:
+    """head + sum_{x >= K} f(x) for f(x) = sum_i c_i (step x + b_i)^-a.
 
-    def tails(k: int) -> tuple[float, float]:
-        # geometric bounds on both sums past shell k (inf where invalid):
-        # with z = pi q and Gamma(a, z) <= z^(a-1) e^-z f for z > a - 1, the
-        # primal term is <= C m^p e^-z f/z, the dual one <= C m^p e^-z / z
-        m1 = k + 1
-        z1 = math.pi * kappa * m1
-        z2 = math.pi * kappa * dual_scale * m1
-        grow = (1.0 + 1.0 / m1) ** max(p, 1.0)
-        r1 = grow * math.exp(-math.pi * kappa)
-        r2 = grow * math.exp(-math.pi * kappa * dual_scale)
-        t1 = t2 = math.inf
-        if z1 > w + 2.0 and r1 < 0.5:
-            f1 = 1.0 / (1.0 - (w - 1.0) / z1) if w > 1.0 else 1.0
-            t1 = cmaj * m1**p * math.exp(-z1) * f1 / z1 / (1.0 - r1)
-        if r2 < 0.5:
-            t2 = cmaj * m1**p * math.exp(-z2) / z2 / (covol * (1.0 - r2))
-        return t1, t2
+    ends holds (c_i, y_i, y_i^-a) with y_i = step K + b_i, and integral is
+    that of f over [K, oo).  f is completely monotone, so the Euler-Maclaurin
+    remainder (DLMF 2.10(i)) lies between 0 and the first omitted term, and
+    the tail stops at the first term below 2^-104 of the sum.
+    """
+    total = head + integral + sum(c * p for c, _, p in ends) / 2
+    poch = a  # (a)_{2r-1}
+    ends = [(c, step * step / mpf(y) ** 2, p * step / y) for c, y, p in ends]
+    for r, coeff in enumerate(_em_coeffs(), 1):
+        term = coeff * poch * sum(c * q for c, _, q in ends)
+        if abs(term) <= total * 2**-104:
+            return total
+        total += term
+        poch *= (a + 2 * r - 1) * (a + 2 * r)
+        ends = [(c, i, q * i) for c, i, q in ends]
+    raise NumericalError(f"Euler-Maclaurin tail at a={a} did not reach 2^-104")
 
-    m0 = next(m for m, c in enumerate(counts, start=1) if c)
-    cut = _ACCEL_LEVEL * counts[m0 - 1] * (kappa * m0) ** -w / scale_out
-    table = [tails(k) for k in range(1, _ACCEL_SHELLS + 1)]
-    k1 = next((k for k, (t1, _) in enumerate(table, start=1) if t1 <= cut), _ACCEL_SHELLS)
-    k2 = next((k for k, (_, t2) in enumerate(table, start=1) if t2 <= cut), _ACCEL_SHELLS)
-    with mp.workdps(30):
-        mw = mpf(w)
-        s1 = s2 = mpf(0)
-        for k in range(k1, 0, -1):
-            if counts[k - 1]:
-                q = mpf(kappa) * k
-                s1 += counts[k - 1] * (mp.pi * q) ** (-mw) * gammainc(mw, mp.pi * q)
-        for k in range(k2, 0, -1):
-            if counts[k - 1]:
-                qd = mpf(dual_scale) * (mpf(kappa) * k)
-                s2 += counts[k - 1] * ((mp.pi * qd) ** (mw - half_d)
-                                       * gammainc(mpf(half_d) - mw, mp.pi * qd))
-        lam = s1 + s2 / covol + 1.0 / (covol * (mw - half_d)) - 1.0 / mw
-        value = float(mp.pi ** mw / mp.gamma(mw) * lam)
-    if not math.isfinite(value) or value <= 0.0:
-        raise NumericalError(
-            f"theta-transformation zeta for {lat.name} at s={s} "
-            f"evaluated to {value}")
-    tail = scale_out * (table[k1 - 1][0] + table[k2 - 1][1]) + _ACCEL_FLOOR * abs(value)
-    if not tail <= tol * abs(value):
-        raise ResourceError(
-            f"theta-transformation zeta for {lat.name} at s={s} has tail "
-            f"{tail:.3e} above tol {tol:g} at {k1} and {k2} shells")
-    return EpsteinZeta(value, tail)
+
+def _zeta_minus_one(a: mpf) -> mpf:
+    # zeta(a) - 1 for a > 1, so that Leech subtracts no 1 where zeta(a) ~ 1
+    k = _EM_START
+    pw = _inverse_powers(a, k)
+    return _em_sum(a, 1, [(1, k, pw[k])], mp.fsum(pw[2:k]), k * pw[k] / (a - 1))
+
+
+def _l_chi3(w: mpf) -> mpf:
+    # L(w, chi_-3) in pairs (3k+1)^-w - (3k+2)^-w; the tail's integral goes
+    # through expm1, so near w = 1 no two large Hurwitz values are subtracted
+    k = _EM_START
+    u, v = 3 * k + 1, 3 * k + 2
+    pw = _inverse_powers(w, v)
+    integral = u * pw[u] * mp.expm1((1 - w) * mp.log(mpf(v) / u)) / (3 * (1 - w))
+    head = mp.fsum(pw[3 * j + 1] - pw[3 * j + 2] for j in range(k))
+    return _em_sum(w, 3, [(1, u, pw[u]), (-1, v, pw[v])], head, integral)
+
+
+def _leech_bracket(w: mpf) -> tuple[mpf, mpf]:
+    # zeta(w) zeta(w-11) - L(w, Delta) and its tau tail bound.  The m = 1
+    # terms cancel: (zeta(w)-1) zeta(w-11) + zeta(w-11) - 1 - sum_{2..M} tau(m)
+    # m^-w.  Deligne (Publ. Math. IHES 43, 1974), |tau(m)| <= d(m) m^(11/2),
+    # and d(m) <= 2 sqrt(m) bound the tail past M by 2 M^(7-w)/(w-7).  M is
+    # the smallest, up to TAU_TRUNCATION_DEFAULT, that puts it below 2^-55 of
+    # the zeta part less that majorant over m >= 2 (<= 2^(7-w) (1 + 2/(w-7))).
+    z0, z11 = _zeta_minus_one(w), _zeta_minus_one(w - 11)
+    head = z0 * (1 + z11) + z11
+    lower = head - mpf(2) ** (7 - w) * (1 + 2 / (w - 7))
+    need = (mpf(2) ** 56 / ((w - 7) * lower)) ** (1 / (w - 7))
+    m_max = max(2, min(TAU_TRUNCATION_DEFAULT, int(mp.ceil(need))))
+    tau, pw = tau_coefficients(m_max), _inverse_powers(w, m_max)
+    l_delta = mp.fsum(tau[m] * pw[m] for m in range(2, m_max + 1))
+    return head - l_delta, 2 * mpf(m_max) ** (7 - w) / (w - 7)
+
+
+def _closed_form(name: str, w: mpf) -> tuple[mpf, mpf]:
+    # the zeta at s = 2w of a lattice in _ZETA_LATTICES and its tau tail
+    # bound (0 but for Leech): each theta series is a divisor sum, so its
+    # Dirichlet series is a product of classical ones
+    if name == "Leech":
+        scale = mpf(65520) / 691 * mpf(2) ** -w
+        bracket, tail = _leech_bracket(w)
+        return scale * bracket, scale * tail
+    if name == "A1":
+        return 2 * (1 + _zeta_minus_one(2 * w)), mpf(0)
+    zeta = 1 + _zeta_minus_one(w)
+    if name == "A2":
+        return 6 * zeta * _l_chi3(w), mpf(0)
+    if name == "D4":
+        scale = 24 * mpf(2) ** -w * (1 - mpf(2) ** (1 - w))
+        return scale * zeta * (1 + _zeta_minus_one(w - 1)), mpf(0)
+    return 240 * mpf(2) ** -w * zeta * (1 + _zeta_minus_one(w - 3)), mpf(0)
 
 
 def epstein_zeta(lattice: LatticeSpec | str, s: float, tol: float = 1e-10) -> EpsteinZeta:
     """Zeta function of the lattice, sum of |x|^-s over nonzero vectors.
 
-    Returns the value and a tail bound; the bound accounts for shell
-    truncation under the calibrated coefficient majorant plus a floating
-    point floor, and the target is tail <= tol * value; a tol below the
-    floor raises ResourceError at once.  Only lattices with exact shell
-    counts in theta_coefficients are supported; the other root lattices
-    would need infeasibly deep vector counts.
+    With w = s/2 it is a product of Dirichlet series (Sarnak & Strombergsson,
+    Invent. Math. 165, 2006; Zagier, The 1-2-3 of Modular Forms, 2008):
+    A1 2 zeta(s), A2 6 zeta(w) L(w, chi_-3), D4 24 2^-w (1 - 2^(1-w))
+    zeta(w) zeta(w-1), E8 240 2^-w zeta(w) zeta(w-3), and Leech
+    (65520/691) 2^-w [zeta(w) zeta(w-11) - L(w, Delta)].  Each zeta and L
+    is a head sum plus an Euler-Maclaurin tail, and the tau sum of
+    L(w, Delta) stops where Deligne's bound puts its tail below a quarter
+    ulp.  tail_bound is that tau tail plus one rounding, which also covers
+    the Euler-Maclaurin remainders; the target is tail_bound <= tol * value,
+    and a tol below 2^-52, which bounds every tail_bound, raises
+    ResourceError at once.  Other lattices raise DomainError.
     """
     lat = _spec(lattice)
     if lat.name not in _ZETA_LATTICES:
@@ -336,26 +343,34 @@ def epstein_zeta(lattice: LatticeSpec | str, s: float, tol: float = 1e-10) -> Ep
         raise DomainError(f"lattice zeta of {lat.name} requires finite s > {lat.d}, got {s}")
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
-    gap_switch = _PLAIN_GAP_LEECH if lat.name == "Leech" else _PLAIN_GAP
-    plain = s - lat.d >= gap_switch
-    floor = _PLAIN_FLOOR if plain else _ACCEL_FLOOR
-    if tol < floor:
+    if tol < _FLOOR:
         raise ResourceError(
             f"zeta tolerance {tol:g} for {lat.name} at s={s} is below the "
-            f"relative floating-point floor {floor:g} of its route")
-    return (_epstein_plain if plain else _epstein_accel)(lat, s, tol)
+            f"relative floating-point floor {_FLOOR:g}")
+    with mp.workprec(_PREC):
+        z, tau_tail = _closed_form(lat.name, mpf(s) / 2)
+        value = float(z)
+        tail = float(tau_tail) + _ROUNDING * value
+    if not tail <= tol * value:
+        raise ResourceError(
+            f"zeta of {lat.name} at s={s} has tail {tail:.3e} above tol {tol:g}")
+    return EpsteinZeta(value, tail)
 
 
 def c_tilde(d: int, s: float) -> float:
     """Conjectured asymptotic constant covol^(s/d) * zeta_Lambda(s).
 
     Available in the dimensions with a conjecturally optimal modular
-    lattice: 2 (hexagonal), 4 (D4), 8 (E8), 24 (Leech).
+    lattice: 2 (hexagonal), 4 (D4), 8 (E8), 24 (Leech).  The zeta value of
+    epstein_zeta is multiplied by the exact covolume power before its one
+    rounding.
     """
     if d not in C_TILDE_DIMENSIONS:
         raise DomainError(f"c_tilde is defined for d in {C_TILDE_DIMENSIONS}, got {d}")
-    lat = LATTICES[LATTICE_FOR_DIMENSION[d]]
     if not d < s < math.inf:
         raise DomainError(f"c_tilde requires finite s > d = {d}, got s={s}")
-    z = epstein_zeta(lat, s, 1e-10)
-    return lat.covolume ** (s / d) * z.value
+    name = LATTICE_FOR_DIMENSION[d]
+    covol_sq = _ZETA_LATTICES[name][0]
+    with mp.workprec(_PREC):
+        z, _ = _closed_form(name, mpf(s) / 2)
+        return float(z * (mpf(covol_sq.numerator) / covol_sq.denominator) ** (mpf(s) / (2 * d)))

@@ -192,6 +192,27 @@ def epstein_plain_mp(counts: dict[int, int], s: float, scale: float = 1.0) -> fl
         return float(total)
 
 
+def _theta_transform_mp(counts: list[int], kappa: float, dual_scale: float, covol: float,
+                        d: int, s: float, shells: int):
+    # the sum of epstein_theta_mp at the current mpmath precision
+    w = s / 2.0
+    half_d = d / 2.0
+    mw = mp.mpf(w)
+    s1 = mp.mpf(0)
+    s2 = mp.mpf(0)
+    for k in range(shells, 0, -1):
+        c = counts[k - 1]
+        if not c:
+            continue
+        q = mp.mpf(kappa) * k
+        qd = mp.mpf(dual_scale) * q
+        s1 += c * (mp.pi * q) ** (-mw) * mp.gammainc(mw, mp.pi * q)
+        s2 += c * ((mp.pi * qd) ** (mw - half_d)
+                   * mp.gammainc(mp.mpf(half_d) - mw, mp.pi * qd))
+    lam = s1 + s2 / covol + 1 / (covol * (mw - half_d)) - 1 / mw
+    return mp.pi ** mw / mp.gamma(mw) * lam
+
+
 def epstein_theta_mp(counts: list[int], kappa: float, dual_scale: float, covol: float,
                      d: int, s: float, shells: int = 48) -> float:
     """Epstein zeta by the theta transformation over a fixed shell count.
@@ -201,23 +222,47 @@ def epstein_theta_mp(counts: list[int], kappa: float, dual_scale: float, covol: 
     incomplete-gamma sums run over all `shells` shells, interleaved in
     descending order, at 30 digits.
     """
-    w = s / 2.0
-    half_d = d / 2.0
     with mp.workdps(30):
-        mw = mp.mpf(w)
-        s1 = mp.mpf(0)
-        s2 = mp.mpf(0)
-        for k in range(shells, 0, -1):
-            c = counts[k - 1]
-            if not c:
-                continue
-            q = mp.mpf(kappa) * k
-            qd = mp.mpf(dual_scale) * q
-            s1 += c * (mp.pi * q) ** (-mw) * mp.gammainc(mw, mp.pi * q)
-            s2 += c * ((mp.pi * qd) ** (mw - half_d)
-                       * mp.gammainc(mp.mpf(half_d) - mw, mp.pi * qd))
-        lam = s1 + s2 / covol + 1.0 / (covol * (mw - half_d)) - 1.0 / mw
-        return float(mp.pi ** mw / mp.gamma(mw) * lam)
+        return float(_theta_transform_mp(counts, kappa, dual_scale, covol, d, s, shells))
+
+
+def leech_counts(m_max: int) -> list[int]:
+    """Leech shell counts (65520/691)(sigma_11(m) - tau(m)), squared norm 2m."""
+    taus = tau_naive(m_max)
+    return [65520 * (sigma_naive(m, 11) - taus[m - 1]) // 691 for m in range(1, m_max + 1)]
+
+
+# squared covolume of the zeta lattice in each dimension (A1, A2, D4, E8, Leech)
+ZETA_COVOLUME_SQ = {1: mp.mpf(1), 2: mp.mpf(3) / 4, 4: mp.mpf(4), 8: mp.mpf(1), 24: mp.mpf(1)}
+
+
+def lattice_zeta_mp(d: int, s: float, dps: int = 50):
+    """Zeta of the d = 1, 2, 4, 8 or 24 lattice at s as an mpf of dps digits.
+
+    A1, A2, D4 and E8 from mpmath's zeta and Dirichlet L-function in their
+    closed forms; Leech from the theta transformation over 48 shells, which
+    needs neither L(w, Delta) nor its truncation.  Index conventions as in
+    the library: minimal norm 1 for A1 and A2, the Cartan scale otherwise.
+    """
+    with mp.workdps(dps):
+        w = mp.mpf(s) / 2
+        if d == 1:
+            return 2 * mp.zeta(mp.mpf(s))
+        if d == 2:
+            return 6 * mp.zeta(w) * mp.dirichlet(w, [0, 1, -1])
+        if d == 4:
+            return 24 * 2 ** -w * (1 - 2 ** (1 - w)) * mp.zeta(w) * mp.zeta(w - 1)
+        if d == 8:
+            return 240 * 2 ** -w * mp.zeta(w) * mp.zeta(w - 3)
+        if d == 24:
+            return _theta_transform_mp(leech_counts(48), 2.0, 1.0, 1.0, 24, s, 48)
+    raise ValueError(f"no zeta lattice in dimension {d}")
+
+
+def c_tilde_mp(d: int, s: float, dps: int = 50):
+    """covol^(s/d) * zeta_Lambda(s) as an mpf of dps digits, exact covolume."""
+    with mp.workdps(dps):
+        return ZETA_COVOLUME_SQ[d] ** (mp.mpf(s) / (2 * d)) * lattice_zeta_mp(d, s, dps)
 
 
 # Closed forms for lattice zeta functions, via Dirichlet series identities.

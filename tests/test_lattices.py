@@ -138,8 +138,8 @@ def test_leech_zeta_against_closed_form(s):
 
 
 def test_epstein_route_crossover_consistent():
-    # s = d + 5.9 accelerates, s = d + 6.1 sums plainly; both must hit
-    # the closed form, so the two internal routes cross-validate
+    # s = d + 6 was the border between two routes that one closed form
+    # now replaces; both sides must still hit the double-precision oracle
     for s in (7.9, 8.1):
         closed = oracles.a2_zeta_closed(s)
         got = lattices.epstein_zeta("A2", s, 1e-10)
@@ -189,47 +189,60 @@ def test_c_tilde_values_and_domain():
         lattices.c_tilde(2, math.inf)
 
 
-def _theta_range(d):
-    # the s at which epstein_zeta takes the theta transformation
-    top = 10.0 if d == 24 else 6.0
-    return [d + 1e-6] + [d + top * i / 51 for i in range(1, 51)] + [d + top - 1e-9]
+# zeta lattice per dimension; A1 has no c_tilde but the same closed-form route
+_ZETA_DIMS = {"A1": 1, "A2": 2, "D4": 4, "E8": 8, "Leech": 24}
+
+
+def _oracle_grid(d):
+    # next to the pole, both sides of the old route border (d + 6, or d + 10
+    # for Leech), and out to d + 40
+    border = 10.0 if d == 24 else 6.0
+    return ([d + 1e-9, d + 1e-6, d + border - 1e-9, d + border + 1e-9]
+            + [d + 40.0 * (i / 6) ** 2 for i in range(1, 7)])
+
+
+def _ulps(x, ref):
+    return float(abs(oracles.mp.mpf(x) - ref)) / math.ulp(float(ref))
 
 
 @pytest.mark.parametrize("d,name", [(2, "A2"), (4, "D4"), (8, "E8"), (24, "Leech")])
 def test_c_tilde_matches_full_48_shell_theta_transform(d, name):
-    # truncating each sum where its tail is below 2^-110 of the value must
-    # not move a bit against summing all 48 shells of both sums
+    # against a 50-digit oracle (mpmath's zeta and L-functions, and for
+    # Leech the theta transformation), c_tilde is rounded once from a value
+    # far inside an ulp, so it is the nearest double, and never farther than
+    # the double of the 48-shell theta transformation
     lat = lattices.LATTICES[name]
     counts = lattices.theta_coefficients(lat, 48)
     kappa = 2.0 if lat.index_convention == "even" else 1.0
     dual_scale = {"A2": 4.0 / 3.0, "D4": 0.5, "E8": 1.0, "Leech": 1.0}[name]
-    for s in _theta_range(d):
-        full = oracles.epstein_theta_mp(counts, kappa, dual_scale, lat.covolume, d, s)
-        assert lattices.c_tilde(d, s) == lat.covolume ** (s / d) * full, (name, s)
+    for s in _oracle_grid(d):
+        ref = oracles.c_tilde_mp(d, s)
+        theta = lat.covolume ** (s / d) * oracles.epstein_theta_mp(
+            counts, kappa, dual_scale, lat.covolume, d, s)
+        got = _ulps(lattices.c_tilde(d, s), ref)
+        assert got <= 0.5 + 1e-9, (name, s, got)
+        assert got <= _ulps(theta, ref), (name, s, got, _ulps(theta, ref))
 
 
-def test_theta_transform_gammainc_calls_per_evaluation(monkeypatch):
-    calls = []
-    real = lattices.gammainc
-
-    def counting(a, z):
-        calls.append(a)
-        return real(a, z)
-
-    monkeypatch.setattr(lattices, "gammainc", counting)
-    for d, name in ((2, "A2"), (4, "D4"), (8, "E8"), (24, "Leech")):
-        for s in _theta_range(d)[::10]:
-            calls.clear()
-            lattices.epstein_zeta(name, s, 1e-10)
-            assert 0 < len(calls) <= 2 * 25, (name, s, len(calls))
+@pytest.mark.parametrize("name", list(_ZETA_DIMS))
+def test_epstein_zeta_within_tail_bound_of_oracle(name):
+    d = _ZETA_DIMS[name]
+    for s in _oracle_grid(d):
+        ref = oracles.lattice_zeta_mp(d, s)
+        got = lattices.epstein_zeta(name, s, 1e-10)
+        assert float(abs(oracles.mp.mpf(got.value) - ref)) <= got.tail_bound, (name, s)
+        assert _ulps(got.value, ref) <= 0.5 + 1e-9, (name, s)
 
 
-@pytest.mark.parametrize("name,s,tol", [("A2", 9.0, 1e-15), ("D4", 12.0, 9.9e-15),
-                                        ("E8", 16.0, 9.9e-15), ("A2", 4.0, 4.9e-15),
-                                        ("Leech", 30.0, 1e-20)])
+_FLOOR = 2.0**-52
+
+
+@pytest.mark.parametrize("name,s,tol", [("A1", 3.0, 2.2e-16), ("A2", 4.0, 2.2e-16),
+                                        ("A2", 9.0, 2.2e-16), ("D4", 12.0, 2.2e-16),
+                                        ("E8", 16.0, 2.2e-16), ("Leech", 30.0, 1e-20)])
 def test_epstein_tolerance_below_floor_refused_at_once(name, s, tol):
-    # the plain route adds 1e-14 * value to its tail and the theta route
-    # 5e-15 * value, so a tolerance below that can never be met
+    # every tail bound is at most 2^-52 of the value (one rounding plus a
+    # truncation below a quarter ulp), so a tolerance below that is refused
     start = time.perf_counter()
     with pytest.raises(ResourceError, match="floor"):
         lattices.epstein_zeta(name, s, tol)
@@ -237,9 +250,19 @@ def test_epstein_tolerance_below_floor_refused_at_once(name, s, tol):
 
 
 def test_epstein_tolerance_at_floor_still_met():
-    # a truncation tail below half an ulp of the floor term rounds away,
-    # so a tolerance equal to the floor is met on both routes
-    plain = lattices.epstein_zeta("A2", 40.0, 1e-14)
-    assert plain.tail_bound == 1e-14 * plain.value
-    theta = lattices.epstein_zeta("A2", 4.0, 5e-15)
-    assert theta.tail_bound == 5e-15 * theta.value
+    for name, s in (("A1", 1.5), ("A2", 2.0 + 1e-9), ("A2", 40.0), ("D4", 12.0),
+                    ("E8", 16.0), ("Leech", 30.0)):
+        lattices.epstein_zeta(name, s, 1e-10)  # first-call setup (tau table) not timed
+        start = time.perf_counter()
+        got = lattices.epstein_zeta(name, s, _FLOOR)
+        assert time.perf_counter() - start < 0.05, (name, s)
+        assert 0.0 < got.tail_bound <= _FLOOR * got.value, (name, s)
+
+
+@pytest.mark.parametrize("name,s", [("E8", 16.0), ("D4", 12.0)])
+def test_old_plain_route_floor_answers_at_once(name, s):
+    # the plain shell sum spun for seconds here before refusing
+    start = time.perf_counter()
+    got = lattices.epstein_zeta(name, s, 1e-14)
+    assert time.perf_counter() - start < 0.05
+    assert got.tail_bound <= 1e-14 * got.value
