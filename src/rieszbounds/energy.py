@@ -9,7 +9,8 @@ in R^d, and the sphere-packing corollary.
 
 Riesz exponent convention: the potential for |x - y|^{-s} on the sphere is
 (2 - 2t)^{-s/2} in the inner-product variable t, since |x - y|^2 = 2 - 2t
-for unit vectors.
+for unit vectors.  numpy is imported only where a rule or a potential is
+evaluated, as in jacobi.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import math
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import DomainError, NumericalError, ResourceError
 from .quadrature import build_rule
@@ -65,6 +64,7 @@ class RieszPotential:
             raise DomainError(f"Riesz exponent must be positive and finite, got {self.s}")
 
     def __call__(self, t):
+        import numpy as np
         return (2.0 - 2.0 * np.asarray(t, dtype=float)) ** (-0.5 * self.s)
 
 
@@ -79,6 +79,7 @@ class GaussianPotential:
             raise DomainError(f"Gaussian width must be positive and finite, got {self.alpha}")
 
     def __call__(self, t):
+        import numpy as np
         return np.exp(-self.alpha * (2.0 - 2.0 * np.asarray(t, dtype=float)))
 
 
@@ -110,6 +111,7 @@ def ulb_energy(d: int, n: int, h) -> float:
     h must be finite on [-1, 1); the rule nodes never include 1.
     """
     rule = build_rule(d, n)
+    import numpy as np
     x = np.array(rule.nodes, dtype=float)
     vals = np.asarray(h(x), dtype=float)
     if vals.shape != x.shape:

@@ -10,18 +10,15 @@ Evaluation runs the conventional three-term recurrence in extended
 precision and rescales once at the end.  Norm ratios are the cumulative
 product of their exact order-to-order ratio, also in extended precision,
 and the Christoffel-Darboux kernel is its defining sum of positive terms
-on the diagonal.
+on the diagonal.  numpy is imported inside the functions that use it, so
+that importing the package, and the constants that need no rule, load none.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import DomainError, NumericalError, ResourceError
-
-_LONG = np.longdouble
 
 # Largest polynomial degree given to the dense k x k eigen-solve, checked
 # before anything is allocated: the matrix takes 8 k^2 bytes (32 MB at the
@@ -40,12 +37,13 @@ def family_params(d: int, a: int, b: int) -> tuple[float, float]:
 
 
 def _rows(kmax: int, alpha: float, beta: float, t: np.ndarray) -> np.ndarray:
+    import numpy as np
     # Conventional normalization (value C(k+alpha, k) at 1), rescaled to
     # 1 at the right endpoint afterwards.  One point runs on numpy scalars,
     # free of per-step array overhead, through the same operations in the
     # same order, so a column does not depend on the points beside it.
     t = np.asarray(t, dtype=float)
-    tl = _LONG(t.item()) if t.size == 1 else t.astype(_LONG).ravel()
+    tl = np.longdouble(t.item()) if t.size == 1 else t.astype(np.longdouble).ravel()
     out = [tl ** 0]  # ones shaped like tl
     if kmax >= 1:
         out.append((alpha + 1.0) + (alpha + beta + 2.0) * (tl - 1.0) / 2.0)
@@ -56,7 +54,7 @@ def _rows(kmax: int, alpha: float, beta: float, t: np.ndarray) -> np.ndarray:
         c2 = (2.0 * k + s - 1.0) * (alpha * alpha - beta * beta)
         c3 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * (2.0 * k + s)
         out.append(((c1 * tl + c2) * out[k - 1] - c3 * out[k - 2]) / c0)
-    scale = _LONG(1.0)
+    scale = np.longdouble(1.0)
     for k in range(1, kmax + 1):
         scale = scale * (k + alpha) / k  # C(k+alpha, k) recursively
         out[k] = out[k] / scale
@@ -64,6 +62,7 @@ def _rows(kmax: int, alpha: float, beta: float, t: np.ndarray) -> np.ndarray:
 
 
 def _check_points(pts: np.ndarray) -> None:
+    import numpy as np
     # written so that NaN points fail too
     if not np.all(np.abs(pts) <= 1.0):
         raise DomainError("evaluation points must lie in [-1, 1]")
@@ -75,6 +74,7 @@ def jacobi_values(kmax: int, d: int, a: int, b: int, t) -> np.ndarray:
     Returns an array of shape (kmax+1, len(t)); scalar t gives
     shape (kmax+1, 1).
     """
+    import numpy as np
     if kmax < 0:
         raise DomainError(f"kmax must be >= 0, got {kmax}")
     alpha, beta = family_params(d, a, b)
@@ -84,6 +84,7 @@ def jacobi_values(kmax: int, d: int, a: int, b: int, t) -> np.ndarray:
 
 
 def _deriv_rows(kmax: int, alpha: float, beta: float, t: np.ndarray) -> np.ndarray:
+    import numpy as np
     # d/dt of the normalized order-k polynomial equals
     # k (k+alpha+beta+1) / (2 (alpha+1)) times the normalized order-(k-1)
     # polynomial of the (alpha+1, beta+1) family.
@@ -103,6 +104,7 @@ def norm_ratios(kmax: int, d: int, a: int, b: int) -> np.ndarray:
     sum_k r_k <f, P_k> P_k and r_0 = 1.  For (a, b) = (0, 0) the r_k are
     the dimensions of the spaces of spherical harmonics.
     """
+    import numpy as np
     if kmax < 0:
         raise DomainError(f"kmax must be >= 0, got {kmax}")
     alpha, beta = family_params(d, a, b)
@@ -111,10 +113,10 @@ def norm_ratios(kmax: int, d: int, a: int, b: int) -> np.ndarray:
     # in extended precision the products of half-integers are exact, and
     # each order adds two roundings of 2^-64 (the integer r_k at d = 2
     # come out exact)
-    k = np.arange(1, kmax + 1, dtype=_LONG)
+    k = np.arange(1, kmax + 1, dtype=np.longdouble)
     s = alpha + beta
     step = (k + alpha) * (k + s) * (2 * k + s + 1) / (k * (k + beta) * (2 * k + s - 1))
-    return np.cumprod(np.concatenate(([_LONG(1)], step))).astype(float)
+    return np.cumprod(np.concatenate(([np.longdouble(1)], step))).astype(float)
 
 
 def _log_lead(k: int, alpha: float, beta: float) -> float:
@@ -136,6 +138,7 @@ def cd_kernel(k: int, d: int, a: int, b: int, x, y):
     diagonal every term is positive, so nothing cancels there.  The test
     suite pins it against the same sum at 30 digits.
     """
+    import numpy as np
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     ya = np.atleast_1d(np.asarray(y, dtype=float))
     xa, ya = np.broadcast_arrays(xa, ya)
@@ -144,12 +147,12 @@ def cd_kernel(k: int, d: int, a: int, b: int, x, y):
     if k < 0:
         raise DomainError(f"order must be >= 0, got {k}")
     alpha, beta = family_params(d, a, b)
-    r = norm_ratios(k, d, a, b).astype(_LONG)
+    r = norm_ratios(k, d, a, b).astype(np.longdouble)
     px = _rows(k, alpha, beta, xa.ravel())
     py = px if np.array_equal(xa, ya) else _rows(k, alpha, beta, ya.ravel())
     # summed in extended precision: a double dot product lost up to 6e-16
     # relative on the diagonal at order 383
-    vals = (r @ np.multiply(px, py, dtype=_LONG)).astype(float)
+    vals = (r @ np.multiply(px, py, dtype=np.longdouble)).astype(float)
     if np.asarray(x).ndim == 0 and np.asarray(y).ndim == 0:
         return float(vals[0])
     return vals.reshape(xa.shape)
@@ -161,6 +164,7 @@ def _monic_recurrence(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np
     p_{j+1}(x) = (x - a_j) p_j(x) - b_j p_{j-1}(x); b_0 is set to 0
     (by convention the j = 0 step has no lower term).  Needs n >= 1.
     """
+    import numpy as np
     avals = np.empty(n, dtype=float)
     bvals = np.zeros(n, dtype=float)
     s = alpha + beta
@@ -183,11 +187,12 @@ def _zeros_raw(k: int, alpha: float, beta: float, s: float | None = None,
     # is gamma = 0, F = P_k.  Two Newton steps on F, evaluated in extended
     # precision, tighten each eigenvalue (only the largest with top_only)
     # to a residual at rounding level.
-    if k == 0:
-        return np.empty(0, dtype=float)
     if k > _MAX_ORDER:
         raise ResourceError(
             f"polynomial degree {k} exceeds the eigen-solve budget of {_MAX_ORDER}")
+    import numpy as np
+    if k == 0:
+        return np.empty(0, dtype=float)
     avals, bvals = _monic_recurrence(k, alpha, beta)
     mat = np.diag(avals)
     pk_s, pk1_s = 0.0, 1.0

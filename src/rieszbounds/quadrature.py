@@ -6,7 +6,8 @@ interior nodes are the roots of (t - s) Q_{k-1}(t, s) in the (1,0) or
 (1,1) kernel family, where s solves N = L(d, s); they are computed as
 eigenvalues of the k x k recurrence matrix with its last diagonal entry
 shifted, which makes the endpoint cardinalities N = D(d, tau+1)
-degenerate exactly to plain Jacobi-zero rules.
+degenerate exactly to plain Jacobi-zero rules.  numpy is imported where
+it is used, as in jacobi.
 """
 
 from __future__ import annotations
@@ -17,13 +18,9 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import DomainError, NumericalError
 from . import jacobi
 from .jacobi import cd_kernel, family_params, jacobi_values
-
-_LONG = np.longdouble
 
 
 def dgs_bound(d: int, tau: int) -> int:
@@ -279,6 +276,7 @@ def build_rule(d: int, n: int) -> QuadratureRule:
     # tau, of the (1, 1) family for even tau, the largest pinned to s
     b = 0 if odd else 1
     alpha, beta = family_params(d, 1, b)
+    import numpy as np
     interior = np.sort(jacobi._zeros_raw(k, alpha, beta, s))
     if abs(interior[-1] - s) > 5e-11:
         raise NumericalError(f"largest node drifted from s at polynomial degree {k}")
@@ -287,8 +285,8 @@ def build_rule(d: int, n: int) -> QuadratureRule:
     # whose mass is 1 for odd tau and 1 - mu_2 = d/(d+1) for even tau,
     # from the kernel of order k-1 that matches the node polynomial; in
     # extended precision, which halves the worst error to about 1 ulp
-    t = interior.astype(_LONG)
-    mass = _LONG(1.0) if odd else _LONG(d) / (d + 1)
+    t = interior.astype(np.longdouble)
+    mass = np.longdouble(1.0) if odd else np.longdouble(d) / (d + 1)
     factor = (1.0 - t) if odd else (1.0 - t) * (1.0 + t)
     weights = (mass / (factor * cd_kernel(k - 1, d, 1, b, interior, interior))).astype(float)
     nodes = interior[::-1]
@@ -332,15 +330,16 @@ def verify_exactness(rule: QuadratureRule, max_degree: int) -> float:
     """
     if max_degree < 0:
         raise DomainError(f"max_degree must be >= 0, got {max_degree}")
-    nodes = np.array(rule.nodes, dtype=_LONG)
-    weights = np.array(rule.weights, dtype=_LONG)
+    import numpy as np
+    nodes = np.array(rule.nodes, dtype=np.longdouble)
+    weights = np.array(rule.weights, dtype=np.longdouble)
     worst = 0.0
     powers = np.ones_like(nodes)
     moments = _even_moments(rule.d)
     for j in range(max_degree + 1):
         if j > 0:
             powers = powers * nodes
-        val = float(1.0 / _LONG(rule.n) + np.sum(weights * powers))
+        val = float(1.0 / np.longdouble(rule.n) + np.sum(weights * powers))
         defect = abs(val - (float(next(moments)) if j % 2 == 0 else 0.0))
         if defect > worst:
             worst = defect

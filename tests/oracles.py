@@ -179,19 +179,6 @@ def weighted_inner(fvals, d: int, a: int, b: int, nodes, gl_weights) -> float:
     return float(np.dot(fvals, w))
 
 
-def epstein_plain_mp(counts: dict[int, int], s: float, scale: float = 1.0) -> float:
-    """Partial Epstein zeta sum from explicit norm counts, no tail model.
-
-    counts maps squared norm (in units of `scale`) to vector count.
-    """
-    with mp.workdps(40):
-        total = mp.mpf(0)
-        for m, c in sorted(counts.items(), reverse=True):
-            if c:
-                total += c * (mp.mpf(m) * scale) ** (-s / 2.0)
-        return float(total)
-
-
 def _theta_transform_mp(counts: list[int], kappa: float, dual_scale: float, covol: float,
                         d: int, s: float, shells: int):
     # the sum of epstein_theta_mp at the current mpmath precision

@@ -11,6 +11,9 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +48,24 @@ def test_result_fields_read_by_tracer():
 def test_public_names_resolve(module):
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing
+
+
+def test_import_loads_every_traced_module_and_no_numpy():
+    # install() patches only modules already loaded: the worker imports
+    # rieszbounds, the CLI launcher rieszbounds.cli, and then installs, so
+    # a lazily importing package would leave those runs without spans
+    traced = sorted({module for module, _ in _load_tracer().TRACED})
+    probe = (
+        "import sys, rieszbounds\n"
+        f"traced = {traced!r}\n"
+        "missing = [m for m in traced if m != 'cli' and f'rieszbounds.{m}' not in sys.modules]\n"
+        "import rieszbounds.cli\n"
+        "missing += [m for m in traced if f'rieszbounds.{m}' not in sys.modules]\n"
+        "assert not missing, missing\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    src = str(Path(rieszbounds.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr

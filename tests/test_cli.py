@@ -220,13 +220,17 @@ def test_ulb_rejects_infinite_potential_parameter(capsys, potential):
     assert "finite" in err
 
 
-def _fresh_cli(*argv):
-    # the CLI in a new interpreter, so that warnings print as a user sees them
+def _fresh_python(*args):
+    # a new interpreter on this source tree
     src = str(Path(rieszbounds.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "rieszbounds.cli", *argv],
-                          capture_output=True, text=True, timeout=60,
-                          env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": path})
+
+
+def _fresh_cli(*argv):
+    # the CLI in a new interpreter, so that warnings print as a user sees them
+    return _fresh_python("-m", "rieszbounds.cli", *argv)
 
 
 @pytest.mark.parametrize("argv", [("gauss", "--d", "171", "--alpha", "1"),
@@ -250,3 +254,36 @@ def test_huge_n_refusal_prints_no_warning():
     assert proc.stdout == ""
     assert proc.stderr.startswith("rieszbounds:") and proc.stderr.count("\n") == 1
     assert "Warning" not in proc.stderr
+
+
+_NUMPY_PROBE = r"""
+import contextlib, io, sys
+from rieszbounds.cli import main
+
+def call(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(list(argv))
+
+for argv, code in [(("bounds", "--d", "8", "--s", "9.5"), 0),
+                   (("bounds", "--d", "5", "--s", "7"), 0),
+                   (("plot-fs", "--d", "2", "--s-range", "2.5:4:0.5"), 0),
+                   (("gauss", "--d", "3", "--alpha", "1"), 0),
+                   (("table-bd",), 0),
+                   (("bounds", "--s", "2.5", "--d", "3"), 2),
+                   (("bounds", "--d", "2", "--s", "inf"), 2),
+                   (("ulb", "--d", "2", "--N", "1", "--potential", "riesz:1"), 2),
+                   (("quadrature", "--d", "3", "--N", "0"), 2),
+                   (("quadrature", "--d", "1", "--N", "5"), 2),
+                   (("quadrature", "--d", "2", "--N", str(10**30)), 3)]:
+    assert call(*argv) == code, argv
+    assert "numpy" not in sys.modules, argv
+assert call("ulb", "--d", "2", "--N", "10", "--potential", "riesz:1") == 0
+assert "numpy" in sys.modules
+"""
+
+
+def test_subcommands_without_a_rule_load_no_numpy():
+    # numpy is most of a cold start; only building a rule or evaluating a
+    # potential needs it, and the last call shows the probe sees a load
+    proc = _fresh_python("-c", _NUMPY_PROBE)
+    assert proc.returncode == 0, proc.stderr
