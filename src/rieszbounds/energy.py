@@ -134,12 +134,17 @@ def _check_s_gt_d(d: int, s: float) -> None:
 
 
 def theta_bound(d: int, s: float) -> float:
-    """Volume lower bound 2^-s (H_{d-1}(S^{d-1})/d)^(s/d) for s > d."""
+    """Volume lower bound 2^-s (H_{d-1}(S^{d-1})/d)^(s/d) for s > d, if a double holds it."""
     _check_s_gt_d(d, s)
-    try:
-        return 2.0 ** (-s) * (unit_sphere_area(d - 1) / d) ** (s / d)
-    except OverflowError:
-        raise NumericalError(f"theta_bound overflows for d={d}, s={s}") from None
+    base = unit_sphere_area(d - 1) / d
+    # the product while both factors are normal (base^(1/d) <= 2), else one exp
+    if s <= 1022.0 and (power := base ** (s / d)) >= sys.float_info.min:
+        theta = 2.0 ** (-s) * power
+    else:
+        theta = math.exp((s / d) * math.log(base) - s * math.log(2.0))
+    if theta == 0.0:
+        raise NumericalError(f"theta_bound underflows for d={d}, s={s}")
+    return theta
 
 
 def xi_bound(d: int, s: float) -> float:
@@ -282,17 +287,13 @@ def asd_bound(d: int, s: float, tol: float = 1e-10) -> AsdBound:
                          * math.pi ** (-delta - 7.0) * hurwitz_zeta(delta + 7.0, a))
             err_rel = model_err * math.exp(-log_t1)
         else:
-            # zero spacing of J_nu is >= pi for nu >= 1/2, so the tail is
-            # majorized by a single term plus an integral comparison
-            g2, g4, g6 = _hankel_g(d)
-            z_next = zs[m]
-            zsq = z_next * z_next
-            g_max = 1.0 + 2.0 * (abs(g2) + (abs(g4) + abs(g6) / zsq) / zsq) / zsq
-            log_cert = (math.log(math.pi / 2.0 * g_max)
-                        - (delta + 1.0) * math.log(z_next)
-                        + math.log1p(z_next / (math.pi * delta)))
+            # Past zs[m], w = (pi z/2) G(z) <= (z/zs[m]) ws[m]: G decreases for
+            # nu > 1/2 and is 1 at nu = 1/2 (Watson 13.74, Nicholson's formula).
+            # Zeros are pi apart or more, so by an integral comparison the tail
+            # is at most the term at zs[m] times 1 + zs[m]/(pi delta).
             tail_rel = 0.0
-            err_rel = math.exp(log_cert - log_t1)
+            err_rel = math.exp(math.log(ws[m]) - (delta + 2.0) * math.log(zs[m]) - log_t1
+                               + math.log1p(zs[m] / (math.pi * delta)))
 
         total_rel = s_rel + tail_rel
         err_rel += _ASD_FLOOR * total_rel
@@ -300,9 +301,7 @@ def asd_bound(d: int, s: float, tol: float = 1e-10) -> AsdBound:
             log_value = log_scale + log_t1 + math.log(total_rel)
             if log_value > 700.0:
                 raise NumericalError(f"asd_bound overflows for d={d}, s={s}")
-            value = math.exp(log_value)
-            tail_bound = math.exp(log_scale + log_t1) * err_rel
-            return AsdBound(value, m, tail_bound)
+            return AsdBound(math.exp(log_value), m, math.exp(log_scale + log_t1) * err_rel)
         if 2 * m > _MAX_TERMS:
             raise ResourceError(
                 f"asd_bound tail {err_rel / total_rel:.3e} cannot reach "

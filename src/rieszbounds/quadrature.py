@@ -108,8 +108,10 @@ def _resolve_tau(d: int, n) -> int:
 # inside which bisection evaluates the sign of L(d, s) - N instead of
 # reading it off the root: 8 to 16 doubles for s >= 1/2, 8.9e-16 below.
 # Rounding in lev_branch put sign changes at most 1.7e-16 from the root
-# in a scan of 550 (d, N) pairs, d in {2, 3, 4, 8}, N up to 2e4.  Should
-# the window miss the sign change, solve_s_for_n bisects in full.
+# in a scan of 550 (d, N) pairs, d in {2, 3, 4, 8}, N up to 2e4, and the
+# window held the sign change in all 26,982 solves of a scan over
+# d in {2, 3, 4, 5, 8, 16} and N up to 2e6.  Should it ever miss, the
+# pair bisection ends on has no sign change and solve_s_for_n refuses.
 _WINDOW = 2.0**-49
 
 
@@ -195,9 +197,6 @@ def solve_s_for_n(d: int, n: float) -> float:
         x_prev, f_prev = x, fx
         x = root if a < root < b else 0.5 * (a + b)
     a, b = _bisect_pair(f, lo, hi, root, w)
-    if a < b and not f(a) < 0.0 < f(b):
-        # the sign change lies outside the window: bisect in full
-        a, b = _bisect_pair(f, lo, hi, root, math.inf)
     if a == b:
         return a
     if not f(a) < 0.0 < f(b):

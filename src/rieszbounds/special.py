@@ -6,22 +6,19 @@ argument, summed in fixed point at a precision that grows with x so the
 alternating-series cancellation never reaches the double result) and the
 Hankel asymptotic expansion (large argument, taken to at least the DLMF
 10.17(iii) term count and accepted only when its first omitted terms
-certify an absolute error below 1e-13).  Bessel zeros are finished by
-Newton iteration, whose last Bessel values the zero check and the weights
-reuse, from one seed per order range: McMahon's expansion for nu <= 36.5
-(its coefficients live here, and ``energy`` reads them for the A_{s,d}
-tail), and above that the leading term of Olver's uniform expansion, since
-Newton from McMahon's seed of the first zero stalls from nu = 37 on.
+certify an absolute error below 1e-13).  Each Bessel zero is seeded
+(McMahon's expansion for nu <= 36.5, whose coefficients ``energy`` reads
+for the A_{s,d} tail, else Olver's uniform expansion), finished by Newton
+and certified as it is appended: by order, residual and index.
 
 Accuracy targets, pinned by the tests against mpmath: ``bessel_j``
 absolute error <= 1e-12 for 0 <= nu <= 32 and x <= 5000, zeros to 1e-14
 relative for the first 600 zeros at orders from 0.5 to 64.  The Hankel
-expansion has no term cap, so at any order it certifies wherever its
-terms stop shrinking only after the DLMF term count or never: from about
-x = nu^2 / 6 on, where the third term ratio falls below 1 (it certifies
-from 0.167 to 0.170 nu^2 for nu = 40 to 400).  The tests pin that
-certificate against mpmath for nu <= 39 and x <= 5000, and at
-(nu, x) = (100, 31572.06) and (150, 40000).
+expansion has no term cap, so at any order it certifies from about
+x = nu^2 / 6 on, where the third term ratio falls below 1 (0.167 to
+0.170 nu^2 for nu = 40 to 400).  The tests pin that certificate against
+mpmath for nu <= 39 and x <= 5000, and at (nu, x) = (100, 31572.06) and
+(150, 40000).
 """
 
 from __future__ import annotations
@@ -262,11 +259,10 @@ def _olver_guess(nu: float, i: int) -> float:
     return nu * z
 
 
-def _newton_polish(nu: float, z0: float) -> tuple[float, tuple[float, float] | None]:
-    # Returns the zero and (J_nu, J_{nu+1}) there.  Newton's last step
-    # usually leaves z unchanged, and then the values it evaluated are
-    # those at the zero; when the step moved z they are None.  A step to
-    # z <= 0 counts as a stall.  J_nu'(z) = (nu/z) J_nu(z) - J_{nu+1}(z).
+def _newton_polish(nu: float, z0: float) -> tuple[float, float, float]:
+    # Returns the zero and J_nu, J_{nu+1} there, evaluated once more only
+    # when Newton's last step moved z.  A step to z <= 0 counts as a stall.
+    # J_nu'(z) = (nu/z) J_nu(z) - J_{nu+1}(z).
     z = z0
     for _ in range(100):
         f = bessel_j(nu, z)
@@ -279,67 +275,63 @@ def _newton_polish(nu: float, z0: float) -> tuple[float, tuple[float, float] | N
         if not z_new > 0.0:
             break
         if abs(dz) <= max(1e-14, 8.0 * _EPS * abs(z_new)):
-            return (z, (f, j1)) if z_new == z else (z_new, None)
+            if z_new == z:
+                return z, f, j1
+            return z_new, bessel_j(nu, z_new), bessel_j(nu + 1.0, z_new)
         z = z_new
-    raise NumericalError(
-        f"Newton iteration for a zero of J_{nu} stalled near z={z!r} (seed {z0!r})"
-    )
+    raise NumericalError(f"Newton iteration for a zero of J_{nu} stalled near z={z!r} "
+                         f"(seed {z0!r})")
 
 
 @dataclass(frozen=True)
 class BesselZeroTable:
-    """Immutable table of the first positive zeros of J_nu, each of which
-    has passed the residual and spacing checks, with J_{nu+1} at each
-    zero (equal to -J_nu' there) as evaluated by that check."""
+    """Immutable table of the first positive zeros of J_nu, each certified by
+    order, residual and index (bessel_zeros), with J_{nu+1} = -J_nu' there."""
 
     nu: float
     zeros: tuple[float, ...]
     j_next: tuple[float, ...]
 
 
-def _validate_zero_range(nu: float, zeros: tuple[float, ...] | list[float], lo: int, hi: int,
-                         values: list | None = None) -> list[float]:
-    # Checks zeros[lo:hi] and returns J_{nu+1} at each.  values[i - lo],
-    # when given and not None, is (J_nu, J_{nu+1}) at zeros[i] already.
-    # The first zero lies above nu (J_nu > 0 on (0, nu]), where a Newton
-    # iterate could otherwise settle on a merely tiny J_nu; consecutive
-    # zeros are more than 2 apart.
-    prev = zeros[lo - 1] if lo > 0 else nu
-    j_next = []
-    for i in range(lo, hi):
-        z = zeros[i]
-        if not z > prev:
-            raise NumericalError(f"zeros of J_{nu} are not increasing above {prev} near {z}")
-        if i > 0 and z - prev <= 2.0:
-            raise NumericalError(f"zeros of J_{nu} separated by {z - prev} <= 2 near {z}")
-        pair = values[i - lo] if values else None
-        f, j1 = pair if pair else (bessel_j(nu, z), bessel_j(nu + 1.0, z))
-        resid = abs(f)
-        scale = max(1.0, abs((nu / z) * f - j1) * z)
-        if resid >= 1e-12 * scale:
-            raise NumericalError(f"zero {z} of J_{nu} has residual {resid} above tolerance")
-        j_next.append(j1)
-        prev = z
-    return j_next
-
-
-# per order: the validated zeros and J_{nu+1} at each
+# per order: the certified zeros and J_{nu+1} at each
 _zero_cache: dict[float, tuple[list[float], list[float]]] = {}
+
+# k = 1, 2: j_{0,k+2} and the Airy |a_{k+2}| rounded down (A&S 9.5, 10.13), so
+# L_{k+2} = max(j_{0,k+2}, nu + |a_{k+2}| (nu/2)^(1/3)) <= j_{nu,k+2}: zeros grow
+# with nu (Watson 15.6), and Qu & Wong (Trans. AMS 351, 1999) give the second.
+_INDEX_BOUNDS = ((8.65, 5.5205598), (11.79, 6.7867080))
 
 
 def bessel_zeros(nu: float, n: int) -> BesselZeroTable:
-    """First n positive zeros of J_nu, validated and cached per order."""
+    """First n positive zeros of J_nu, certified and cached per order.
+
+    The k-th zero z is certified by order (above nu or the zero before),
+    residual, and index: J_{nu+1}(z) has the sign (-1)^(k+1), so no odd
+    number of zeros was skipped; for k <= 2, z < L_{k+2}(nu); for k >= 3,
+    |z - z_{k-1} - pi| may not exceed the gap before it, as gaps tend to pi
+    monotonically (Sturm comparison, Watson ch. XV).  Two skipped zeros add
+    at least 2 pi to a gap, so this catches them where j_{nu,2} - j_{nu,1}
+    < 3 pi: for every nu <= 266, by Qu & Wong's two-sided bound.
+    """
     if not 0.0 <= nu < math.inf:
         raise DomainError(f"bessel_zeros requires finite nu >= 0, got {nu}")
     if not (1 <= n < math.inf and n == int(n)):
         raise DomainError(f"bessel_zeros requires a positive integer count, got {n}")
     n = int(n)
     zeros, j_next = _zero_cache.setdefault(nu, ([], []))
-    lo = len(zeros)
-    if lo < n:
-        guess = _mcmahon_guess if nu <= 36.5 else _olver_guess
-        polished = [_newton_polish(nu, guess(nu, i)) for i in range(lo + 1, n + 1)]
-        candidate = zeros + [z for z, _ in polished]
-        j_next += _validate_zero_range(nu, candidate, lo, n, [v for _, v in polished])
-        zeros[:] = candidate
+    guess = _mcmahon_guess if nu <= 36.5 else _olver_guess
+    for k in range(len(zeros) + 1, n + 1):
+        z, f, j1 = _newton_polish(nu, guess(nu, k))
+        prev = zeros[-1] if zeros else nu
+        if abs(f) >= 1e-12 * max(1.0, abs((nu / z) * f - j1) * z):
+            raise NumericalError(f"zero {z} of J_{nu} has residual {abs(f)} above tolerance")
+        if k <= 2:
+            j0, a = _INDEX_BOUNDS[k - 1]
+            late = z >= max(j0, nu + a * (0.5 * nu) ** (1.0 / 3.0))
+        else:
+            late = abs(z - prev - math.pi) > abs(prev - zeros[-2] - math.pi) + 64.0 * _EPS * z
+        if late or not z > prev or (j1 > 0.0) != (k % 2 == 1):
+            raise NumericalError(f"zero {z} of J_{nu} is not zero number {k} (after {prev})")
+        zeros.append(z)
+        j_next.append(j1)
     return BesselZeroTable(nu=nu, zeros=tuple(zeros[:n]), j_next=tuple(j_next[:n]))

@@ -37,6 +37,18 @@ def test_bounds_d2_s4_theta_column(capsys):
     assert float(cols["c_tilde"]) > float(cols["a_sd"])
 
 
+@pytest.mark.parametrize("s", ["1240", "1240.5"])
+def test_bounds_prints_theta_where_pi_to_the_s_over_2_overflows(capsys, s):
+    # 2^-s underflows and, from s = 1240.5, pi^(s/2) overflows, while
+    # theta = (sqrt(pi)/2)^s is about 9e-66
+    code, out, err = run(capsys, "bounds", "--d", "2", "--s", s)
+    assert (code, err) == (0, "")
+    header, row = out.strip().splitlines()
+    cols = dict(zip(header.split(","), row.split(",")))
+    want = math.exp(float(s) * math.log(math.sqrt(math.pi) / 2.0))
+    assert abs(float(cols["theta"]) - want) <= 1e-12 * want
+
+
 def test_bounds_rejects_s_below_d(capsys):
     code, out, err = run(capsys, "bounds", "--d", "2", "--s", "1")
     assert code == 2

@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from rieszbounds import energy, lattices, special
-from rieszbounds.errors import DomainError, ResourceError
+from rieszbounds.errors import DomainError, NumericalError, ResourceError
 
 
 def test_parse_potential_families():
@@ -70,6 +70,28 @@ def test_theta_bound_anchors():
         energy.theta_bound(2, 2.0)
 
 
+@pytest.mark.parametrize("s", [1075.0, 1240.0, 1240.5, 3000.0])
+def test_theta_bound_where_one_factor_leaves_the_double_range(s):
+    # at d = 2, 2^-s underflows from s = 1075 and pi^(s/2) overflows from
+    # s = 1240.5, while theta = (sqrt(pi)/2)^s stays normal up to s ~ 5860
+    with mp.workdps(30):
+        want = (mp.sqrt(mp.pi) / 2) ** s
+    got = energy.theta_bound(2, s)
+    assert abs(got - want) <= 1e-12 * want, (s, got)
+
+
+def test_theta_bound_is_nonzero_while_a_double_holds_it():
+    # (sqrt(pi)/2)^6150 = 2.5e-323 is subnormal; (sqrt(pi)/2)^6200 = 4e-326
+    # is below the least one
+    assert energy.theta_bound(2, 6150.0) > 0.0
+    assert energy.theta_bound(1, 5000.0) == 1.0
+    # below it theta is refused, on either route: at (30, 1000) both
+    # factors are normal but their product is about 1e-456
+    for d, s in ((2, 6200.0), (30, 1000.0), (100, 1000.0)):
+        with pytest.raises(NumericalError, match="underflows"):
+            energy.theta_bound(d, s)
+
+
 def test_xi_bound_anchor_and_flags():
     assert abs(energy.xi_bound(2, 4.0) - math.pi**2 / 4.0) < 1e-13
     assert energy.xi_flags(2, 4.0) == ("integer-(s-d)/2",)
@@ -118,6 +140,30 @@ def test_hankel_g_against_mpmath(d):
             nxt = abs(mp.mpf(105) / 384 * (mu - 1) * (mu - 9) * (mu - 25) * (mu - 49)
                       / (2 * z) ** 8)
             assert rem <= 2 * nxt + mp.mpf("1e-30"), (d, k, rem, nxt)
+
+
+@pytest.mark.parametrize("d", [1, 3, 24, 48])
+@pytest.mark.parametrize("delta", [28.0, 40.0])
+def test_truncation_majorant_bounds_the_summed_tail(d, delta):
+    # the delta >= 28 branch bounds the terms past m by the next term
+    # t_{m+1} times 1 + z_{m+1}/(pi delta); the terms m+1..4m, summed
+    # directly and relative to t_{m+1}, must stay below that factor
+    for m in (1, 10, 60, 240):
+        zs, ws = energy._zero_weights(d, 4 * m)
+        z_next, w_next = zs[m], ws[m]
+        summed = math.fsum(math.exp(-(delta + 2.0) * math.log(zs[k] / z_next)) * ws[k] / w_next
+                           for k in range(m, 4 * m))
+        assert 1.0 <= summed <= 1.0 + z_next / (math.pi * delta), (d, delta, m)
+
+
+def test_truncation_branch_needs_no_hankel_coefficients(monkeypatch):
+    def refuse(d):
+        raise AssertionError("the delta >= 28 branch asked for the Hankel coefficients")
+
+    monkeypatch.setattr(energy, "_hankel_g", refuse)
+    for d in (1, 2, 24):
+        got = energy.asd_bound(d, d + 30.0)
+        assert got.terms_used == 240 and 0.0 < got.tail_bound <= 1e-10 * got.value
 
 
 @pytest.fixture

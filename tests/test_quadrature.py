@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from rieszbounds import energy, jacobi, quadrature
-from rieszbounds.errors import DomainError, ResourceError
+from rieszbounds.errors import DomainError, NumericalError, ResourceError
 
 
 def test_design_cardinality_anchors():
@@ -281,6 +282,18 @@ def test_solve_s_for_n_needs_few_branch_evaluations(monkeypatch):
         s = quadrature.solve_s_for_n(2, n)
         assert len(calls) <= 12, (n, len(calls))
         assert abs(quadrature.lev_function(2, s) - n) <= 1e-11 * n
+
+
+@pytest.mark.parametrize("n", [10, 101, 5001])
+def test_solve_s_for_n_refuses_a_bracket_with_no_sign_change(monkeypatch, n):
+    # a branch that never reaches N leaves the pair bisection ends on
+    # without a sign change; that is refused at once, with no second search
+    quadrature.solve_s_for_n(2, n)  # the first solve loads numpy
+    monkeypatch.setattr(quadrature, "lev_branch", lambda d, tau, s: n - 1.0)
+    start = time.perf_counter()
+    with pytest.raises(NumericalError, match="bracket failure"):
+        quadrature.solve_s_for_n(2, n)
+    assert time.perf_counter() - start < 0.05
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])

@@ -95,12 +95,56 @@ def test_bessel_j_domain_errors(nu, x):
         special.bessel_j(nu, x)
 
 
-def test_zero_range_validation_rejects_corrupt_table():
-    zeros = special.bessel_zeros(2.0, 7).zeros
-    special._validate_zero_range(2.0, zeros, 0, len(zeros))
-    corrupt = zeros[:3] + (zeros[3] + 0.5,)
-    with pytest.raises(NumericalError):
-        special._validate_zero_range(2.0, corrupt, 0, len(corrupt))
+def test_zero_table_rejects_a_corrupt_zero(monkeypatch):
+    # the fourth zero (the first seeded above 13) comes back from Newton
+    # 0.5 too high, with the Bessel values there: the residual check
+    # refuses the table
+    polish = special._newton_polish
+
+    def corrupt(nu, z0):
+        z, f, j1 = polish(nu, z0)
+        if z0 > 13.0:
+            z += 0.5
+            f, j1 = special.bessel_j(nu, z), special.bessel_j(nu + 1.0, z)
+        return z, f, j1
+
+    monkeypatch.setattr(special, "_zero_cache", {})
+    assert len(special.bessel_zeros(2.0, 3).zeros) == 3
+    monkeypatch.setattr(special, "_newton_polish", corrupt)
+    with pytest.raises(NumericalError, match="residual"):
+        special.bessel_zeros(2.0, 7)
+
+
+@pytest.mark.parametrize("nu, seed", [(2.0, "_mcmahon_guess"), (40.0, "_olver_guess")])
+@pytest.mark.parametrize("first, late", [(1, 1), (1, 2), (2, 2), (5, 1), (5, 2)])
+def test_zero_table_rejects_a_skipped_zero(monkeypatch, nu, seed, first, late):
+    # seeding zero number `first` and all after it `late` zeros too far
+    # on makes Newton skip zeros: the sign of J_{nu+1} catches an odd
+    # skip, the bound L_{k+2} an even one at k <= 2, the gaps one later
+    guess = getattr(special, seed)
+    monkeypatch.setattr(special, "_zero_cache", {})
+    monkeypatch.setattr(special, seed, lambda nu, i: guess(nu, i + late if i >= first else i))
+    with pytest.raises(NumericalError, match=f"not zero number {first}"):
+        special.bessel_zeros(nu, 10)
+    # a single zero seeded late is refused too, at its own index or, as a
+    # repeat of the zero after it, at the next
+    monkeypatch.setattr(special, "_zero_cache", {})
+    monkeypatch.setattr(special, seed, lambda nu, i: guess(nu, i + late if i == first else i))
+    with pytest.raises(NumericalError, match="not zero number"):
+        special.bessel_zeros(nu, 10)
+
+
+@pytest.mark.parametrize("nu", [0.5 * i for i in range(130)] + [100.0, 150.0])
+def test_index_bounds_hold_against_mpmath(nu):
+    # j_{nu,k} < L_{k+2}(nu) <= j_{nu,k+2} for k = 1 at every order of the
+    # grid and k = 2 at every fourth, so a true table always passes and a
+    # table starting at a later zero never does
+    for k, (j0, a) in enumerate(special._INDEX_BOUNDS, start=1):
+        if k == 2 and nu % 2.0:
+            continue
+        bound = max(j0, nu + a * (0.5 * nu) ** (1.0 / 3.0))
+        with mp.workdps(17):
+            assert mp.besseljzero(nu, k) < bound <= mp.besseljzero(nu, k + 2), (nu, k)
 
 
 def test_zero_spacing_approaches_pi():
@@ -108,6 +152,14 @@ def test_zero_spacing_approaches_pi():
     gaps = [b - a for a, b in zip(table.zeros, table.zeros[1:])]
     assert abs(gaps[-1] - math.pi) < abs(gaps[0] - math.pi)
     assert abs(gaps[-1] - math.pi) < 5e-3
+    # the index check rests on |gap - pi| never growing along a table by
+    # more than rounding: gaps fall to pi for nu > 1/2, rise to pi below
+    # and equal pi at 1/2
+    for nu in (0.0, 0.5, 1.0, 2.0, 24.5, 64.0):
+        z = special.bessel_zeros(nu, 600).zeros
+        dev = [abs(b - a - math.pi) for a, b in zip(z, z[1:])]
+        rise = max((y - x) / zk for x, y, zk in zip(dev, dev[1:], z[2:]))
+        assert rise <= 4 * 2.0**-52, (nu, rise)
 
 
 @pytest.mark.parametrize("s", [1.5, 2.0, 3.0, 6.0, 12.0])
@@ -188,8 +240,8 @@ def test_mcmahon_newton_stalls_where_olver_seeds(nu):
 
 
 def test_first_zero_from_an_empty_cache_above_the_switch(monkeypatch):
-    # a one-zero table passes every table check even when it holds a
-    # later zero, so only an oracle shows that the seed found the first
+    # the seed must find the first zero: the index check would refuse a
+    # later one, and the oracle confirms the one it accepts
     for d in (74, 75, 100, 128):
         monkeypatch.setattr(special, "_zero_cache", {})
         got = special.bessel_zeros(d / 2.0, 1).zeros[0]
