@@ -383,8 +383,6 @@ def gauss_bound(d: int, alpha: float, rho: float = 1.0) -> GaussBound:
             cert = t_next / (1.0 - ratio)
             if cert <= 1e-12 * max(total, 5e-324):
                 return GaussBound(scale * total, m, scale * cert)
-            if total == 0.0 and t_next == 0.0:
-                return GaussBound(0.0, m, 0.0)
         if m + 2 * max(64, m) > _GAUSS_MAX_TERMS:
             raise ResourceError(
                 f"gauss_bound truncation not certified within {_GAUSS_MAX_TERMS} terms "

@@ -22,8 +22,9 @@ from .errors import DomainError, NumericalError, ResourceError
 
 # Largest polynomial degree given to the dense k x k eigen-solve, checked
 # before anything is allocated: the matrix takes 8 k^2 bytes (32 MB at the
-# budget), and the Newton polish of all k nodes holds several k x k
-# extended-precision arrays besides.
+# budget).  The Newton polish of all k nodes peaks at about 48 k^2 bytes
+# (184 MiB at the budget): each value or derivative table is built as one
+# extended-precision row per order (16 k^2 bytes) before its double copy.
 _MAX_ORDER = 2000
 
 
@@ -38,27 +39,29 @@ def family_params(d: int, a: int, b: int) -> tuple[float, float]:
 
 def _rows(kmax: int, alpha: float, beta: float, t: np.ndarray) -> np.ndarray:
     import numpy as np
-    # Conventional normalization (value C(k+alpha, k) at 1), rescaled to
-    # 1 at the right endpoint afterwards.  One point runs on numpy scalars,
-    # free of per-step array overhead, through the same operations in the
-    # same order, so a column does not depend on the points beside it.
+    # Conventional normalization (value C(k+alpha, k) at 1), each order
+    # divided by that value as it is stored.  One point runs on numpy
+    # scalars, free of per-step array overhead, through the same operations
+    # in the same order, so a column does not depend on the points beside it.
     t = np.asarray(t, dtype=float)
     tl = np.longdouble(t.item()) if t.size == 1 else t.astype(np.longdouble).ravel()
-    out = [tl ** 0]  # ones shaped like tl
-    if kmax >= 1:
-        out.append((alpha + 1.0) + (alpha + beta + 2.0) * (tl - 1.0) / 2.0)
     s = alpha + beta
-    for k in range(2, kmax + 1):
-        c0 = 2.0 * k * (k + s) * (2.0 * k + s - 2.0)
-        c1 = (2.0 * k + s - 1.0) * (2.0 * k + s) * (2.0 * k + s - 2.0)
-        c2 = (2.0 * k + s - 1.0) * (alpha * alpha - beta * beta)
-        c3 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * (2.0 * k + s)
-        out.append(((c1 * tl + c2) * out[k - 1] - c3 * out[k - 2]) / c0)
+    ab2 = alpha * alpha - beta * beta
+    # orders k-1 and k before rescaling; order 0 is ones shaped like tl
+    prev, cur = tl ** 0, (alpha + 1.0) + (s + 2.0) * (tl - 1.0) / 2.0
     scale = np.longdouble(1.0)
+    out = [prev]
     for k in range(1, kmax + 1):
+        if k > 1:
+            q = 2.0 * k + s
+            c0 = 2.0 * k * (k + s) * (q - 2.0)
+            c1 = (q - 1.0) * q * (q - 2.0)
+            c2 = (q - 1.0) * ab2
+            c3 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * q
+            prev, cur = cur, ((c1 * tl + c2) * cur - c3 * prev) / c0
         scale = scale * (k + alpha) / k  # C(k+alpha, k) recursively
-        out[k] = out[k] / scale
-    return np.array(out).astype(float).reshape(kmax + 1, tl.size)
+        out.append(cur / scale)
+    return np.array(out, dtype=float).reshape(kmax + 1, tl.size)
 
 
 def _check_points(pts: np.ndarray) -> None:
@@ -89,11 +92,9 @@ def _deriv_rows(kmax: int, alpha: float, beta: float, t: np.ndarray) -> np.ndarr
     # k (k+alpha+beta+1) / (2 (alpha+1)) times the normalized order-(k-1)
     # polynomial of the (alpha+1, beta+1) family.
     shifted = _rows(max(kmax - 1, 0), alpha + 1.0, beta + 1.0, t)
-    out = np.zeros((kmax + 1, t.size), dtype=float)
     k = np.arange(1.0, kmax + 1.0)
     ck = k * (k + alpha + beta + 1.0) / (2.0 * (alpha + 1.0))
-    out[1:] = ck[:, None] * shifted[:kmax]
-    return out
+    return np.vstack((np.zeros((1, t.size)), ck[:, None] * shifted[:kmax]))
 
 
 def norm_ratios(kmax: int, d: int, a: int, b: int) -> np.ndarray:
@@ -191,10 +192,11 @@ def _zeros_raw(k: int, alpha: float, beta: float, s: float | None = None,
         raise ResourceError(
             f"polynomial degree {k} exceeds the eigen-solve budget of {_MAX_ORDER}")
     import numpy as np
-    if k == 0:
-        return np.empty(0, dtype=float)
     avals, bvals = _monic_recurrence(k, alpha, beta)
     mat = np.diag(avals)
+    off = np.sqrt(bvals[1:])  # set in place: superdiagonal, then subdiagonal
+    mat.flat[1::k + 1] = off
+    mat.flat[k::k + 1] = off
     pk_s, pk1_s = 0.0, 1.0
     if s is not None:
         ps = _rows(k, alpha, beta, np.array([s]))
@@ -204,9 +206,6 @@ def _zeros_raw(k: int, alpha: float, beta: float, s: float | None = None,
             raise NumericalError(f"degenerate shift: P_{k-1}({s}) = 0")
         mk1 = math.exp(_log_lead(k - 1, alpha, beta) - _log_lead(k, alpha, beta))
         mat[k - 1, k - 1] += mk1 * pk_s / pk1_s
-    if k > 1:
-        off = np.sqrt(bvals[1:])
-        mat += np.diag(off, 1) + np.diag(off, -1)
     nodes = np.linalg.eigvalsh(mat)
     if top_only:
         nodes = nodes[-1:]

@@ -5,7 +5,7 @@ import mpmath as mp
 import pytest
 
 import oracles
-from rieszbounds import energy, lattices, special
+from rieszbounds import energy, jacobi, lattices, quadrature, special
 from rieszbounds.errors import DomainError, NumericalError, ResourceError
 
 
@@ -233,6 +233,16 @@ def test_asd_tol_at_floor_still_tried():
     assert got.tail_bound <= 2e-13 * got.value
 
 
+def test_asd_doubling_meets_a_tol_the_first_pass_misses():
+    # at the default tol the first 600 terms leave a tail of 7.7e-13 value,
+    # so 5e-13 doubles the series once
+    tight = energy.asd_bound(48, 48.5, 5e-13)
+    loose = energy.asd_bound(48, 48.5)
+    assert loose.terms_used == 600 and loose.tail_bound > 5e-13 * loose.value
+    assert tight.terms_used == 1200 and tight.tail_bound <= 5e-13 * tight.value
+    assert abs(tight.value - loose.value) <= loose.tail_bound
+
+
 def test_asd_tail_bound_honest():
     loose = energy.asd_bound(3, 4.5, 1e-6)
     tight = energy.asd_bound(3, 4.5, 1e-12)
@@ -248,6 +258,33 @@ def test_asd_domain_errors():
     for s, tol in ((math.inf, 1e-10), (math.nan, 1e-10), (4.0, math.inf), (4.0, math.nan)):
         with pytest.raises(DomainError):
             energy.asd_bound(2, s, tol)
+
+
+_GUARDED_CALLS = [
+    (jacobi.family_params, (2, 2, 0)),
+    (jacobi.jacobi_values, (-1, 2, 0, 0, 0.5)),
+    (jacobi.norm_ratios, (-1, 2, 0, 0)),
+    (jacobi.cd_kernel, (-1, 2, 0, 0, 0.5, 0.5)),
+    (jacobi.largest_zero, (0, 2, 0, 0)),
+    (quadrature.build_rule, (2, 2.5)),
+    (quadrature.verify_exactness, (quadrature.build_rule(2, 4), -1)),
+    (energy.theta_bound, (0, 1.0)),
+    (energy.gauss_bound, (0, 1.0)),
+    (energy.packing_bound, (0,)),
+    (lattices.packing_density, ("Z9",)),
+    (lattices.tau_coefficients, (0,)),
+    (lattices.theta_coefficients, ("A2", 0)),
+    (special.unit_sphere_area, (-1,)),
+    (special.ball_volume, (0,)),
+]
+
+
+@pytest.mark.parametrize("fn,args", _GUARDED_CALLS, ids=[fn.__name__ for fn, _ in _GUARDED_CALLS])
+def test_input_guards_refuse_at_once(fn, args):
+    start = time.perf_counter()
+    with pytest.raises(DomainError):
+        fn(*args)
+    assert time.perf_counter() - start < 0.05
 
 
 def test_non_finite_s_rejected():

@@ -253,3 +253,25 @@ def test_eigen_solve_budget_checked_before_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_recurrence_and_eigen_solve_memory_peaks(monkeypatch):
+    # _rows keeps one extended-precision row per order and converts the
+    # list once (the output alone is 7.6 MiB); the eigen-solve allocates
+    # one k x k matrix (7.6 MiB at k = 999) and sets its off-diagonals in
+    # place
+    import tracemalloc
+
+    pts = np.linspace(-0.999, 0.999, 999)
+    monkeypatch.setattr(jacobi, "_LARGEST_ZERO_CACHE", {})
+    peaks = []
+    tracemalloc.start()
+    try:
+        for call in (lambda: jacobi._rows(999, 1.0, 1.0, pts),
+                     lambda: jacobi.largest_zero(999, 2, 1, 0)):
+            tracemalloc.reset_peak()
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] <= 26.0 and peaks[1] <= 12.0, peaks
