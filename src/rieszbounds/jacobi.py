@@ -7,11 +7,12 @@ alpha = (d-2)/2 + a, beta = (d-2)/2 + b; (0, 0) is the Gegenbauer
 family attached to harmonic analysis on S^(d-1).
 
 Evaluation runs the conventional three-term recurrence in extended
-precision and rescales once at the end.  Norm ratios are the cumulative
-product of their exact order-to-order ratio, also in extended precision,
-and the Christoffel-Darboux kernel is its defining sum of positive terms
-on the diagonal.  numpy is imported inside the functions that use it, so
-that importing the package, and the constants that need no rule, load none.
+precision on coefficients tabulated once per family.  Norm ratios are the
+cumulative product of their exact order-to-order ratio, also in extended
+precision, and the Christoffel-Darboux kernel is its defining sum of
+positive terms on the diagonal.  numpy is imported inside the functions
+that use it, so that importing the package, and the constants that need
+no rule, load none.
 """
 
 from __future__ import annotations
@@ -20,12 +21,13 @@ import math
 
 from .errors import DomainError, NumericalError, ResourceError
 
-# Largest polynomial degree given to the dense k x k eigen-solve, checked
-# before anything is allocated: the matrix takes 8 k^2 bytes (32 MB at the
-# budget).  The Newton polish of all k nodes peaks at about 48 k^2 bytes
-# (184 MiB at the budget): each value or derivative table is built as one
-# extended-precision row per order (16 k^2 bytes) before its double copy.
+# Largest polynomial degree given to the dense k x k eigen-solve or to
+# largest_zero, checked before anything is allocated.  The matrix takes
+# 8 k^2 bytes (32 MB at the budget) and sets the peak of a full node set,
+# as the Newton polish keeps orders k-1 and k only.  Recurrence tables
+# stop at order _MAX_ORDER + 1 (lev_branch reads k + 1): 330 kB a family.
 _MAX_ORDER = 2000
+_COEFFS: dict[tuple[float, float], tuple] = {}
 
 
 def family_params(d: int, a: int, b: int) -> tuple[float, float]:
@@ -37,31 +39,46 @@ def family_params(d: int, a: int, b: int) -> tuple[float, float]:
     return (d - 2) / 2.0 + a, (d - 2) / 2.0 + b
 
 
-def _rows(kmax: int, alpha: float, beta: float, t: np.ndarray) -> np.ndarray:
+def _coeffs(kmax: int, alpha: float, beta: float) -> tuple:
+    # c0..c3 of the recurrence (read from order 2 on) and C(k+alpha, k), by
+    # the operations the recurrence step once ran itself, so rows keep their bits
+    if kmax > _MAX_ORDER + 1:
+        raise ResourceError(f"order {kmax} exceeds the recurrence budget of {_MAX_ORDER + 1}")
+    table = _COEFFS.get((alpha, beta))
+    if table is None or len(table[-1]) <= kmax:
+        # at least doubled, so orders asked for one by one cost O(K) in all
+        kmax = min(max(kmax, 2 * len(table[-1]) if table else 0), _MAX_ORDER + 1)
+        import numpy as np
+        k = np.arange(kmax + 1.0)
+        s = alpha + beta
+        q = 2.0 * k + s
+        scale = [np.longdouble(1.0)]
+        for j in range(1, kmax + 1):
+            scale.append(scale[-1] * (j + alpha) / j)
+        table = _COEFFS[alpha, beta] = (
+            (2.0 * k * (k + s) * (q - 2.0)).tolist(), ((q - 1.0) * q * (q - 2.0)).tolist(),
+            ((q - 1.0) * (alpha * alpha - beta * beta)).tolist(),
+            (2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * q).tolist(), scale)
+    return table
+
+
+def _rows(kmax: int, alpha: float, beta: float, t: np.ndarray, first: int = 0) -> np.ndarray:
     import numpy as np
-    # Conventional normalization (value C(k+alpha, k) at 1), each order
-    # divided by that value as it is stored.  One point runs on numpy
-    # scalars, free of per-step array overhead, through the same operations
-    # in the same order, so a column does not depend on the points beside it.
+    # Orders first..kmax, conventionally normalized (C(k+alpha, k) at 1) and
+    # divided by that value as stored.  One point runs on numpy scalars, free
+    # of per-step array overhead, through the same operations in the same
+    # order, so a column does not depend on the points beside it.
+    c0, c1, c2, c3, scale = _coeffs(max(kmax, 1), alpha, beta)
     t = np.asarray(t, dtype=float)
     tl = np.longdouble(t.item()) if t.size == 1 else t.astype(np.longdouble).ravel()
-    s = alpha + beta
-    ab2 = alpha * alpha - beta * beta
     # orders k-1 and k before rescaling; order 0 is ones shaped like tl
-    prev, cur = tl ** 0, (alpha + 1.0) + (s + 2.0) * (tl - 1.0) / 2.0
-    scale = np.longdouble(1.0)
-    out = [prev]
-    for k in range(1, kmax + 1):
-        if k > 1:
-            q = 2.0 * k + s
-            c0 = 2.0 * k * (k + s) * (q - 2.0)
-            c1 = (q - 1.0) * q * (q - 2.0)
-            c2 = (q - 1.0) * ab2
-            c3 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * q
-            prev, cur = cur, ((c1 * tl + c2) * cur - c3 * prev) / c0
-        scale = scale * (k + alpha) / k  # C(k+alpha, k) recursively
-        out.append(cur / scale)
-    return np.array(out, dtype=float).reshape(kmax + 1, tl.size)
+    prev, cur = tl ** 0, (alpha + 1.0) + (alpha + beta + 2.0) * (tl - 1.0) / 2.0
+    out = [prev, cur / scale[1]][first:kmax + 1]
+    for k in range(2, kmax + 1):
+        prev, cur = cur, ((c1[k] * tl + c2[k]) * cur - c3[k] * prev) / c0[k]
+        if k >= first:
+            out.append(cur / scale[k])
+    return np.array(out, dtype=float).reshape(kmax + 1 - first, tl.size)
 
 
 def _check_points(pts: np.ndarray) -> None:
@@ -86,15 +103,18 @@ def jacobi_values(kmax: int, d: int, a: int, b: int, t) -> np.ndarray:
     return _rows(kmax, alpha, beta, pts)
 
 
-def _deriv_rows(kmax: int, alpha: float, beta: float, t: np.ndarray) -> np.ndarray:
+def _deriv_rows(kmax: int, alpha: float, beta: float, t: np.ndarray,
+                first: int = 0) -> np.ndarray:
     import numpy as np
-    # d/dt of the normalized order-k polynomial equals
+    # Orders first..kmax.  d/dt of the normalized order-k polynomial equals
     # k (k+alpha+beta+1) / (2 (alpha+1)) times the normalized order-(k-1)
     # polynomial of the (alpha+1, beta+1) family.
-    shifted = _rows(max(kmax - 1, 0), alpha + 1.0, beta + 1.0, t)
-    k = np.arange(1.0, kmax + 1.0)
+    lo = max(first, 1)
+    shifted = _rows(max(kmax - 1, 0), alpha + 1.0, beta + 1.0, t, lo - 1)
+    k = np.arange(lo, kmax + 1.0)
     ck = k * (k + alpha + beta + 1.0) / (2.0 * (alpha + 1.0))
-    return np.vstack((np.zeros((1, t.size)), ck[:, None] * shifted[:kmax]))
+    out = ck[:, None] * shifted[:kmax + 1 - lo]
+    return out if first else np.vstack((np.zeros((1, t.size)), out))
 
 
 def norm_ratios(kmax: int, d: int, a: int, b: int) -> np.ndarray:
@@ -159,74 +179,76 @@ def cd_kernel(k: int, d: int, a: int, b: int, x, y):
     return vals.reshape(xa.shape)
 
 
-def _monic_recurrence(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """First n monic recurrence coefficient pairs for the Jacobi weight.
-
-    p_{j+1}(x) = (x - a_j) p_j(x) - b_j p_{j-1}(x); b_0 is set to 0
-    (by convention the j = 0 step has no lower term).  Needs n >= 1.
-    """
-    import numpy as np
-    avals = np.empty(n, dtype=float)
-    bvals = np.zeros(n, dtype=float)
-    s = alpha + beta
-    avals[0] = (beta - alpha) / (s + 2.0)
-    for j in range(1, n):
-        den = (2.0 * j + s) * (2.0 * j + s + 2.0)
-        avals[j] = (beta * beta - alpha * alpha) / den
-        q = 2.0 * j + s
-        bvals[j] = 4.0 * j * (j + alpha) * (j + beta) * (j + s) / (q * q * (q * q - 1.0))
-    return avals, bvals
-
-
-def _zeros_raw(k: int, alpha: float, beta: float, s: float | None = None,
-               top_only: bool = False) -> np.ndarray:
+def _zeros_raw(k: int, alpha: float, beta: float, s: float | None = None) -> np.ndarray:
     # Golub-Welsch: the zeros of P_k are the eigenvalues of the k x k
     # recurrence matrix.  Given s, the same matrix with its last diagonal
     # entry shifted by gamma has as eigenvalues the zeros of the order-k
     # polynomial F(t) = P_k(t) P_{k-1}(s) - P_{k-1}(t) P_k(s), gamma being
     # chosen to make monic p_k - gamma p_{k-1} proportional to F; s = None
     # is gamma = 0, F = P_k.  Two Newton steps on F, evaluated in extended
-    # precision, tighten each eigenvalue (only the largest with top_only)
-    # to a residual at rounding level.
+    # precision from orders k-1 and k alone, tighten each eigenvalue to a
+    # residual at rounding level.
     if k > _MAX_ORDER:
         raise ResourceError(
             f"polynomial degree {k} exceeds the eigen-solve budget of {_MAX_ORDER}")
     import numpy as np
-    avals, bvals = _monic_recurrence(k, alpha, beta)
-    mat = np.diag(avals)
-    off = np.sqrt(bvals[1:])  # set in place: superdiagonal, then subdiagonal
+    # the monic recurrence p_{j+1}(t) = (t - a_j) p_j(t) - b_j p_{j-1}(t):
+    # a_j on the diagonal, sqrt(b_j) beside it, set in place on both sides
+    s_ab = alpha + beta
+    j = np.arange(1.0, k)
+    q = 2.0 * j + s_ab
+    mat = np.diag(np.append((beta - alpha) / (s_ab + 2.0),
+                            (beta * beta - alpha * alpha) / (q * (q + 2.0))))
+    off = np.sqrt(4.0 * j * (j + alpha) * (j + beta) * (j + s_ab) / (q * q * (q * q - 1.0)))
     mat.flat[1::k + 1] = off
     mat.flat[k::k + 1] = off
     pk_s, pk1_s = 0.0, 1.0
     if s is not None:
-        ps = _rows(k, alpha, beta, np.array([s]))
-        pk_s = ps[k][0]
-        pk1_s = ps[k - 1][0]
+        pk1_s, pk_s = _rows(k, alpha, beta, np.array([s]), k - 1)[:, 0]
         if pk1_s == 0.0:
             raise NumericalError(f"degenerate shift: P_{k-1}({s}) = 0")
         mk1 = math.exp(_log_lead(k - 1, alpha, beta) - _log_lead(k, alpha, beta))
         mat[k - 1, k - 1] += mk1 * pk_s / pk1_s
     nodes = np.linalg.eigvalsh(mat)
-    if top_only:
-        nodes = nodes[-1:]
     for _ in range(2):
-        pv = _rows(k, alpha, beta, nodes)
-        dv = _deriv_rows(k, alpha, beta, nodes)
-        fval = pv[k] * pk1_s - pv[k - 1] * pk_s
-        fder = dv[k] * pk1_s - dv[k - 1] * pk_s
+        pv = _rows(k, alpha, beta, nodes, k - 1)
+        dv = _deriv_rows(k, alpha, beta, nodes, k - 1)
+        fval = pv[1] * pk1_s - pv[0] * pk_s
+        fder = dv[1] * pk1_s - dv[0] * pk_s
         step = np.where(fder != 0.0, fval / np.where(fder == 0.0, 1.0, fder), 0.0)
         nodes = nodes - step
-    pv = _rows(k, alpha, beta, nodes)
+    pv = _rows(k, alpha, beta, nodes, k - 1)
     if s is None:
-        dv = _deriv_rows(k, alpha, beta, nodes)
-        if np.any(np.abs(pv[k]) > 1e-13 * np.maximum(1.0, np.abs(dv[k]))):
+        dv = _deriv_rows(k, alpha, beta, nodes, k)
+        if np.any(np.abs(pv[1]) > 1e-13 * np.maximum(1.0, np.abs(dv[0]))):
             raise NumericalError(
                 f"Jacobi zeros failed to converge for k={k}, alpha={alpha}, beta={beta}")
         return nodes
-    fval = pv[k] * pk1_s - pv[k - 1] * pk_s
+    fval = pv[1] * pk1_s - pv[0] * pk_s
     if np.any(np.abs(fval) > 1e-10 * max(abs(pk_s), abs(pk1_s), 1e-30)):
         raise NumericalError(f"node polish failed at polynomial degree {k}")
     return nodes
+
+
+def _top_zero(k: int, alpha: float, beta: float) -> float:
+    # Newton from t = 1: P_k is positive, increasing and convex right of its
+    # largest zero, so the iterates fall monotonically to it.  The first step
+    # that does not lower t ends the loop, and the evaluation there takes the
+    # residual check of _zeros_raw.  Order 1 is the 1 x 1 eigen-solve, which
+    # Newton misses by a few ulp.
+    if k == 1:
+        return (beta - alpha) / (alpha + beta + 2.0)
+    import numpy as np
+    t = np.ones(1)
+    for _ in range(100):
+        p, dp = _rows(k, alpha, beta, t, k)[0, 0], _deriv_rows(k, alpha, beta, t, k)[0, 0]
+        lower = t - p / dp
+        if not lower[0] < t[0]:
+            if abs(p) <= 1e-13 * max(1.0, abs(dp)):
+                return float(t[0])
+            break
+        t = lower
+    raise NumericalError(f"largest zero failed to converge for k={k}, alpha={alpha}, beta={beta}")
 
 
 _LARGEST_ZERO_CACHE: dict[tuple[int, float, float], float] = {}
@@ -240,8 +262,11 @@ def largest_zero(k: int, d: int, a: int, b: int) -> float:
     if k < 1:
         raise DomainError(f"largest_zero needs k >= 1, got {k}")
     alpha, beta = family_params(d, a, b)
+    if k > _MAX_ORDER:
+        raise ResourceError(
+            f"polynomial degree {k} exceeds the eigen-solve budget of {_MAX_ORDER}")
     key = (k, alpha, beta)
     z = _LARGEST_ZERO_CACHE.get(key)
     if z is None:
-        z = _LARGEST_ZERO_CACHE[key] = float(_zeros_raw(k, alpha, beta, top_only=True)[0])
+        z = _LARGEST_ZERO_CACHE[key] = _top_zero(k, alpha, beta)
     return z

@@ -216,16 +216,21 @@ def test_rows_one_point_matches_multi_point_column(a, b):
 
 
 def test_largest_zero_is_the_full_solve_top_and_memoized(monkeypatch):
-    for d, a, b in ((2, 1, 0), (3, 1, 1), (8, 0, 0)):
-        for k in (1, 2, 9, 40):
-            assert jacobi.largest_zero(k, d, a, b) == _zeros(k, d, a, b)[-1]
+    # monotone Newton from t = 1 lands on the double the polished full
+    # solve puts on top, bit for bit; order 1 is that 1 x 1 solve itself
+    for d, a, b in ((2, 1, 0), (2, 1, 1), (3, 1, 1), (5, 1, 0), (8, 0, 0), (24, 1, 0)):
+        for k in [*range(1, 61), 100, 250, 400]:
+            assert jacobi.largest_zero(k, d, a, b) == _zeros(k, d, a, b)[-1], (k, d, a, b)
     monkeypatch.setattr(jacobi, "_LARGEST_ZERO_CACHE", {})
-    calls = []
-    eig = np.linalg.eigvalsh
+    calls, rows = [], []
+    eig, recur = np.linalg.eigvalsh, jacobi._rows
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eig(m))
+    monkeypatch.setattr(jacobi, "_rows", lambda *args: rows.append(args[0]) or recur(*args))
     first = jacobi.largest_zero(37, 5, 1, 1)
+    assert calls == [] and rows
+    rows.clear()
     assert jacobi.largest_zero(37, 5, 1, 1) == first
-    assert calls == [(37, 37)]
+    assert calls == [] and rows == []
 
 
 @pytest.mark.parametrize("bad", [math.nan, [0.2, math.nan], 1.5, -math.inf])
@@ -257,9 +262,9 @@ def test_eigen_solve_budget_checked_before_allocation():
 
 def test_recurrence_and_eigen_solve_memory_peaks(monkeypatch):
     # _rows keeps one extended-precision row per order and converts the
-    # list once (the output alone is 7.6 MiB); the eigen-solve allocates
-    # one k x k matrix (7.6 MiB at k = 999) and sets its off-diagonals in
-    # place
+    # list once (the output alone is 7.6 MiB); largest_zero runs one-point
+    # recurrences and no matrix; the full solve allocates one k x k matrix
+    # (7.6 MiB at k = 999), and its Newton polish keeps orders k-1 and k
     import tracemalloc
 
     pts = np.linspace(-0.999, 0.999, 999)
@@ -268,10 +273,21 @@ def test_recurrence_and_eigen_solve_memory_peaks(monkeypatch):
     tracemalloc.start()
     try:
         for call in (lambda: jacobi._rows(999, 1.0, 1.0, pts),
-                     lambda: jacobi.largest_zero(999, 2, 1, 0)):
+                     lambda: jacobi.largest_zero(999, 2, 1, 0),
+                     lambda: jacobi._zeros_raw(999, 1.0, 0.0)):
             tracemalloc.reset_peak()
             call()
             peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
     finally:
         tracemalloc.stop()
-    assert peaks[0] <= 26.0 and peaks[1] <= 12.0, peaks
+    assert peaks[0] <= 26.0 and peaks[1] <= 1.0 and peaks[2] <= 12.0, peaks
+
+
+def test_recurrence_table_stops_at_its_budget():
+    # lev_branch reads order k + 1 of a degree-k rule, so the tables reach
+    # _MAX_ORDER + 1 and no further
+    with pytest.raises(ResourceError):
+        jacobi.jacobi_values(jacobi._MAX_ORDER + 2, 3, 1, 0, 0.5)
+    assert all(len(table[-1]) <= jacobi._MAX_ORDER + 2 for table in jacobi._COEFFS.values())
+    jacobi.jacobi_values(jacobi._MAX_ORDER + 1, 3, 1, 0, 0.5)
+    assert max(len(table[-1]) for table in jacobi._COEFFS.values()) == jacobi._MAX_ORDER + 2
