@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import DomainError, NumericalError
 from . import jacobi
-from .jacobi import cd_kernel, family_params, jacobi_values
+from .jacobi import cd_kernel, family_params
 
 
 def dgs_bound(d: int, tau: int) -> int:
@@ -45,15 +45,19 @@ def lev_branch(d: int, tau: int, s) -> float:
     Adjacent branches agree where their intervals meet, and the common
     value there is the design cardinality dgs_bound(d, tau + 1).
     """
-    k = (tau + 1) // 2
-    p = jacobi_values(k + 1, d, 0, 0, s)
-    pk = p[k][0]
+    if not 1 <= tau < math.inf or tau != int(tau):
+        raise DomainError(f"lev_branch requires an integer tau >= 1, got {tau}")
+    # an even branch is 0/0 at s = -1, where P_k and P_{k+1} cancel
+    if not -1.0 <= s < 1.0 or s == -1.0 and tau % 2 == 0:
+        raise DomainError(f"lev_branch requires s in [-1, 1), above -1 for even tau, got {s}")
+    k = (int(tau) + 1) // 2
+    # the Gegenbauer orders k-1, k and k+1 at s
+    p_prev, pk, p_next = jacobi._rows(k + 1, *family_params(d, 0, 0), [s], k - 1)[:, 0]
     if tau % 2 == 1:
-        num = p[k - 1][0] - pk
-        val = (2.0 * k + d - 2.0) / d - num / ((1.0 - s) * pk)
+        val = (2.0 * k + d - 2.0) / d - (p_prev - pk) / ((1.0 - s) * pk)
         return math.comb(k + d - 2, k - 1) * val
-    num = (1.0 + s) * (pk - p[k + 1][0])
-    den = (1.0 - s) * (pk + p[k + 1][0])
+    num = (1.0 + s) * (pk - p_next)
+    den = (1.0 - s) * (pk + p_next)
     val = (2.0 * k + d) / d - num / den
     return math.comb(k + d - 1, k) * val
 
@@ -76,14 +80,19 @@ def _first_true(pred, cap: float = math.inf) -> int | None:
     return hi
 
 
+def _end(d: int, tau: int) -> float:
+    # right end of I_tau: the largest zero of P_k^{1,0} for tau = 2k - 1
+    # and of P_k^{1,1} for tau = 2k; I_0 ends at -1
+    return jacobi.largest_zero((tau + 1) // 2, d, 1, 1 - tau % 2) if tau else -1.0
+
+
 def _resolve_interval(d: int, s: float) -> int:
-    # smallest tau with s in I_tau; the intervals partition [-1, 1).  Their
-    # right ends gamma_1^{1,0} < gamma_1^{1,1} < gamma_2^{1,0} < ... increase,
-    # so k is the smallest order with s <= gamma_k^{1,1}
-    k = _first_true(lambda j: s <= jacobi.largest_zero(j, d, 1, 1), jacobi._MAX_ORDER)
-    if k is None:
+    # smallest tau with s in I_tau: the intervals partition [-1, 1), and
+    # their right ends rise strictly with tau up to the order budget
+    tau = _first_true(lambda t: s <= _end(d, t), 2 * jacobi._MAX_ORDER)
+    if tau is None:
         raise NumericalError(f"interval resolution ran away for d={d}, s={s}")
-    return 2 * k - 1 if s <= jacobi.largest_zero(k, d, 1, 0) else 2 * k
+    return tau
 
 
 def lev_function(d: int, s: float) -> float:
@@ -149,17 +158,11 @@ def solve_s_for_n(d: int, n: float) -> float:
     if n == 2:
         return -1.0
     tau = _resolve_tau(d, n)
-    k = (tau + 1) // 2
+    # s lies in I_tau = (lo, hi], and at N = D(d, tau+1) it is hi itself
+    hi = _end(d, tau)
     if n == dgs_bound(d, tau + 1):
-        # right endpoint: s is the largest zero of P_k^{1,0} (tau odd)
-        # or P_k^{1,1} (tau even)
-        return jacobi.largest_zero(k, d, 1, 0 if tau % 2 == 1 else 1)
-    if tau % 2 == 1:
-        lo = -1.0 if k == 1 else jacobi.largest_zero(k - 1, d, 1, 1)
-        hi = jacobi.largest_zero(k, d, 1, 0)
-    else:
-        lo = jacobi.largest_zero(k, d, 1, 0)
-        hi = jacobi.largest_zero(k, d, 1, 1)
+        return hi
+    lo = _end(d, tau - 1)
     fvals: dict[float, float] = {}
 
     def f(x: float) -> float:

@@ -266,6 +266,11 @@ _GUARDED_CALLS = [
     (jacobi.norm_ratios, (-1, 2, 0, 0)),
     (jacobi.cd_kernel, (-1, 2, 0, 0, 0.5, 0.5)),
     (jacobi.largest_zero, (0, 2, 0, 0)),
+    (quadrature.lev_branch, (2, 3, 1.0)),
+    (quadrature.lev_branch, (2, 0, 0.5)),
+    (quadrature.lev_branch, (2, -1, 0.5)),
+    (quadrature.lev_branch, (2, 2.5, 0.5)),
+    (quadrature.lev_branch, (2, 4, -1.0)),
     (quadrature.build_rule, (2, 2.5)),
     (quadrature.verify_exactness, (quadrature.build_rule(2, 4), -1)),
     (energy.theta_bound, (0, 1.0)),

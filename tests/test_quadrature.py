@@ -227,6 +227,53 @@ def test_interval_search_matches_linear_scan(d):
                 assert quadrature.lev_function(d, s) == quadrature.lev_branch(d, tau, s)
 
 
+# float.hex of lev_function and solve_s_for_n, which no CLI command calls,
+# so neither the golden corpus nor the stored outputs pin their bits.
+# Six s lie within 1e-3 of 1; N = 9, 100 and 5 are endpoint cardinalities,
+# and N = 3 and 6 are interior to tau = 1 (k = 1, left end -1).
+_LEV_BITS = [
+    (2, -1.0, '0x1.0000000000000p+1'),
+    (2, -0.5, '0x1.8000000000000p+1'),
+    (2, 0.0, '0x1.8000000000000p+2'),
+    (2, 0.5, '0x1.a924924924925p+3'),
+    (2, 0.9, '0x1.20b26d2ca15dep+6'),
+    (2, 0.999, '0x1.cabc1e1eece7cp+12'),
+    (2, 0.9995, '0x1.cac5f3f986bb2p+13'),
+    (2, 0.99999, '0x1.667229dba395fp+19'),
+    (3, 0.3, '0x1.d95bc609a90e8p+3'),
+    (3, 0.9991, '0x1.82a24d43dc06cp+18'),
+    (4, 0.99, '0x1.1a18827532e72p+17'),
+    (5, -0.2, '0x1.8000000000000p+2'),
+    (8, 0.75, '0x1.c95556b3ef7e0p+12'),
+    (8, 0.9993, '0x1.021b64e75af02p+47'),
+    (24, 0.9999, '0x1.db99678031424p+166'),
+]
+_SOLVE_BITS = [
+    (2, 3, '-0x1.0000000000000p-1'),
+    (2, 9, '0x1.28db0200e9b7ep-2'),
+    (2, 10, '0x1.6edb12821ca6fp-2'),
+    (2, 100, '0x1.dadf3b5dc4bd3p-1'),
+    (2, 1001, '0x1.fc3ff28df02ccp-1'),
+    (2, 12345, '0x1.ffb210c0f1b5dp-1'),
+    (2, 250001, '0x1.fffc26b7e88a8p-1'),
+    (3, 5, '-0x1.0000000000000p-2'),
+    (3, 77, '0x1.7cfd014235d21p-1'),
+    (3, 100003, '0x1.fed8d91c50356p-1'),
+    (4, 51, '0x1.067634275a3b0p-1'),
+    (5, 6, '-0x1.999999999999ap-3'),
+    (8, 20000, '0x1.9b6a062d118f6p-1'),
+    (24, 30, '-0x1.d41d41d41d41bp-6'),
+    (24, 1000, '0x1.ca3840722d570p-3'),
+]
+
+
+def test_lev_function_and_inversion_keep_their_bits():
+    got = [(d, s, quadrature.lev_function(d, s).hex()) for d, s, _ in _LEV_BITS]
+    assert got == _LEV_BITS
+    got = [(d, n, quadrature.solve_s_for_n(d, n).hex()) for d, n, _ in _SOLVE_BITS]
+    assert got == _SOLVE_BITS
+
+
 def _bisection_s(d, n):
     # the inversion as plain bisection of the bracket down to adjacent
     # doubles, the one of the pair with the smaller |L - N|, then three
