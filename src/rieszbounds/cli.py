@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .energy import (
@@ -32,6 +33,8 @@ from .lattices import (C_TILDE_DIMENSIONS, CONJECTURED_DIMENSIONS, LATTICE_FOR_D
 from .quadrature import build_rule
 
 __all__ = ["main"]
+# the longest s grid plot-fs evaluates; a longer one is refused before any row
+_MAX_ROWS = 1000
 
 
 def _fmt(x: float) -> str:
@@ -114,21 +117,22 @@ def _plot_fs(ns: argparse.Namespace) -> str:
     if d not in C_TILDE_DIMENSIONS:
         raise DomainError(
             f"plot-fs requires d in {C_TILDE_DIMENSIONS} (conjectured constant), got {d}")
-    if not step > 0.0:
-        raise DomainError(f"s-range step must be positive, got {step}")
-    if not start > d:
-        raise DomainError(f"s-range start must exceed d={d}, got {start}")
-    if stop < start:
-        raise DomainError(f"s-range stop {stop} is below start {start}")
+    if not 0.0 < step < math.inf:
+        raise DomainError(f"s-range step must be positive and finite, got {step}")
+    if not d < start < math.inf:
+        raise DomainError(f"s-range start must be finite and exceed d={d}, got {start}")
+    if not start <= stop < math.inf:
+        raise DomainError(f"s-range stop must be finite and at least start {start}, got {stop}")
+    grid: list[float] = []
+    while not (s := start + len(grid) * step) > stop + 1e-9 * step:
+        if len(grid) == _MAX_ROWS:
+            raise ResourceError(f"s-range {ns.s_range} has more than {_MAX_ROWS} rows")
+        grid.append(s)
     header: tuple[str, ...] = ("s", "a_sd", "c_tilde", "f", "root_gap")
     if d == 2:
         header = header + ("theta_root", "xi_root", "a_sd_root")
     rows = []
-    i = 0
-    while True:
-        s = start + i * step
-        if s > stop + 1e-9 * step:
-            break
+    for s in grid:
         a = asd_bound(d, s, ns.tol).value
         ct = c_tilde(d, s)
         a_root = a ** (1.0 / s)
@@ -138,7 +142,6 @@ def _plot_fs(ns: argparse.Namespace) -> str:
             row = row + (theta_bound(d, s) ** (1.0 / s),
                          xi_bound(d, s) ** (1.0 / s), a_root)
         rows.append(row)
-        i += 1
     if ns.format == "json":
         return json.dumps([dict(zip(header, row)) for row in rows]) + "\n"
     return _csv(header, [tuple(_fmt(x) for x in row) for row in rows])
@@ -197,8 +200,14 @@ RENDERERS = {
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    # a usage error is one stderr line and exit 2; subcommands inherit this
+    def error(self, message: str):
+        self.exit(2, f"rieszbounds: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rieszbounds",
         description="Linear-programming lower bounds for minimal energy on spheres.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -244,7 +244,7 @@ _ASD_FLOOR = 2e-13
 
 
 def asd_bound(d: int, s: float, tol: float = 1e-10) -> AsdBound:
-    """Asymptotic minimal-energy constant as a certified Bessel-zero series.
+    """Asymptotic minimal-energy constant as a certified Bessel-zero series, if a double holds it.
 
     Returns (value, terms_used, tail_bound) with tail_bound an absolute
     majorant of the truncation-plus-model error of the reported value; the
@@ -301,7 +301,9 @@ def asd_bound(d: int, s: float, tol: float = 1e-10) -> AsdBound:
             log_value = log_scale + log_t1 + math.log(total_rel)
             if log_value > 700.0:
                 raise NumericalError(f"asd_bound overflows for d={d}, s={s}")
-            return AsdBound(math.exp(log_value), m, math.exp(log_scale + log_t1) * err_rel)
+            if (value := math.exp(log_value)) == 0.0:
+                raise NumericalError(f"asd_bound underflows for d={d}, s={s}")
+            return AsdBound(value, m, math.exp(log_scale + log_t1) * err_rel)
         if 2 * m > _MAX_TERMS:
             raise ResourceError(
                 f"asd_bound tail {err_rel / total_rel:.3e} cannot reach "

@@ -4,8 +4,8 @@ The conjectured sharp constants compare the Bessel-series constant with
 covolume-normalized Epstein zeta values of the best known lattices.  Theta
 coefficients are exact integers: A1 marks the squares, and every other
 count comes from one weighted divisor sieve, sum_{e | m} weight(e), with
-the weight and scale from one table of the lattices that have a zeta
-value (Leech also needs tau, which the same sieve's sigma_1 generates).
+the weight and scale from its row of LATTICES (Leech also needs tau,
+which the same sieve's sigma_1 generates).
 The test suite checks the counts against direct enumeration of short
 vectors.
 
@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from mpmath import bernfrac, mp, mpf
@@ -57,50 +56,46 @@ class LatticeSpec:
     """Static description of one lattice in a fixed scale.
 
     ``index_convention`` is ``"even"`` (index m <-> squared norm 2m) or
-    ``"direct"`` (index m <-> squared norm m).
+    ``"direct"`` (index m <-> squared norm m).  ``covolume_sq`` is exact,
+    as (numerator, denominator).  A lattice with a zeta value has shell
+    counts N(m) = scale * sum_{e | m} weight(e), except that A1 (no weight)
+    puts scale at the squares and Leech subtracts tau and divides by 691.
     """
 
     name: str
     d: int
-    covolume: float
+    covolume_sq: tuple[int, int]
     min_sq_norm: int
     index_convention: str
+    scale: int | None = None
+    weight: Callable[[int], int] | None = None
+
+    @property
+    def covolume(self) -> float:
+        return math.sqrt(self.covolume_sq[0] / self.covolume_sq[1])
 
 
 LATTICES: dict[str, LatticeSpec] = {
     # integers at spacing 1: covolume 1, shortest vector 1
-    "A1": LatticeSpec("A1", 1, 1.0, 1, "direct"),
+    "A1": LatticeSpec("A1", 1, (1, 1), 1, "direct", 2),
     # hexagonal at minimal distance 1: form u^2 + uv + v^2, covolume sqrt(3)/2
-    "A2": LatticeSpec("A2", 2, math.sqrt(3.0) / 2.0, 1, "direct"),
+    "A2": LatticeSpec("A2", 2, (3, 4), 1, "direct", 6, lambda e: (0, 1, -1)[e % 3]),  # chi_-3
     # face-centered cubic = D3, Cartan scale: covolume 2, shortest sq norm 2
-    "fcc": LatticeSpec("fcc", 3, 2.0, 2, "even"),
-    "D4": LatticeSpec("D4", 4, 2.0, 2, "even"),
-    "D5": LatticeSpec("D5", 5, 2.0, 2, "even"),
-    "E6": LatticeSpec("E6", 6, math.sqrt(3.0), 2, "even"),
-    "E7": LatticeSpec("E7", 7, math.sqrt(2.0), 2, "even"),
-    "E8": LatticeSpec("E8", 8, 1.0, 2, "even"),
+    "fcc": LatticeSpec("fcc", 3, (4, 1), 2, "even"),
+    "D4": LatticeSpec("D4", 4, (4, 1), 2, "even", 24, lambda e: e % 2 * e),  # odd divisors
+    "D5": LatticeSpec("D5", 5, (4, 1), 2, "even"),
+    "E6": LatticeSpec("E6", 6, (3, 1), 2, "even"),
+    "E7": LatticeSpec("E7", 7, (2, 1), 2, "even"),
+    "E8": LatticeSpec("E8", 8, (1, 1), 2, "even", 240, lambda e: e**3),
     # Leech: even unimodular, shortest sq norm 4
-    "Leech": LatticeSpec("Leech", 24, 1.0, 4, "even"),
+    "Leech": LatticeSpec("Leech", 24, (1, 1), 4, "even", 65520, lambda e: e**11),
 }
 
 # best known packing lattice per dimension; optimality in d = 4..7 is open
-LATTICE_FOR_DIMENSION = {1: "A1", 2: "A2", 3: "fcc", 4: "D4", 5: "D5",
-                         6: "E6", 7: "E7", 8: "E8", 24: "Leech"}
+LATTICE_FOR_DIMENSION = {lat.d: name for name, lat in LATTICES.items()}
 CONJECTURED_DIMENSIONS = frozenset({4, 5, 6, 7})
 # dimensions whose lattice is conjecturally optimal, so C~ is defined
 C_TILDE_DIMENSIONS = (2, 4, 8, 24)
-
-# name -> (covolume^2, scale, weight) for the lattices with a zeta value,
-# the squared covolume exact.  The shell count is
-# N(m) = scale * sum_{e | m} weight(e), except that A1 (no weight) puts
-# scale at the squares and Leech subtracts tau and divides by 691.
-_ZETA_LATTICES = {
-    "A1": (Fraction(1), 2, None),
-    "A2": (Fraction(3, 4), 6, lambda e: (0, 1, -1)[e % 3]),  # chi_{-3}
-    "D4": (Fraction(4), 24, lambda e: e % 2 * e),  # odd divisors
-    "E8": (Fraction(1), 240, lambda e: e**3),
-    "Leech": (Fraction(1), 65520, lambda e: e**11),
-}
 
 
 def _spec(lattice: LatticeSpec | str) -> LatticeSpec:
@@ -176,22 +171,20 @@ def theta_coefficients(lattice: LatticeSpec | str, m_max: int) -> list[int]:
     lat = _spec(lattice)
     if m_max < 1:
         raise DomainError(f"theta_coefficients requires m_max >= 1, got {m_max}")
-    name = lat.name
-    if name not in _ZETA_LATTICES:
-        raise DomainError(f"no closed coefficient formula for lattice {name}")
-    _, scale, weight = _ZETA_LATTICES[name]
-    if weight is None:
+    if lat.scale is None:
+        raise DomainError(f"no closed coefficient formula for lattice {lat.name}")
+    if lat.weight is None:
         out = [0] * m_max
         for r in range(1, math.isqrt(m_max) + 1):
-            out[r * r - 1] = scale
+            out[r * r - 1] = lat.scale
         return out
-    sums = _divisor_sums(weight, m_max)
-    if name != "Leech":
-        return [scale * sums[m] for m in range(1, m_max + 1)]
+    sums = _divisor_sums(lat.weight, m_max)
+    if lat.name != "Leech":
+        return [lat.scale * sums[m] for m in range(1, m_max + 1)]
     tau = tau_coefficients(m_max)
     out = []
     for m in range(1, m_max + 1):
-        num = scale * (sums[m] - tau[m])
+        num = lat.scale * (sums[m] - tau[m])
         if num % 691 != 0:
             raise NumericalError(
                 f"Leech theta coefficient at m={m} is not divisible by 691; "
@@ -300,23 +293,23 @@ def _leech_bracket(w: mpf) -> tuple[mpf, mpf]:
     return head - l_delta, 2 * mpf(m_max) ** (7 - w) / (w - 7)
 
 
-def _closed_form(name: str, w: mpf) -> tuple[mpf, mpf]:
-    # the zeta at s = 2w of a lattice in _ZETA_LATTICES and its tau tail
+def _closed_form(lat: LatticeSpec, w: mpf) -> tuple[mpf, mpf]:
+    # the zeta at s = 2w of a lattice with a shell scale and its tau tail
     # bound (0 but for Leech): each theta series is a divisor sum, so its
     # Dirichlet series is a product of classical ones
-    if name == "Leech":
-        scale = mpf(65520) / 691 * mpf(2) ** -w
+    if lat.name == "Leech":
+        scale = mpf(lat.scale) / 691 * mpf(2) ** -w
         bracket, tail = _leech_bracket(w)
         return scale * bracket, scale * tail
-    if name == "A1":
-        return 2 * (1 + _zeta_minus_one(2 * w)), mpf(0)
+    if lat.name == "A1":
+        return lat.scale * (1 + _zeta_minus_one(2 * w)), mpf(0)
     zeta = 1 + _zeta_minus_one(w)
-    if name == "A2":
-        return 6 * zeta * _l_chi3(w), mpf(0)
-    if name == "D4":
-        scale = 24 * mpf(2) ** -w * (1 - mpf(2) ** (1 - w))
+    if lat.name == "A2":
+        return lat.scale * zeta * _l_chi3(w), mpf(0)
+    if lat.name == "D4":
+        scale = lat.scale * mpf(2) ** -w * (1 - mpf(2) ** (1 - w))
         return scale * zeta * (1 + _zeta_minus_one(w - 1)), mpf(0)
-    return 240 * mpf(2) ** -w * zeta * (1 + _zeta_minus_one(w - 3)), mpf(0)
+    return lat.scale * mpf(2) ** -w * zeta * (1 + _zeta_minus_one(w - 3)), mpf(0)
 
 
 def epstein_zeta(lattice: LatticeSpec | str, s: float, tol: float = 1e-10) -> EpsteinZeta:
@@ -335,10 +328,9 @@ def epstein_zeta(lattice: LatticeSpec | str, s: float, tol: float = 1e-10) -> Ep
     ResourceError at once.  Other lattices raise DomainError.
     """
     lat = _spec(lattice)
-    if lat.name not in _ZETA_LATTICES:
-        raise DomainError(
-            f"zeta evaluation is not configured for {lat.name}; "
-            f"supported lattices: {', '.join(_ZETA_LATTICES)}")
+    if lat.scale is None:
+        raise DomainError(f"zeta evaluation is not configured for {lat.name}; supported "
+                          f"lattices: {', '.join(n for n, x in LATTICES.items() if x.scale)}")
     if not lat.d < s < math.inf:
         raise DomainError(f"lattice zeta of {lat.name} requires finite s > {lat.d}, got {s}")
     if not 0.0 < tol < math.inf:
@@ -348,7 +340,7 @@ def epstein_zeta(lattice: LatticeSpec | str, s: float, tol: float = 1e-10) -> Ep
             f"zeta tolerance {tol:g} for {lat.name} at s={s} is below the "
             f"relative floating-point floor {_FLOOR:g}")
     with mp.workprec(_PREC):
-        z, tau_tail = _closed_form(lat.name, mpf(s) / 2)
+        z, tau_tail = _closed_form(lat, mpf(s) / 2)
         value = float(z)
         tail = float(tau_tail) + _ROUNDING * value
     if not tail <= tol * value:
@@ -369,8 +361,8 @@ def c_tilde(d: int, s: float) -> float:
         raise DomainError(f"c_tilde is defined for d in {C_TILDE_DIMENSIONS}, got {d}")
     if not d < s < math.inf:
         raise DomainError(f"c_tilde requires finite s > d = {d}, got s={s}")
-    name = LATTICE_FOR_DIMENSION[d]
-    covol_sq = _ZETA_LATTICES[name][0]
+    lat = LATTICES[LATTICE_FOR_DIMENSION[d]]
+    num, den = lat.covolume_sq
     with mp.workprec(_PREC):
-        z, _ = _closed_form(name, mpf(s) / 2)
-        return float(z * (mpf(covol_sq.numerator) / covol_sq.denominator) ** (mpf(s) / (2 * d)))
+        z, _ = _closed_form(lat, mpf(s) / 2)
+        return float(z * (mpf(num) / den) ** (mpf(s) / (2 * d)))

@@ -16,7 +16,6 @@ import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import DomainError, NumericalError
 from . import jacobi
@@ -219,22 +218,27 @@ def solve_s_for_n(d: int, n: float) -> float:
 class QuadratureRule:
     """1/N-quadrature rule: node 1 with weight 1/N plus interior nodes.
 
-    Nodes are stored strictly decreasing; ``tau`` is the resolved
-    strength parameter and ``exact_degree`` the actual polynomial
-    exactness (tau, or tau + 1 at endpoint cardinalities).
+    Nodes are stored strictly decreasing.  ``parity``, ``endpoint`` (N is
+    D(d, tau+1)) and ``exact_degree`` (tau, or tau + 1 at an endpoint)
+    follow from the resolved strength ``tau``.
     """
 
     d: int
     n: int
     tau: int
-    parity: str
     nodes: tuple[float, ...]
     weights: tuple[float, ...]
-    includes_minus_one: bool
-    endpoint: bool
     # always False: the exactness-system fallback it flagged was never
     # reached; the field stays because the benchmark tracer reads it
     weight_fallback: bool = field(default=False)
+
+    @property
+    def parity(self) -> str:
+        return "odd" if self.tau % 2 else "even"
+
+    @property
+    def endpoint(self) -> bool:
+        return self.n == dgs_bound(self.d, self.tau + 1)
 
     @property
     def exact_degree(self) -> int:
@@ -272,7 +276,6 @@ def build_rule(d: int, n: int) -> QuadratureRule:
     tau = _resolve_tau(d, n)
     k = (tau + 1) // 2
     s = solve_s_for_n(d, n)
-    endpoint = n == dgs_bound(d, tau + 1)
     odd = tau % 2 == 1
     # interior nodes: zeros of the shifted (1, 0) family polynomial for odd
     # tau, of the (1, 1) family for even tau, the largest pinned to s
@@ -301,27 +304,21 @@ def build_rule(d: int, n: int) -> QuadratureRule:
         den = q_mm * q_s1 - q_m1 * q_sm
         nodes = np.concatenate((nodes, [-1.0]))
         weights = np.concatenate((weights, [q_s1 / den]))
-    rule = QuadratureRule(
-        d=d,
-        n=n,
-        tau=tau,
-        parity="odd" if odd else "even",
-        nodes=tuple(float(x) for x in nodes),
-        weights=tuple(float(w) for w in weights),
-        includes_minus_one=bool(nodes[-1] == -1.0),
-        endpoint=endpoint,
-    )
+    rule = QuadratureRule(d=d, n=n, tau=tau, nodes=tuple(float(x) for x in nodes),
+                          weights=tuple(float(w) for w in weights))
     rule.validate()
     return rule
 
 
-def _even_moments(d: int) -> Iterator[Fraction]:
-    # mu_0, mu_2, mu_4, ...: mu_{2p} = prod_{i=1}^{p} (2i-1)/(2i+d-1), each
-    # carried exactly from the one before
-    acc = Fraction(1)
+def _even_moments(d: int) -> Iterator[tuple[int, int]]:
+    # mu_0, mu_2, mu_4, ... as exact (numerator, denominator) pairs:
+    # mu_{2p} = prod_{i=1}^{p} (2i-1)/(2i+d-1), each carried from the one
+    # before; int true division rounds num / den once, correctly
+    num = den = 1
     for i in itertools.count(1):
-        yield acc
-        acc *= Fraction(2 * i - 1, 2 * i + d - 1)
+        yield num, den
+        num *= 2 * i - 1
+        den *= 2 * i + d - 1
 
 
 def verify_exactness(rule: QuadratureRule, max_degree: int) -> float:
@@ -342,14 +339,6 @@ def verify_exactness(rule: QuadratureRule, max_degree: int) -> float:
         if j > 0:
             powers = powers * nodes
         val = float(1.0 / np.longdouble(rule.n) + np.sum(weights * powers))
-        defect = abs(val - (float(next(moments)) if j % 2 == 0 else 0.0))
-        if defect > worst:
-            worst = defect
+        num, den = next(moments) if j % 2 == 0 else (0, 1)
+        worst = max(worst, abs(val - num / den))
     return worst
-
-
-def separation_bound(d: int, n: int) -> float:
-    """Largest quadrature node: no N-point set has all inner products below it."""
-    if not 2 <= n < math.inf or n != int(n):
-        raise DomainError(f"separation_bound requires integer N >= 2, got {n}")
-    return solve_s_for_n(d, n)

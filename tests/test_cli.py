@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import rieszbounds
+from rieszbounds import cli
 from rieszbounds.cli import main
 
 
@@ -121,10 +122,33 @@ def test_plot_fs_no_companion_columns_outside_d2(capsys):
 
 
 def test_plot_fs_rejects_bad_ranges(capsys):
-    for rng in ("1.5:10:1", "5:4:1", "3:6:0", "3:6", "a:b:c"):
+    for rng in ("1.5:10:1", "5:4:1", "3:6:0", "3:6", "a:b:c",
+                "3:4:inf", "3:nan:1", "3:inf:1", "inf:inf:1"):
         code, _, err = run(capsys, "plot-fs", "--d", "2", "--s-range", rng)
         assert code == 2, rng
         assert err
+
+
+def test_plot_fs_refuses_a_long_grid_before_any_row(capsys, monkeypatch):
+    # 10^18 rows by the loop's own rule; no row may be evaluated first
+    monkeypatch.setattr(cli, "asd_bound", lambda *args: pytest.fail("row evaluated"))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "plot-fs", "--d", "2", "--s-range", "3:1e9:1e-9")
+    assert time.perf_counter() - start < 0.05
+    assert code == 3
+    assert out == ""
+    assert err.startswith("rieszbounds:") and err.count("\n") == 1
+
+
+def test_plot_fs_row_cap_boundary(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_MAX_ROWS", 3)
+    code, out, _ = run(capsys, "plot-fs", "--d", "2", "--s-range", "3:4:0.5")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 3
+    code, out, err = run(capsys, "plot-fs", "--d", "2", "--s-range", "3:4.5:0.5")
+    assert code == 3
+    assert out == ""
+    assert "more than 3 rows" in err
 
 
 def test_plot_fs_rejects_unsupported_dimension(capsys):
@@ -248,13 +272,25 @@ def _fresh_cli(*argv):
 @pytest.mark.parametrize("argv", [("gauss", "--d", "171", "--alpha", "1"),
                                   ("gauss", "--d", "130", "--alpha", "1"),
                                   ("bounds", "--d", "2", "--s", "1e5"),
-                                  ("bounds", "--d", "400", "--s", "401")])
+                                  ("bounds", "--d", "400", "--s", "401"),
+                                  ("plot-fs", "--d", "2", "--s-range", "1e5:1e5:1")])
 def test_overflow_is_a_one_line_refusal_in_a_fresh_process(argv):
     proc = _fresh_cli(*argv)
     assert proc.returncode in (2, 3)
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("rieszbounds:") and proc.stderr.count("\n") == 1
+
+
+def test_usage_error_is_a_one_line_refusal_in_a_fresh_process():
+    proc = _fresh_cli("bounds", "--d", "x", "--s", "3")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "rieszbounds: argument --d: invalid int value: 'x'\n"
+    # --help still prints the usage to stdout and succeeds
+    proc = _fresh_cli("bounds", "--help")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("usage: rieszbounds bounds")
 
 
 def test_huge_n_refusal_prints_no_warning():
@@ -289,6 +325,7 @@ for argv, code in [(("bounds", "--d", "8", "--s", "9.5"), 0),
                    (("quadrature", "--d", "2", "--N", str(10**30)), 3)]:
     assert call(*argv) == code, argv
     assert "numpy" not in sys.modules, argv
+    assert "fractions" not in sys.modules, argv
 assert call("ulb", "--d", "2", "--N", "10", "--potential", "riesz:1") == 0
 assert "numpy" in sys.modules
 """
