@@ -264,6 +264,18 @@ def asd_bound(d: int, s: float, tol: float = 1e-10) -> AsdBound:
     log_scale = ((s / d) * (0.5 * (d + 1) * math.log(math.pi)
                             + math.lgamma(d + 1.0) - math.lgamma((d + 1) / 2.0))
                  + math.log(4.0) - math.log(lambda_d(d)) - math.lgamma(d + 1.0))
+    # The first zero bounds the value before the table is built: w = (pi z/2)
+    # G(z), G falls for nu > 1/2 and is 1 at nu = 1/2 (Watson 13.74, Nicholson's
+    # formula), and zeros pi apart or more put total_rel, whose first term is 1,
+    # in [1, 1 + z_1/(pi delta)] by an integral comparison.  The end checks add
+    # log(total_rel) >= 0: they refuse all refused here, as the margin of 1
+    # dwarfs the tail model's error and the roundings.
+    (z1,), (w1,) = _zero_weights(d, 1)
+    log_t1 = -(delta + 2.0) * math.log(z1) + math.log(w1)
+    if log_scale + log_t1 > 700.0:
+        raise NumericalError(f"asd_bound overflows for d={d}, s={s}")
+    if log_scale + log_t1 + math.log1p(z1 / (math.pi * delta)) < math.log(math.ulp(0.0)) - 1:
+        raise NumericalError(f"asd_bound underflows for d={d}, s={s}")
 
     m = 600 if delta < _TRUNCATION_DELTA else 240
     while True:
@@ -273,7 +285,6 @@ def asd_bound(d: int, s: float, tol: float = 1e-10) -> AsdBound:
         rel = [math.exp(-(delta + 2.0) * (math.log(zs[i]) - logz1)) * (ws[i] / ws[0])
                for i in range(m)]
         s_rel = math.fsum(rel)
-        log_t1 = -(delta + 2.0) * logz1 + math.log(ws[0])
 
         if delta < _TRUNCATION_DELTA:
             a = m + 1.0 + q
@@ -287,10 +298,8 @@ def asd_bound(d: int, s: float, tol: float = 1e-10) -> AsdBound:
                          * math.pi ** (-delta - 7.0) * hurwitz_zeta(delta + 7.0, a))
             err_rel = model_err * math.exp(-log_t1)
         else:
-            # Past zs[m], w = (pi z/2) G(z) <= (z/zs[m]) ws[m]: G decreases for
-            # nu > 1/2 and is 1 at nu = 1/2 (Watson 13.74, Nicholson's formula).
-            # Zeros are pi apart or more, so by an integral comparison the tail
-            # is at most the term at zs[m] times 1 + zs[m]/(pi delta).
+            # Past zs[m], w <= (z/zs[m]) ws[m] and the zero spacing (see above)
+            # bound the tail by the term at zs[m] times 1 + zs[m]/(pi delta).
             tail_rel = 0.0
             err_rel = math.exp(math.log(ws[m]) - (delta + 2.0) * math.log(zs[m]) - log_t1
                                + math.log1p(zs[m] / (math.pi * delta)))

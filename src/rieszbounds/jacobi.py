@@ -9,10 +9,10 @@ family attached to harmonic analysis on S^(d-1).
 Evaluation runs the conventional three-term recurrence in extended
 precision on coefficients tabulated once per family.  Norm ratios are the
 cumulative product of their exact order-to-order ratio, also in extended
-precision, and the Christoffel-Darboux kernel is its defining sum of
-positive terms on the diagonal.  numpy is imported inside the functions
-that use it, so that importing the package, and the constants that need
-no rule, load none.
+precision; the Christoffel-Darboux kernel, its defining sum of positive
+terms on the diagonal, is summed inside a recurrence pass, as the node
+solve's last pass does for the rule weights.  numpy is imported where it is
+used, so that importing the package, and constants needing no rule, load none.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ import math
 from .errors import DomainError, NumericalError, ResourceError
 
 # Largest polynomial degree given to the dense k x k eigen-solve or to
-# largest_zero, checked before anything is allocated.  The matrix takes
-# 8 k^2 bytes (32 MB at the budget) and sets the peak of a full node set,
-# as the Newton polish keeps orders k-1 and k only.  Recurrence tables
-# stop at order _MAX_ORDER + 1 (lev_branch reads k + 1): 330 kB a family.
+# largest_zero, checked before anything is allocated.  The matrix and
+# eigvalsh's copy of it (unseen by tracemalloc) take 16 k^2 bytes, 64 MB at
+# the budget: the peak of a node set.  Recurrence tables stop at order
+# _MAX_ORDER + 1 (lev_branch reads k + 1): 330 kB a family.
 _MAX_ORDER = 2000
 _COEFFS: dict[tuple[float, float], tuple] = {}
 
@@ -62,23 +62,33 @@ def _coeffs(kmax: int, alpha: float, beta: float) -> tuple:
     return table
 
 
-def _rows(kmax: int, alpha: float, beta: float, t: np.ndarray, first: int = 0) -> np.ndarray:
+def _rows(kmax: int, alpha: float, beta: float, t: np.ndarray, first: int = 0, kern=None):
     import numpy as np
     # Orders first..kmax, conventionally normalized (C(k+alpha, k) at 1) and
     # divided by that value as stored.  One point runs on numpy scalars, free
     # of per-step array overhead, through the same operations in the same
-    # order, so a column does not depend on the points beside it.
+    # order, so a column does not depend on the points beside it.  Given
+    # kern = (r, m), it also returns sum_{i < len(r)} r_i P_i(x) P_i(y) at x =
+    # t[:m], y = t[-m:], added in order in extended precision (in double it
+    # lost 6e-16 relative at order 383).
     c0, c1, c2, c3, scale = _coeffs(max(kmax, 1), alpha, beta)
     t = np.asarray(t, dtype=float)
     tl = np.longdouble(t.item()) if t.size == 1 else t.astype(np.longdouble).ravel()
+    (r, m), lo, out, total = kern or ((), 0), 0 if kern else first, [], 0.0
     # orders k-1 and k before rescaling; order 0 is ones shaped like tl
     prev, cur = tl ** 0, (alpha + 1.0) + (alpha + beta + 2.0) * (tl - 1.0) / 2.0
-    out = [prev, cur / scale[1]][first:kmax + 1]
-    for k in range(2, kmax + 1):
-        prev, cur = cur, ((c1[k] * tl + c2[k]) * cur - c3[k] * prev) / c0[k]
-        if k >= first:
-            out.append(cur / scale[k])
-    return np.array(out, dtype=float).reshape(kmax + 1 - first, tl.size)
+    for k in range(kmax + 1):
+        if k > 1:
+            prev, cur = cur, ((c1[k] * tl + c2[k]) * cur - c3[k] * prev) / c0[k]
+        if k >= lo:
+            row = cur / scale[k] if k else prev
+            if k < len(r):
+                v = np.asarray(row, dtype=float).ravel()
+                total = total + r[k] * np.multiply(v[:m], v[-m:], dtype=np.longdouble)
+            if k >= first:
+                out.append(row)
+    rows = np.array(out, dtype=float).reshape(kmax + 1 - first, tl.size)
+    return (rows, total.astype(float)) if kern else rows
 
 
 def _check_points(pts: np.ndarray) -> None:
@@ -155,31 +165,24 @@ def _log_lead(k: int, alpha: float, beta: float) -> float:
 def cd_kernel(k: int, d: int, a: int, b: int, x, y):
     """Reproducing kernel Q_k(x, y) = sum_{i<=k} r_i P_i(x) P_i(y).
 
-    Evaluated as that sum, over one recurrence pass per point set; on the
-    diagonal every term is positive, so nothing cancels there.  The test
-    suite pins it against the same sum at 30 digits.
+    Evaluated as that sum inside one recurrence pass over x and y, in
+    memory linear in their size; on the diagonal every term is positive,
+    so nothing cancels there.  The tests pin it to the sum at 30 digits.
     """
     import numpy as np
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     ya = np.atleast_1d(np.asarray(y, dtype=float))
     xa, ya = np.broadcast_arrays(xa, ya)
-    _check_points(xa)
-    _check_points(ya)
+    pts = xa if np.array_equal(xa, ya) else np.concatenate((xa, ya), axis=None)
+    _check_points(pts)
     if k < 0:
         raise DomainError(f"order must be >= 0, got {k}")
     alpha, beta = family_params(d, a, b)
-    r = norm_ratios(k, d, a, b).astype(np.longdouble)
-    px = _rows(k, alpha, beta, xa.ravel())
-    py = px if np.array_equal(xa, ya) else _rows(k, alpha, beta, ya.ravel())
-    # summed in extended precision: a double dot product lost up to 6e-16
-    # relative on the diagonal at order 383
-    vals = (r @ np.multiply(px, py, dtype=np.longdouble)).astype(float)
-    if np.asarray(x).ndim == 0 and np.asarray(y).ndim == 0:
-        return float(vals[0])
-    return vals.reshape(xa.shape)
+    vals = _rows(k, alpha, beta, pts, k, (norm_ratios(k, d, a, b), xa.size))[1]
+    return float(vals[0]) if np.ndim(x) == 0 == np.ndim(y) else vals.reshape(xa.shape)
 
 
-def _zeros_raw(k: int, alpha: float, beta: float, s: float | None = None) -> np.ndarray:
+def _zeros_raw(k: int, d: int, a: int, b: int, s: float | None = None) -> tuple:
     # Golub-Welsch: the zeros of P_k are the eigenvalues of the k x k
     # recurrence matrix.  Given s, the same matrix with its last diagonal
     # entry shifted by gamma has as eigenvalues the zeros of the order-k
@@ -187,11 +190,13 @@ def _zeros_raw(k: int, alpha: float, beta: float, s: float | None = None) -> np.
     # chosen to make monic p_k - gamma p_{k-1} proportional to F; s = None
     # is gamma = 0, F = P_k.  Two Newton steps on F, evaluated in extended
     # precision from orders k-1 and k alone, tighten each eigenvalue to a
-    # residual at rounding level.
+    # residual at rounding level; the pass that checks it also returns the
+    # kernel Q_{k-1}(t, t) at the sorted nodes and at s last, where F is 0.
     if k > _MAX_ORDER:
         raise ResourceError(
             f"polynomial degree {k} exceeds the eigen-solve budget of {_MAX_ORDER}")
     import numpy as np
+    alpha, beta = family_params(d, a, b)
     # the monic recurrence p_{j+1}(t) = (t - a_j) p_j(t) - b_j p_{j-1}(t):
     # a_j on the diagonal, sqrt(b_j) beside it, set in place on both sides
     s_ab = alpha + beta
@@ -216,18 +221,15 @@ def _zeros_raw(k: int, alpha: float, beta: float, s: float | None = None) -> np.
         fval = pv[1] * pk1_s - pv[0] * pk_s
         fder = dv[1] * pk1_s - dv[0] * pk_s
         step = np.where(fder != 0.0, fval / np.where(fder == 0.0, 1.0, fder), 0.0)
-        nodes = nodes - step
-    pv = _rows(k, alpha, beta, nodes, k - 1)
-    if s is None:
-        dv = _deriv_rows(k, alpha, beta, nodes, k)
-        if np.any(np.abs(pv[1]) > 1e-13 * np.maximum(1.0, np.abs(dv[0]))):
-            raise NumericalError(
-                f"Jacobi zeros failed to converge for k={k}, alpha={alpha}, beta={beta}")
-        return nodes
-    fval = pv[1] * pk1_s - pv[0] * pk_s
-    if np.any(np.abs(fval) > 1e-10 * max(abs(pk_s), abs(pk1_s), 1e-30)):
+        nodes = np.sort(nodes - step)
+    pts = nodes if s is None else np.append(nodes, s)
+    pv, diag = _rows(k, alpha, beta, pts, k - 1, (norm_ratios(k - 1, d, a, b), pts.size))
+    # F = P_k (s = None) is measured against its slope, as _top_zero does
+    tol = (1e-10 * max(abs(pk_s), abs(pk1_s), 1e-30) if s is not None else
+           1e-13 * np.maximum(1.0, np.abs(_deriv_rows(k, alpha, beta, nodes, k)[0])))
+    if np.any(np.abs(pv[1] * pk1_s - pv[0] * pk_s) > tol):
         raise NumericalError(f"node polish failed at polynomial degree {k}")
-    return nodes
+    return nodes, diag
 
 
 def _top_zero(k: int, alpha: float, beta: float) -> float:

@@ -19,7 +19,8 @@ classical Dirichlet series (Riemann zeta, L(w, chi_-3) and, for Leech,
 L(w, Delta)).  They are evaluated at 110 bits as head sums plus
 Euler-Maclaurin tails, whose remainders are below their first omitted
 terms, and the tau sum stops where Deligne's bound puts its tail below a
-quarter ulp; the value is rounded to a double once."""
+quarter ulp; the value is rounded to a double once.  mpmath is imported
+by the zeta helpers after the argument checks, so refusals load none."""
 
 from __future__ import annotations
 
@@ -27,11 +28,6 @@ import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
-
-from mpmath import bernfrac, mp, mpf
-# unused: perfbench/tracer.py traces lattices.gammainc by name, and only a
-# benchmark change may drop that pin
-from mpmath import gammainc  # noqa: F401
 
 from .errors import DomainError, NumericalError, ResourceError
 from .special import ball_volume
@@ -49,6 +45,14 @@ __all__ = [
     "c_tilde",
     "packing_density",
 ]
+
+
+def __getattr__(name: str):
+    # gammainc is unused but traced by name in perfbench/tracer.py; resolved here, not at import
+    if name == "gammainc":
+        from mpmath import gammainc
+        return gammainc
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -222,6 +226,7 @@ for _p in range(math.isqrt(TAU_TRUNCATION_DEFAULT), 1, -1):
 def _inverse_powers(a: mpf, n: int) -> list[mpf]:
     # [0, 1, 2^-a, ..., n^-a]; m^-a is completely multiplicative, so only
     # the primes take a power
+    from mpmath import mpf
     out = [mpf(0), mpf(1)]
     for m in range(2, n + 1):
         p = _SPF[m]
@@ -232,6 +237,7 @@ def _inverse_powers(a: mpf, n: int) -> list[mpf]:
 @functools.cache
 def _em_coeffs() -> tuple[mpf, ...]:
     # B_2r / (2r)!, r = 1..24, built on first use to keep the import light
+    from mpmath import bernfrac, mp, mpf
     with mp.workprec(_PREC):
         return tuple(mpf(p) / q / math.factorial(2 * r)
                      for r, (p, q) in enumerate(map(bernfrac, range(2, 50, 2)), 1))
@@ -245,6 +251,7 @@ def _em_sum(a: mpf, step: int, ends: list, head: mpf, integral: mpf) -> mpf:
     remainder (DLMF 2.10(i)) lies between 0 and the first omitted term, and
     the tail stops at the first term below 2^-104 of the sum.
     """
+    from mpmath import mpf
     total = head + integral + sum(c * p for c, _, p in ends) / 2
     poch = a  # (a)_{2r-1}
     ends = [(c, step * step / mpf(y) ** 2, p * step / y) for c, y, p in ends]
@@ -260,6 +267,7 @@ def _em_sum(a: mpf, step: int, ends: list, head: mpf, integral: mpf) -> mpf:
 
 def _zeta_minus_one(a: mpf) -> mpf:
     # zeta(a) - 1 for a > 1, so that Leech subtracts no 1 where zeta(a) ~ 1
+    from mpmath import mp
     k = _EM_START
     pw = _inverse_powers(a, k)
     return _em_sum(a, 1, [(1, k, pw[k])], mp.fsum(pw[2:k]), k * pw[k] / (a - 1))
@@ -268,6 +276,7 @@ def _zeta_minus_one(a: mpf) -> mpf:
 def _l_chi3(w: mpf) -> mpf:
     # L(w, chi_-3) in pairs (3k+1)^-w - (3k+2)^-w; the tail's integral goes
     # through expm1, so near w = 1 no two large Hurwitz values are subtracted
+    from mpmath import mp, mpf
     k = _EM_START
     u, v = 3 * k + 1, 3 * k + 2
     pw = _inverse_powers(w, v)
@@ -283,6 +292,7 @@ def _leech_bracket(w: mpf) -> tuple[mpf, mpf]:
     # and d(m) <= 2 sqrt(m) bound the tail past M by 2 M^(7-w)/(w-7).  M is
     # the smallest, up to TAU_TRUNCATION_DEFAULT, that puts it below 2^-55 of
     # the zeta part less that majorant over m >= 2 (<= 2^(7-w) (1 + 2/(w-7))).
+    from mpmath import mp, mpf
     z0, z11 = _zeta_minus_one(w), _zeta_minus_one(w - 11)
     head = z0 * (1 + z11) + z11
     lower = head - mpf(2) ** (7 - w) * (1 + 2 / (w - 7))
@@ -297,6 +307,7 @@ def _closed_form(lat: LatticeSpec, w: mpf) -> tuple[mpf, mpf]:
     # the zeta at s = 2w of a lattice with a shell scale and its tau tail
     # bound (0 but for Leech): each theta series is a divisor sum, so its
     # Dirichlet series is a product of classical ones
+    from mpmath import mpf
     if lat.name == "Leech":
         scale = mpf(lat.scale) / 691 * mpf(2) ** -w
         bracket, tail = _leech_bracket(w)
@@ -339,6 +350,7 @@ def epstein_zeta(lattice: LatticeSpec | str, s: float, tol: float = 1e-10) -> Ep
         raise ResourceError(
             f"zeta tolerance {tol:g} for {lat.name} at s={s} is below the "
             f"relative floating-point floor {_FLOOR:g}")
+    from mpmath import mp, mpf
     with mp.workprec(_PREC):
         z, tau_tail = _closed_form(lat, mpf(s) / 2)
         value = float(z)
@@ -363,6 +375,7 @@ def c_tilde(d: int, s: float) -> float:
         raise DomainError(f"c_tilde requires finite s > d = {d}, got s={s}")
     lat = LATTICES[LATTICE_FOR_DIMENSION[d]]
     num, den = lat.covolume_sq
+    from mpmath import mp, mpf
     with mp.workprec(_PREC):
         z, _ = _closed_form(lat, mpf(s) / 2)
         return float(z * (mpf(num) / den) ** (mpf(s) / (2 * d)))

@@ -280,22 +280,20 @@ def build_rule(d: int, n: int) -> QuadratureRule:
     # interior nodes: zeros of the shifted (1, 0) family polynomial for odd
     # tau, of the (1, 1) family for even tau, the largest pinned to s
     b = 0 if odd else 1
-    alpha, beta = family_params(d, 1, b)
     import numpy as np
-    interior = np.sort(jacobi._zeros_raw(k, alpha, beta, s))
+    interior, diag = jacobi._zeros_raw(k, d, 1, b, s)
     if abs(interior[-1] - s) > 5e-11:
         raise NumericalError(f"largest node drifted from s at polynomial degree {k}")
     interior[-1] = s
     # Christoffel weights of the family measure (1 - t)(1 + t)^b dmu_d,
     # whose mass is 1 for odd tau and 1 - mu_2 = d/(d+1) for even tau,
-    # from the kernel of order k-1 that matches the node polynomial; in
-    # extended precision, which halves the worst error to about 1 ulp
+    # from the order-(k-1) kernel matching the node polynomial (at s for the
+    # top node), in extended precision, which halves the worst error to 1 ulp
     t = interior.astype(np.longdouble)
     mass = np.longdouble(1.0) if odd else np.longdouble(d) / (d + 1)
     factor = (1.0 - t) if odd else (1.0 - t) * (1.0 + t)
-    weights = (mass / (factor * cd_kernel(k - 1, d, 1, b, interior, interior))).astype(float)
+    weights = (mass / (factor * np.delete(diag, -2))).astype(float)[::-1]
     nodes = interior[::-1]
-    weights = weights[::-1]
     if not odd:
         # weight at the node -1 from the Gegenbauer kernel determinant.
         # q_m1 q_sm < 0 on the even-strength intervals (pinned by a test

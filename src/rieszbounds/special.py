@@ -9,7 +9,8 @@ Hankel asymptotic expansion (large argument, taken to at least the DLMF
 certify an absolute error below 1e-13).  Each Bessel zero is seeded
 (McMahon's expansion for nu <= 36.5, whose coefficients ``energy`` reads
 for the A_{s,d} tail, else Olver's uniform expansion), finished by Newton
-and certified as it is appended: by order, residual and index.
+and certified as it is appended: by order, residual and index.  Only
+the series uses mpmath, and imports it on first use.
 
 Accuracy targets, pinned by the tests against mpmath: ``bessel_j``
 absolute error <= 1e-12 for 0 <= nu <= 32 and x <= 5000, zeros to 1e-14
@@ -25,8 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from mpmath import mp
 
 from .errors import DomainError, NumericalError
 
@@ -122,6 +121,7 @@ def _bessel_series(nu: float, x: float) -> float:
         term = term * num // (den * k * (vn + k * vd))
         total += -term if k % 2 else term
         k += 1
+    from mpmath import mp
     with mp.workdps(dps):
         pref = mp.e ** (nu * mp.log(mp.mpf(x) / 2) - mp.loggamma(nu + 1))
         return float(pref * mp.ldexp(total, -bits))

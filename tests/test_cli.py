@@ -331,8 +331,48 @@ assert "numpy" in sys.modules
 """
 
 
+_MPMATH_PROBE = r"""
+import contextlib, io, sys
+import rieszbounds
+from rieszbounds import lattices
+from rieszbounds.cli import main
+from rieszbounds.errors import DomainError, ResourceError
+
+def call(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(list(argv))
+
+assert "mpmath" not in sys.modules
+for argv, code in [(("quadrature", "--d", "2", "--N", "100"), 0),
+                   (("ulb", "--d", "2", "--N", "961", "--potential", "riesz:1"), 0),
+                   (("bounds", "--d", "3", "--s", "2.5"), 2),
+                   (("ulb", "--d", "2", "--N", "1", "--potential", "riesz:1"), 2),
+                   (("bounds", "--d", "2", "--s", "inf"), 2),
+                   (("bounds", "--d", "3", "--s", "3.5", "--tol", "1e-13"), 3),
+                   (("gauss", "--d", "1", "--alpha", "1e-6"), 3)]:
+    assert call(*argv) == code, argv
+    assert "mpmath" not in sys.modules, argv
+for f, args in [(lattices.c_tilde, (3, 4.0)), (lattices.c_tilde, (2, 2.0)),
+                (lattices.c_tilde, (8, float("nan"))), (lattices.epstein_zeta, ("fcc", 5.0)),
+                (lattices.epstein_zeta, ("E8", 8.0)), (lattices.epstein_zeta, ("E8", 9.0, 1e-20))]:
+    try:
+        f(*args)
+    except (DomainError, ResourceError):
+        pass
+    else:
+        raise AssertionError(args)
+    assert "mpmath" not in sys.modules, args
+assert call("bounds", "--d", "2", "--s", "4") == 0
+assert "mpmath" in sys.modules
+"""
+
+
 def test_subcommands_without_a_rule_load_no_numpy():
     # numpy is most of a cold start; only building a rule or evaluating a
     # potential needs it, and the last call shows the probe sees a load
     proc = _fresh_python("-c", _NUMPY_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    # mpmath likewise: only Bessel series and lattice zeta values load it,
+    # after their argument checks, so a rule and every refusal start without
+    proc = _fresh_python("-c", _MPMATH_PROBE)
     assert proc.returncode == 0, proc.stderr

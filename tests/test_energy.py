@@ -220,6 +220,14 @@ def test_asd_d48_anchor_values():
         assert tuple(energy.asd_bound(48, s)) == want, s
 
 
+def test_asd_refuses_an_underflow_from_its_first_zero(cold_zeros):
+    # the first zero bounds log A above by log_scale + log t_1 + log1p(z_1 /
+    # (pi delta)), about -1056 here, so no table of 241 zeros is built
+    with pytest.raises(NumericalError, match="asd_bound underflows"):
+        energy.asd_bound(540, 600)
+    assert len(special._zero_cache[270.0][0]) == 1
+
+
 @pytest.mark.parametrize("tol", [1e-13, 1.9999999999999998e-13, 1e-30])
 def test_asd_tol_below_floor_refused_at_once(tol):
     start = time.perf_counter()

@@ -12,7 +12,7 @@ from rieszbounds.errors import DomainError, ResourceError
 
 def _zeros(k, d, a, b):
     # all k zeros of the order-k family member, ascending
-    return jacobi._zeros_raw(k, *jacobi.family_params(d, a, b))
+    return jacobi._zeros_raw(k, d, a, b)[0]
 
 
 def _p(k, d, a, b, t):
@@ -178,6 +178,24 @@ def test_kernel_near_diagonal_at_large_order():
     assert abs(auto - direct) < 1e-10 * abs(direct)
 
 
+def test_kernel_pass_has_the_bits_of_a_matmul_of_all_rows():
+    # the former route, kept as the reference: every order at every point,
+    # then one extended-precision matmul; the in-pass sum adds the same
+    # products in the same order, so it must match bit for bit
+    rng = np.random.default_rng(28)
+    for k in (0, 1, 2, 7, 120, 700):
+        for d, a, b in ((2, 1, 0), (3, 0, 0), (8, 1, 1), (5, 0, 1)):
+            alpha, beta = jacobi.family_params(d, a, b)
+            x = rng.uniform(-1.0, 1.0, 5)
+            s = rng.uniform(-0.5, 0.99)
+            for xs, ys in ((x, x), (x, rng.uniform(-1.0, 1.0, 5)),
+                           ([s, -1.0, -1.0, s], [1.0, -1.0, 1.0, -1.0])):
+                px, py = (jacobi._rows(k, alpha, beta, np.array(v)) for v in (xs, ys))
+                r = jacobi.norm_ratios(k, d, a, b).astype(np.longdouble)
+                want = (r @ np.multiply(px, py, dtype=np.longdouble)).astype(float)
+                assert np.array_equal(jacobi.cd_kernel(k, d, a, b, xs, ys), want), (k, d, a, b)
+
+
 def test_kernel_diagonal_positive_and_errors():
     assert jacobi.cd_kernel(6, 2, 1, 1, 0.3, 0.3) > 0
     with pytest.raises(DomainError):
@@ -275,7 +293,7 @@ def test_recurrence_and_eigen_solve_memory_peaks(monkeypatch):
     try:
         for call in (lambda: jacobi._rows(999, 1.0, 1.0, pts),
                      lambda: jacobi.largest_zero(999, 2, 1, 0),
-                     lambda: jacobi._zeros_raw(999, 1.0, 0.0)):
+                     lambda: jacobi._zeros_raw(999, 2, 1, 0)):
             tracemalloc.reset_peak()
             call()
             peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)

@@ -98,7 +98,7 @@ def test_octahedron_rule_by_hand():
 
 def test_nine_point_rule_uses_adjacent_zeros():
     rule = quadrature.build_rule(2, 9)
-    want = sorted(jacobi._zeros_raw(2, *jacobi.family_params(2, 1, 0)), reverse=True)
+    want = sorted(jacobi._zeros_raw(2, 2, 1, 0)[0], reverse=True)
     assert rule.tau == 3 and rule.exact_degree == 4
     assert np.allclose(rule.nodes, want, atol=1e-12)
 
@@ -155,6 +155,44 @@ def test_weights_match_kernel_oracle(d, n):
                                   ((s, 1.0), (-1.0, -1.0), (-1.0, 1.0), (s, -1.0)))
         want = q_s1 / (q_mm * q_s1 - q_m1 * q_sm)
         assert abs(rule.weights[-1] / want - 1.0) < 1e-14
+
+
+def test_weights_are_the_public_kernel_bit_for_bit():
+    # build_rule takes Q_{k-1}(t, t) from the last pass of the node solve;
+    # it must equal cd_kernel at the same nodes, s being the top one.  N = 3
+    # and 5 are k = 1 at odd and even tau, 9 and 12 the endpoints D(2, 4)
+    # and D(2, 5), odd and even
+    for d, n in ((2, 3), (2, 5), (2, 9), (2, 12), (3, 50), (4, 777), (8, 2000), (2, 100000)):
+        rule = quadrature.build_rule(d, n)
+        k = (rule.tau + 1) // 2
+        odd = rule.parity == "odd"
+        interior = np.array(rule.nodes[:k][::-1])
+        t = interior.astype(np.longdouble)
+        mass = np.longdouble(1.0) if odd else np.longdouble(d) / (d + 1)
+        factor = (1.0 - t) if odd else (1.0 - t) * (1.0 + t)
+        q = jacobi.cd_kernel(k - 1, d, 1, 0 if odd else 1, interior, interior)
+        want = (mass / (factor * q)).astype(float)[::-1]
+        assert rule.weights[:k] == tuple(want.tolist()), (d, n)
+
+
+def test_rule_and_kernel_build_no_table_of_every_order():
+    # the kernel is summed inside one recurrence pass, so neither a rule at
+    # k = 999 nor the kernel at 1,000 points holds a (k+1) x k table (23.5
+    # and 23.3 MiB traced when they did); the rule's peak is its matrix
+    import tracemalloc
+
+    x = np.linspace(-0.999, 0.999, 1000)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for call in (lambda: quadrature.build_rule(2, 10**6),
+                     lambda: jacobi.cd_kernel(999, 2, 1, 0, x, x)):
+            tracemalloc.reset_peak()
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] < 12.0 and peaks[1] < 1.0, peaks
 
 
 @pytest.mark.parametrize("n", [148066, 500009])
