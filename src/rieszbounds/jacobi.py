@@ -138,6 +138,8 @@ def norm_ratios(kmax: int, d: int, a: int, b: int) -> np.ndarray:
     import numpy as np
     if kmax < 0:
         raise DomainError(f"kmax must be >= 0, got {kmax}")
+    if kmax > _MAX_ORDER + 1:
+        raise ResourceError(f"order {kmax} exceeds the recurrence budget of {_MAX_ORDER + 1}")
     alpha, beta = family_params(d, a, b)
     # r_k / r_{k-1} = (k+alpha)(k+alpha+beta)(2k+alpha+beta+1)
     #                 / (k (k+beta) (2k+alpha+beta-1));
@@ -182,16 +184,16 @@ def cd_kernel(k: int, d: int, a: int, b: int, x, y):
     return float(vals[0]) if np.ndim(x) == 0 == np.ndim(y) else vals.reshape(xa.shape)
 
 
-def _zeros_raw(k: int, d: int, a: int, b: int, s: float | None = None) -> tuple:
+def _zeros_raw(k: int, d: int, a: int, b: int, s: float) -> tuple:
     # Golub-Welsch: the zeros of P_k are the eigenvalues of the k x k
-    # recurrence matrix.  Given s, the same matrix with its last diagonal
-    # entry shifted by gamma has as eigenvalues the zeros of the order-k
+    # recurrence matrix.  The same matrix with its last diagonal entry
+    # shifted by gamma has as eigenvalues the zeros of the order-k
     # polynomial F(t) = P_k(t) P_{k-1}(s) - P_{k-1}(t) P_k(s), gamma being
-    # chosen to make monic p_k - gamma p_{k-1} proportional to F; s = None
-    # is gamma = 0, F = P_k.  Two Newton steps on F, evaluated in extended
-    # precision from orders k-1 and k alone, tighten each eigenvalue to a
-    # residual at rounding level; the pass that checks it also returns the
-    # kernel Q_{k-1}(t, t) at the sorted nodes and at s last, where F is 0.
+    # chosen to make monic p_k - gamma p_{k-1} proportional to F.  Two
+    # Newton steps on F, evaluated in extended precision from orders k-1
+    # and k alone, tighten each eigenvalue to a residual at rounding level;
+    # the pass that checks it also returns the kernel Q_{k-1}(t, t) at the
+    # sorted nodes and at s last, where F is 0.
     if k > _MAX_ORDER:
         raise ResourceError(
             f"polynomial degree {k} exceeds the eigen-solve budget of {_MAX_ORDER}")
@@ -207,13 +209,11 @@ def _zeros_raw(k: int, d: int, a: int, b: int, s: float | None = None) -> tuple:
     off = np.sqrt(4.0 * j * (j + alpha) * (j + beta) * (j + s_ab) / (q * q * (q * q - 1.0)))
     mat.flat[1::k + 1] = off
     mat.flat[k::k + 1] = off
-    pk_s, pk1_s = 0.0, 1.0
-    if s is not None:
-        pk1_s, pk_s = _rows(k, alpha, beta, np.array([s]), k - 1)[:, 0]
-        if pk1_s == 0.0:
-            raise NumericalError(f"degenerate shift: P_{k-1}({s}) = 0")
-        mk1 = math.exp(_log_lead(k - 1, alpha, beta) - _log_lead(k, alpha, beta))
-        mat[k - 1, k - 1] += mk1 * pk_s / pk1_s
+    pk1_s, pk_s = _rows(k, alpha, beta, np.array([s]), k - 1)[:, 0]
+    if pk1_s == 0.0:
+        raise NumericalError(f"degenerate shift: P_{k-1}({s}) = 0")
+    mk1 = math.exp(_log_lead(k - 1, alpha, beta) - _log_lead(k, alpha, beta))
+    mat[k - 1, k - 1] += mk1 * pk_s / pk1_s
     nodes = np.linalg.eigvalsh(mat)
     for _ in range(2):
         pv = _rows(k, alpha, beta, nodes, k - 1)
@@ -222,12 +222,9 @@ def _zeros_raw(k: int, d: int, a: int, b: int, s: float | None = None) -> tuple:
         fder = dv[1] * pk1_s - dv[0] * pk_s
         step = np.where(fder != 0.0, fval / np.where(fder == 0.0, 1.0, fder), 0.0)
         nodes = np.sort(nodes - step)
-    pts = nodes if s is None else np.append(nodes, s)
+    pts = np.append(nodes, s)
     pv, diag = _rows(k, alpha, beta, pts, k - 1, (norm_ratios(k - 1, d, a, b), pts.size))
-    # F = P_k (s = None) is measured against its slope, as _top_zero does
-    tol = (1e-10 * max(abs(pk_s), abs(pk1_s), 1e-30) if s is not None else
-           1e-13 * np.maximum(1.0, np.abs(_deriv_rows(k, alpha, beta, nodes, k)[0])))
-    if np.any(np.abs(pv[1] * pk1_s - pv[0] * pk_s) > tol):
+    if np.any(np.abs(pv[1] * pk1_s - pv[0] * pk_s) > 1e-10 * max(abs(pk_s), abs(pk1_s), 1e-30)):
         raise NumericalError(f"node polish failed at polynomial degree {k}")
     return nodes, diag
 
@@ -235,9 +232,9 @@ def _zeros_raw(k: int, d: int, a: int, b: int, s: float | None = None) -> tuple:
 def _top_zero(k: int, alpha: float, beta: float) -> float:
     # Newton from t = 1: P_k is positive, increasing and convex right of its
     # largest zero, so the iterates fall monotonically to it.  The first step
-    # that does not lower t ends the loop, and the evaluation there takes the
-    # residual check of _zeros_raw.  Order 1 is the 1 x 1 eigen-solve, which
-    # Newton misses by a few ulp.
+    # that does not lower t ends the loop, and the value there must be within
+    # 1e-13 of the slope.  Order 1 is the 1 x 1 eigen-solve, which Newton
+    # misses by a few ulp.
     if k == 1:
         return (beta - alpha) / (alpha + beta + 2.0)
     import numpy as np

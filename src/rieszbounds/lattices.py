@@ -182,10 +182,11 @@ def theta_coefficients(lattice: LatticeSpec | str, m_max: int) -> list[int]:
         for r in range(1, math.isqrt(m_max) + 1):
             out[r * r - 1] = lat.scale
         return out
+    # tau_coefficients refuses an m_max past its table before the sieve runs
+    tau = tau_coefficients(m_max) if lat.name == "Leech" else None
     sums = _divisor_sums(lat.weight, m_max)
-    if lat.name != "Leech":
+    if tau is None:
         return [lat.scale * sums[m] for m in range(1, m_max + 1)]
-    tau = tau_coefficients(m_max)
     out = []
     for m in range(1, m_max + 1):
         num = lat.scale * (sums[m] - tau[m])

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 from .errors import DomainError, NumericalError
 
-_TWO_PI = 2.0 * math.pi
 _EPS = 2.220446049250313e-16
 
 

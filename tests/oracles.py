@@ -2,7 +2,11 @@
 
 Nothing in this module imports the package under test.  Each function
 recomputes a quantity by a route deliberately different from the one
-the library takes, so agreement is evidence rather than tautology.
+the library takes, so agreement is evidence rather than tautology.  A
+quantity has one reference here, with two exceptions: zeta_em, the
+double-precision zeta that perfbench/checks.py loads this file by path
+for (lattice_zeta_mp(1, s) is 2 zeta(s) at 50 digits), and
+epstein_theta_mp, the 48-shell route c_tilde must be at least as close as.
 """
 
 from __future__ import annotations
@@ -51,37 +55,6 @@ def hurwitz_mp(s: float, a: float) -> float:
     """Hurwitz zeta by mpmath at 40 digits; moderate s only (s <= 80)."""
     with mp.workdps(40):
         return float(mp.zeta(s, a))
-
-
-def dirichlet_l3(w: float) -> float:
-    """L(w, chi_-3) = 3^-w (zeta(w, 1/3) - zeta(w, 2/3))."""
-    with mp.workdps(40):
-        val = mp.mpf(3) ** -w * (mp.zeta(w, mp.mpf(1) / 3) - mp.zeta(w, mp.mpf(2) / 3))
-        return float(val)
-
-
-def bessel_zero_bisect(nu: float, n: int) -> list[float]:
-    """First n positive zeros of J_nu by sign scan and bisection on mpmath."""
-    with mp.workdps(30):
-        f = lambda x: mp.besselj(nu, x)
-        zeros = []
-        step = 0.05
-        x = step
-        prev = f(x)
-        while len(zeros) < n:
-            x2 = x + step
-            cur = f(x2)
-            if mp.sign(prev) * mp.sign(cur) < 0:
-                lo, hi = mp.mpf(x), mp.mpf(x2)
-                for _ in range(80):
-                    mid = (lo + hi) / 2
-                    if mp.sign(f(mid)) * mp.sign(f(lo)) <= 0:
-                        hi = mid
-                    else:
-                        lo = mid
-                zeros.append(float((lo + hi) / 2))
-            x, prev = x2, cur
-        return zeros
 
 
 def tau_naive(m_max: int) -> list[int]:
@@ -252,42 +225,6 @@ def c_tilde_mp(d: int, s: float, dps: int = 50):
         return ZETA_COVOLUME_SQ[d] ** (mp.mpf(s) / (2 * d)) * lattice_zeta_mp(d, s, dps)
 
 
-# Closed forms for lattice zeta functions, via Dirichlet series identities.
-
-
-def a2_zeta_closed(s: float) -> float:
-    w = s / 2.0
-    return 6.0 * zeta_em(w) * dirichlet_l3(w)
-
-
-def d4_zeta_closed(s: float) -> float:
-    w = s / 2.0
-    return 24.0 * 2.0**-w * (1.0 - 2.0 ** (1.0 - w)) * zeta_em(w - 1.0) * zeta_em(w)
-
-
-def e8_zeta_closed(s: float) -> float:
-    w = s / 2.0
-    return 240.0 * 2.0**-w * zeta_em(w) * zeta_em(w - 3.0)
-
-
-def leech_zeta_closed(s: float, tau_terms: int = 200) -> tuple[float, float]:
-    """Leech lattice zeta with an explicit truncation bound on the tau sum.
-
-    Returns (value, bound); d(m) <= 2 sqrt(m) and |tau(m)| <= d(m) m^{5.5}
-    give the elementary coefficient bound |tau(m)| <= 2 m^6.
-    """
-    w = s / 2.0
-    if w <= 8.0:
-        raise ValueError("tau Dirichlet tail bound needs s > 16")
-    taus = tau_naive(tau_terms)
-    l_tau = math.fsum(taus[m - 1] * float(m) ** -w for m in range(1, tau_terms + 1))
-    # tail: 2 sum_{m > M} m^{6 - w} <= 2 M^{7 - w}/(w - 7)
-    tail = 2.0 * float(tau_terms) ** (7.0 - w) / (w - 7.0)
-    prefactor = 65520.0 / 691.0 * 2.0**-w
-    value = prefactor * (zeta_em(w) * zeta_em(w - 11.0) - l_tau)
-    return value, prefactor * tail
-
-
 # Explicit point configurations on S^2: any one of them is an upper bound
 # on the minimal energy, so it caps every valid lower bound from above.
 
@@ -337,64 +274,6 @@ def cd_kernel_sum(k: int, d: int, a: int, b: int, x: float, y: float) -> float:
             py = mp.jacobi(i, al, be, y, zeroprec=4 * mp.mp.prec) / at_one
             total += mass * at_one**2 / h * px * py
         return float(total)
-
-
-# Lattice shell counts by enumeration, against which the library's closed
-# divisor-sum formulas are checked.
-
-# Cartan matrix of D4: squared norm x^T G x, twice the library's index m
-D4_GRAM = ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))
-
-
-def count_by_norm(gram: tuple[tuple[int, ...], ...], q_max: int,
-                  doubling: int = 1) -> dict[int, int]:
-    """Counts of nonzero integer vectors by form value x^T gram x / doubling.
-
-    Depth-first enumeration inside the ellipsoid, bounds from the Cholesky
-    factor with conservative padding; the form value at each leaf is
-    recomputed in exact integer arithmetic, so the padding cannot admit a
-    wrong count.  Cost is proportional to the number of lattice points in
-    the ball, which grows like q_max^(d/2).
-    """
-    if q_max < 1:
-        raise ValueError(f"count_by_norm requires q_max >= 1, got {q_max}")
-    g = np.array(gram, dtype=float)
-    n = g.shape[0]
-    if g.shape != (n, n) or not np.allclose(g, g.T):
-        raise ValueError("gram must be a symmetric square matrix")
-    try:
-        upper = np.linalg.cholesky(g).T
-    except np.linalg.LinAlgError:
-        raise ValueError("gram must be positive definite") from None
-    rows = [list(map(int, row)) for row in gram]
-    budget = float(q_max * doubling) + 1e-7
-    counts: dict[int, int] = {}
-    x = [0] * n
-
-    def descend(i: int, partial: float) -> None:
-        if i < 0:
-            q2 = 0
-            for a in range(n):
-                xa = x[a]
-                if xa:
-                    row = rows[a]
-                    q2 += xa * (row[a] * xa
-                                + 2 * sum(row[b] * x[b] for b in range(a + 1, n)))
-            if 0 < q2 <= q_max * doubling and q2 % doubling == 0:
-                q = q2 // doubling
-                counts[q] = counts.get(q, 0) + 1
-            return
-        center = -sum(upper[i, j] * x[j] for j in range(i + 1, n)) / upper[i, i]
-        half = math.sqrt(max(budget - partial, 0.0)) / upper[i, i]
-        for xi in range(math.ceil(center - half - 1e-9),
-                        math.floor(center + half + 1e-9) + 1):
-            x[i] = xi
-            t = upper[i, i] * (xi - center)
-            descend(i - 1, partial + t * t)
-        x[i] = 0
-
-    descend(n - 1, 0.0)
-    return counts
 
 
 def e8_coset_counts(m_max: int) -> list[int]:

@@ -10,9 +10,26 @@ from rieszbounds import jacobi
 from rieszbounds.errors import DomainError, ResourceError
 
 
-def _zeros(k, d, a, b):
-    # all k zeros of the order-k family member, ascending
-    return jacobi._zeros_raw(k, d, a, b)[0]
+def _plain_zeros(k, d, a, b):
+    # all k zeros of the order-k family member, ascending: the plain
+    # Gauss-Jacobi solve, kept as the reference largest_zero is pinned to.
+    # Golub-Welsch eigenvalues of the k x k recurrence matrix, built by the
+    # library's operations, then two Newton steps on P_k
+    alpha, beta = jacobi.family_params(d, a, b)
+    s_ab = alpha + beta
+    j = np.arange(1.0, k)
+    q = 2.0 * j + s_ab
+    mat = np.diag(np.append((beta - alpha) / (s_ab + 2.0),
+                            (beta * beta - alpha * alpha) / (q * (q + 2.0))))
+    off = np.sqrt(4.0 * j * (j + alpha) * (j + beta) * (j + s_ab) / (q * q * (q * q - 1.0)))
+    mat.flat[1::k + 1] = off
+    mat.flat[k::k + 1] = off
+    nodes = np.linalg.eigvalsh(mat)
+    for _ in range(2):
+        p = jacobi._rows(k, alpha, beta, nodes, k)[0]
+        dp = jacobi._deriv_rows(k, alpha, beta, nodes, k)[0]
+        nodes = np.sort(nodes - np.where(dp != 0.0, p / np.where(dp == 0.0, 1.0, dp), 0.0))
+    return nodes
 
 
 def _p(k, d, a, b, t):
@@ -101,46 +118,6 @@ def test_deriv_against_finite_difference():
                 got = jacobi._deriv_rows(k, alpha, beta, np.array([t]))[k][0]
                 ref = oracles.finite_diff(lambda x: _p(k, d, a, b, x), float(t))
                 assert abs(got - ref) < 1e-8 * max(1.0, abs(ref))
-
-
-def test_legendre_zeros_against_numpy():
-    got = _zeros(5, 2, 0, 0)
-    want = np.polynomial.legendre.Legendre.basis(5).roots()
-    assert np.allclose(got, want, atol=1e-13)
-
-
-def test_low_degree_zero_anchors():
-    z2 = _zeros(2, 2, 0, 0)
-    assert np.allclose(z2, [-1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0)], atol=1e-14)
-    z1 = _zeros(1, 2, 1, 0)
-    assert abs(z1[0] + 1.0 / 3.0) < 1e-14
-
-
-@pytest.mark.parametrize("d,a,b,k", [(2, 0, 0, 8), (3, 1, 0, 6), (8, 1, 1, 10), (24, 0, 0, 4)])
-def test_zeros_structure(d, a, b, k):
-    z = _zeros(k, d, a, b)
-    assert len(z) == k
-    assert np.all(np.diff(z) > 0)
-    assert z[0] > -1.0 and z[-1] < 1.0
-    assert abs(jacobi.largest_zero(k, d, a, b) - z[-1]) < 1e-15
-    deriv = jacobi._deriv_rows(k, *jacobi.family_params(d, a, b), z)[k]
-    for zi, dz in zip(z, deriv):
-        resid = abs(_p(k, d, a, b, zi))
-        assert resid < 1e-11 * max(1.0, abs(dz))
-
-
-@given(
-    st.integers(min_value=2, max_value=12),
-    st.integers(min_value=2, max_value=10),
-    st.sampled_from([(0, 0), (1, 0), (1, 1)]),
-)
-@settings(max_examples=60, deadline=None)
-def test_consecutive_zeros_interlace(k, d, ab):
-    a, b = ab
-    zk = _zeros(k, d, a, b)
-    zk1 = _zeros(k + 1, d, a, b)
-    for i in range(k):
-        assert zk1[i] < zk[i] < zk1[i + 1]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 8])
@@ -237,9 +214,10 @@ def test_rows_one_point_matches_multi_point_column(a, b):
 def test_largest_zero_is_the_full_solve_top_and_memoized(monkeypatch):
     # monotone Newton from t = 1 lands on the double the polished full
     # solve puts on top, bit for bit; order 1 is that 1 x 1 solve itself
-    for d, a, b in ((2, 1, 0), (2, 1, 1), (3, 1, 1), (5, 1, 0), (8, 0, 0), (24, 1, 0)):
-        for k in [*range(1, 61), 100, 250, 400]:
-            assert jacobi.largest_zero(k, d, a, b) == _zeros(k, d, a, b)[-1], (k, d, a, b)
+    cases = [(k, d, a, b) for d, a, b in ((2, 1, 0), (2, 1, 1), (3, 1, 1), (5, 1, 0), (8, 0, 0),
+                                          (24, 1, 0)) for k in [*range(1, 61), 100, 250, 400]]
+    for k, d, a, b in cases + [(8, 2, 0, 0), (6, 3, 1, 0), (10, 8, 1, 1), (4, 24, 0, 0)]:
+        assert jacobi.largest_zero(k, d, a, b) == _plain_zeros(k, d, a, b)[-1], (k, d, a, b)
     monkeypatch.setattr(jacobi, "_LARGEST_ZERO_CACHE", {})
     calls, rows = [], []
     eig, recur = np.linalg.eigvalsh, jacobi._rows
@@ -263,8 +241,9 @@ def test_non_finite_or_outside_points_rejected(bad):
 
 
 def test_eigen_solve_budget_checked_before_allocation():
-    # the k x k matrix at k = 2**20 would take 8 TiB; the refusal must come
-    # before anything of that order is allocated
+    # the k x k matrix at k = 2**20 would take 8 TiB, and the norm-ratio
+    # table of cd_kernel at k = 10**6 67 MiB; each refusal must come before
+    # anything of that order is allocated
     import tracemalloc
 
     tracemalloc.start()
@@ -272,11 +251,16 @@ def test_eigen_solve_budget_checked_before_allocation():
         with pytest.raises(ResourceError):
             jacobi.largest_zero(2**20, 2, 1, 0)
         with pytest.raises(ResourceError):
-            _zeros(jacobi._MAX_ORDER + 1, 3, 0, 0)
+            jacobi._zeros_raw(jacobi._MAX_ORDER + 1, 3, 0, 0, 0.5)
+        for call in (lambda: jacobi.norm_ratios(10**6, 2, 0, 0),
+                     lambda: jacobi.cd_kernel(10**6, 2, 0, 0, 0.5, 0.5)):
+            with pytest.raises(ResourceError, match="recurrence budget"):
+                call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+    assert jacobi.norm_ratios(jacobi._MAX_ORDER + 1, 2, 0, 0)[-1] == 2 * jacobi._MAX_ORDER + 3
 
 
 def test_recurrence_and_eigen_solve_memory_peaks(monkeypatch):
@@ -287,13 +271,15 @@ def test_recurrence_and_eigen_solve_memory_peaks(monkeypatch):
     import tracemalloc
 
     pts = np.linspace(-0.999, 0.999, 999)
+    # a shift inside the interval of the degree-999 rules on S^2
+    s = (jacobi.largest_zero(998, 2, 1, 1) + jacobi.largest_zero(999, 2, 1, 0)) / 2.0
     monkeypatch.setattr(jacobi, "_LARGEST_ZERO_CACHE", {})
     peaks = []
     tracemalloc.start()
     try:
         for call in (lambda: jacobi._rows(999, 1.0, 1.0, pts),
                      lambda: jacobi.largest_zero(999, 2, 1, 0),
-                     lambda: jacobi._zeros_raw(999, 2, 1, 0)):
+                     lambda: jacobi._zeros_raw(999, 2, 1, 0, s)):
             tracemalloc.reset_peak()
             call()
             peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)

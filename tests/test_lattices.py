@@ -62,6 +62,11 @@ def test_tau_anchors_and_resource_cap():
     assert lattices.tau_coefficients(6)[6] == -6048
     with pytest.raises(ResourceError):
         lattices.tau_coefficients(lattices.TAU_TRUNCATION_DEFAULT + 1)
+    # a Leech table past the cap is refused before the divisor sieve runs
+    start = time.perf_counter()
+    with pytest.raises(ResourceError):
+        lattices.theta_coefficients("Leech", 10**6)
+    assert time.perf_counter() - start < 0.05
 
 
 def test_kissing_numbers():
@@ -102,50 +107,6 @@ def test_leech_counts_are_divisible_integers():
             assert c > 0
 
 
-def test_count_by_norm_direct_gram():
-    # quick cross-check on the explicit D4 Gram matrix
-    counts = oracles.count_by_norm(oracles.D4_GRAM, 6)
-    brute = oracles.d4_counts_brute(6)
-    for q in range(1, 7):
-        assert counts.get(q, 0) == brute[q]
-
-
-def test_count_by_norm_rejects_bad_gram():
-    with pytest.raises(ValueError):
-        oracles.count_by_norm(((1, 2), (2, 1)), 4)  # indefinite
-    with pytest.raises(ValueError):
-        oracles.count_by_norm(((1, 0), (1, 0)), 4)  # not symmetric
-
-
-@pytest.mark.parametrize(
-    "name,s",
-    [("A2", 4.0), ("A2", 5.5), ("A2", 9.0), ("D4", 5.0), ("D4", 9.0), ("D4", 16.0),
-     ("E8", 10.0), ("E8", 14.0), ("E8", 20.0)],
-)
-def test_epstein_zeta_against_closed_forms(name, s):
-    closed = {"A2": oracles.a2_zeta_closed, "D4": oracles.d4_zeta_closed,
-              "E8": oracles.e8_zeta_closed}[name](s)
-    got = lattices.epstein_zeta(name, s, 1e-10)
-    assert abs(got.value - closed) <= got.tail_bound + 1e-10 * closed, (name, s)
-    assert got.tail_bound < 1e-8 * closed
-
-
-@pytest.mark.parametrize("s", [26.0, 35.0])
-def test_leech_zeta_against_closed_form(s):
-    closed, closed_err = oracles.leech_zeta_closed(s)
-    got = lattices.epstein_zeta("Leech", s, 1e-10)
-    assert abs(got.value - closed) <= got.tail_bound + closed_err + 1e-10 * closed
-
-
-def test_epstein_route_crossover_consistent():
-    # s = d + 6 was the border between two routes that one closed form
-    # now replaces; both sides must still hit the double-precision oracle
-    for s in (7.9, 8.1):
-        closed = oracles.a2_zeta_closed(s)
-        got = lattices.epstein_zeta("A2", s, 1e-10)
-        assert abs(got.value - closed) <= got.tail_bound + 1e-9 * closed
-
-
 def test_epstein_near_pole_values_finite():
     tight = lattices.epstein_zeta("A2", 2.05, 1e-8)
     assert tight.value > 100.0  # pole at s = 2 dominates
@@ -175,11 +136,10 @@ def test_epstein_domain_errors():
 def test_c_tilde_values_and_domain():
     # covolume^{s/d} times the lattice zeta; E8 has covolume 1 so the
     # conjectured constant equals the zeta value there
-    assert abs(lattices.c_tilde(8, 10.0) - oracles.e8_zeta_closed(10.0)) < 1e-9
+    assert abs(lattices.c_tilde(8, 10.0) - float(oracles.lattice_zeta_mp(8, 10.0))) < 1e-9
     frozen = 5.783359299678672
     assert abs(lattices.c_tilde(2, 4.0) - frozen) < 1e-11 * frozen
-    covol = math.sqrt(3.0) / 2.0
-    want = covol ** (4.0 / 2.0) * oracles.a2_zeta_closed(4.0)
+    want = float(oracles.c_tilde_mp(2, 4.0))
     assert abs(lattices.c_tilde(2, 4.0) - want) < 1e-10 * want
     with pytest.raises(DomainError):
         lattices.c_tilde(3, 5.0)
@@ -224,13 +184,20 @@ def test_c_tilde_matches_full_48_shell_theta_transform(d, name):
         assert got <= _ulps(theta, ref), (name, s, got, _ulps(theta, ref))
 
 
+# points once checked against double-precision closed forms, among them
+# both sides of A2's old route border at s = 8
+_CLOSED_FORM_POINTS = {"A2": (4.0, 5.5, 7.9, 8.1, 9.0), "D4": (5.0, 9.0, 16.0),
+                       "E8": (10.0, 14.0, 20.0), "Leech": (26.0, 35.0)}
+
+
 @pytest.mark.parametrize("name", list(_ZETA_DIMS))
 def test_epstein_zeta_within_tail_bound_of_oracle(name):
     d = _ZETA_DIMS[name]
-    for s in _oracle_grid(d):
+    for s in _oracle_grid(d) + list(_CLOSED_FORM_POINTS.get(name, ())):
         ref = oracles.lattice_zeta_mp(d, s)
         got = lattices.epstein_zeta(name, s, 1e-10)
         assert float(abs(oracles.mp.mpf(got.value) - ref)) <= got.tail_bound, (name, s)
+        assert got.tail_bound <= 1e-10 * got.value, (name, s)
         assert _ulps(got.value, ref) <= 0.5 + 1e-9, (name, s)
 
 

@@ -55,14 +55,6 @@ def test_bessel_j_at_zero_argument():
     assert special.bessel_j(2.0, 0.0) == 0.0
 
 
-@pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.0, 6.5, 12.0])
-def test_bessel_zeros_against_bisection(nu):
-    table = special.bessel_zeros(nu, 10)
-    want = oracles.bessel_zero_bisect(nu, 10)
-    for got, ref in zip(table.zeros, want):
-        assert abs(got - ref) < 1e-12 * ref
-
-
 def test_half_order_zeros_are_multiples_of_pi():
     table = special.bessel_zeros(0.5, 8)
     for i, z in enumerate(table.zeros, start=1):
@@ -221,10 +213,11 @@ def test_hankel_takes_the_dlmf_term_count_at_large_order():
         assert abs(mp.mpf(value) - true) <= err + phase_err, (nu, x)
 
 
-@pytest.mark.parametrize("nu", [0.5, 12.0, 24.0, 24.5, 32.0, 36.5, 37.0, 44.5, 64.0])
+@pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.0, 6.5, 12.0, 24.0, 24.5, 32.0, 36.5, 37.0,
+                                44.5, 64.0])
 def test_bessel_zeros_match_mpmath(nu):
     table = special.bessel_zeros(nu, 600)
-    for k in (1, 2, 3, 10, 100, 600):
+    for k in (*range(1, 11), 100, 600):
         with mp.workdps(30):
             want = mp.besseljzero(nu, k)
         assert abs(table.zeros[k - 1] - want) <= 1e-14 * want, (nu, k)
