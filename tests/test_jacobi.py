@@ -32,6 +32,12 @@ def _plain_zeros(k, d, a, b):
     return nodes
 
 
+def _zeros(k, d, a, b):
+    # all k zeros of the order-k family member, ascending, from the shifted
+    # solve with s at the top zero: there F(t) is P_k(t) times P_{k-1}(s)
+    return jacobi._zeros_raw(k, d, a, b, jacobi.largest_zero(k, d, a, b))[0]
+
+
 def _p(k, d, a, b, t):
     # the order-k row of jacobi_values, shaped like t
     arr = np.asarray(t, dtype=float)
@@ -118,6 +124,46 @@ def test_deriv_against_finite_difference():
                 got = jacobi._deriv_rows(k, alpha, beta, np.array([t]))[k][0]
                 ref = oracles.finite_diff(lambda x: _p(k, d, a, b, x), float(t))
                 assert abs(got - ref) < 1e-8 * max(1.0, abs(ref))
+
+
+def test_legendre_zeros_against_numpy():
+    got = _zeros(5, 2, 0, 0)
+    want = np.polynomial.legendre.Legendre.basis(5).roots()
+    assert np.allclose(got, want, atol=1e-13)
+
+
+def test_low_degree_zero_anchors():
+    z2 = _zeros(2, 2, 0, 0)
+    assert np.allclose(z2, [-1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0)], atol=1e-14)
+    z1 = _zeros(1, 2, 1, 0)
+    assert abs(z1[0] + 1.0 / 3.0) < 1e-14
+
+
+@pytest.mark.parametrize("d,a,b,k", [(2, 0, 0, 8), (3, 1, 0, 6), (8, 1, 1, 10), (24, 0, 0, 4)])
+def test_zeros_structure(d, a, b, k):
+    z = _zeros(k, d, a, b)
+    assert len(z) == k
+    assert np.all(np.diff(z) > 0)
+    assert z[0] > -1.0 and z[-1] < 1.0
+    assert abs(jacobi.largest_zero(k, d, a, b) - z[-1]) < 1e-15
+    deriv = jacobi._deriv_rows(k, *jacobi.family_params(d, a, b), z)[k]
+    for zi, dz in zip(z, deriv):
+        resid = abs(_p(k, d, a, b, zi))
+        assert resid < 1e-11 * max(1.0, abs(dz))
+
+
+@given(
+    st.integers(min_value=2, max_value=12),
+    st.integers(min_value=2, max_value=10),
+    st.sampled_from([(0, 0), (1, 0), (1, 1)]),
+)
+@settings(max_examples=60, deadline=None)
+def test_consecutive_zeros_interlace(k, d, ab):
+    a, b = ab
+    zk = _zeros(k, d, a, b)
+    zk1 = _zeros(k + 1, d, a, b)
+    for i in range(k):
+        assert zk1[i] < zk[i] < zk1[i + 1]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 8])

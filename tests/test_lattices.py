@@ -184,21 +184,43 @@ def test_c_tilde_matches_full_48_shell_theta_transform(d, name):
         assert got <= _ulps(theta, ref), (name, s, got, _ulps(theta, ref))
 
 
-# points once checked against double-precision closed forms, among them
-# both sides of A2's old route border at s = 8
-_CLOSED_FORM_POINTS = {"A2": (4.0, 5.5, 7.9, 8.1, 9.0), "D4": (5.0, 9.0, 16.0),
-                       "E8": (10.0, 14.0, 20.0), "Leech": (26.0, 35.0)}
+def _assert_zeta_matches_oracle(name, s):
+    # within tail_bound of the 50-digit oracle and rounded to the nearest double
+    ref = oracles.lattice_zeta_mp(_ZETA_DIMS[name], s)
+    got = lattices.epstein_zeta(name, s, 1e-10)
+    assert float(abs(oracles.mp.mpf(got.value) - ref)) <= got.tail_bound, (name, s)
+    assert got.tail_bound <= 1e-10 * got.value, (name, s)
+    assert _ulps(got.value, ref) <= 0.5 + 1e-9, (name, s)
 
 
 @pytest.mark.parametrize("name", list(_ZETA_DIMS))
 def test_epstein_zeta_within_tail_bound_of_oracle(name):
-    d = _ZETA_DIMS[name]
-    for s in _oracle_grid(d) + list(_CLOSED_FORM_POINTS.get(name, ())):
-        ref = oracles.lattice_zeta_mp(d, s)
-        got = lattices.epstein_zeta(name, s, 1e-10)
-        assert float(abs(oracles.mp.mpf(got.value) - ref)) <= got.tail_bound, (name, s)
-        assert got.tail_bound <= 1e-10 * got.value, (name, s)
-        assert _ulps(got.value, ref) <= 0.5 + 1e-9, (name, s)
+    for s in _oracle_grid(_ZETA_DIMS[name]):
+        _assert_zeta_matches_oracle(name, s)
+
+
+@pytest.mark.parametrize(
+    "name,s",
+    [("A2", 4.0), ("A2", 5.5), ("A2", 9.0), ("D4", 5.0), ("D4", 9.0), ("D4", 16.0),
+     ("E8", 10.0), ("E8", 14.0), ("E8", 20.0)],
+)
+def test_epstein_zeta_against_closed_forms(name, s):
+    # the oracle evaluates the closed forms in zeta and L(w, chi_-3) at 50 digits
+    _assert_zeta_matches_oracle(name, s)
+
+
+@pytest.mark.parametrize("s", [26.0, 35.0])
+def test_leech_zeta_against_closed_form(s):
+    # the closed form needs L(w, Delta); the oracle takes its 50 digits from
+    # the theta transformation over 48 shells instead
+    _assert_zeta_matches_oracle("Leech", s)
+
+
+def test_epstein_route_crossover_consistent():
+    # s = d + 6 was the border between two routes that one closed form
+    # now replaces; both sides must still hit the oracle
+    for s in (7.9, 8.1):
+        _assert_zeta_matches_oracle("A2", s)
 
 
 _FLOOR = 2.0**-52

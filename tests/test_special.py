@@ -55,6 +55,19 @@ def test_bessel_j_at_zero_argument():
     assert special.bessel_j(2.0, 0.0) == 0.0
 
 
+@pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.0, 6.5, 12.0])
+def test_bessel_zeros_against_bisection(nu):
+    # each zero sits in a bracket of relative width 1e-14 across which J_nu
+    # changes sign, as a bisection on mpmath's besselj ends; J_nu is positive
+    # below the first zero, so the sign below the k-th is (-1)^(k-1)
+    table = special.bessel_zeros(nu, 10)
+    with mp.workdps(30):
+        for k, z in enumerate(table.zeros, start=1):
+            below = mp.besselj(nu, mp.mpf(z) * (1 - mp.mpf(1e-14)))
+            above = mp.besselj(nu, mp.mpf(z) * (1 + mp.mpf(1e-14)))
+            assert mp.sign(below) == (-1) ** (k - 1) == -mp.sign(above), (nu, k)
+
+
 def test_half_order_zeros_are_multiples_of_pi():
     table = special.bessel_zeros(0.5, 8)
     for i, z in enumerate(table.zeros, start=1):
