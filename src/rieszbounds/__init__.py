@@ -1,99 +1,14 @@
 """Linear programming lower bounds for Riesz and Gaussian energy on spheres."""
 
-from .energy import (
-    AsdBound,
-    GaussBound,
-    GaussianPotential,
-    RieszPotential,
-    asd_bound,
-    bd_ratio,
-    gauss_bound,
-    packing_bound,
-    parse_potential,
-    theta_bound,
-    ulb_energy,
-    xi_bound,
-    xi_flags,
-)
-from .errors import DomainError, NumericalError, ResourceError
-from .jacobi import (
-    cd_kernel,
-    family_params,
-    jacobi_values,
-    largest_zero,
-    norm_ratios,
-)
-from .lattices import (
-    LATTICES,
-    EpsteinZeta,
-    LatticeSpec,
-    c_tilde,
-    epstein_zeta,
-    packing_density,
-    theta_coefficients,
-)
-from .quadrature import (
-    QuadratureRule,
-    build_rule,
-    dgs_bound,
-    lev_branch,
-    lev_function,
-    solve_s_for_n,
-    verify_exactness,
-)
-from .special import (
-    BesselZeroTable,
-    ball_volume,
-    bessel_j,
-    bessel_zeros,
-    hurwitz_zeta,
-    lambda_d,
-    unit_sphere_area,
-)
+from . import energy, errors, jacobi, lattices, quadrature, special
+from .energy import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .jacobi import *  # noqa: F403
+from .lattices import *  # noqa: F403
+from .quadrature import *  # noqa: F403
+from .special import *  # noqa: F403
 
-__all__ = [
-    "DomainError",
-    "NumericalError",
-    "ResourceError",
-    "BesselZeroTable",
-    "ball_volume",
-    "bessel_j",
-    "bessel_zeros",
-    "hurwitz_zeta",
-    "lambda_d",
-    "unit_sphere_area",
-    "cd_kernel",
-    "family_params",
-    "jacobi_values",
-    "largest_zero",
-    "norm_ratios",
-    "QuadratureRule",
-    "build_rule",
-    "dgs_bound",
-    "lev_branch",
-    "lev_function",
-    "solve_s_for_n",
-    "verify_exactness",
-    "RieszPotential",
-    "GaussianPotential",
-    "parse_potential",
-    "ulb_energy",
-    "theta_bound",
-    "xi_bound",
-    "xi_flags",
-    "AsdBound",
-    "asd_bound",
-    "GaussBound",
-    "gauss_bound",
-    "packing_bound",
-    "bd_ratio",
-    "LatticeSpec",
-    "LATTICES",
-    "EpsteinZeta",
-    "epstein_zeta",
-    "c_tilde",
-    "packing_density",
-    "theta_coefficients",
-]
+__all__ = (errors.__all__ + special.__all__ + jacobi.__all__ + quadrature.__all__
+           + energy.__all__ + lattices.__all__)
 
 __version__ = "0.1.0"

@@ -185,16 +185,6 @@ def _gauss(ns: argparse.Namespace) -> str:
                   str(gb.terms_used), _fmt(gb.tail_bound))])
 
 
-RENDERERS = {
-    "bounds": _bounds,
-    "table-bd": _table_bd,
-    "plot-fs": _plot_fs,
-    "quadrature": _quadrature,
-    "ulb": _ulb,
-    "gauss": _gauss,
-}
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
@@ -212,42 +202,44 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Linear-programming lower bounds for minimal energy on spheres.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, render) -> None:
+        # the options every subcommand shares, and the renderer it runs
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output path (default stdout)")
+        p.set_defaults(render=render)
 
     p = sub.add_parser("bounds", help="all asymptotic bounds at one (d, s)")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-10)
-    common(p)
+    common(p, _bounds)
 
     p = sub.add_parser("table-bd", help="limiting-ratio table B_d")
-    common(p)
+    common(p, _table_bd)
 
     p = sub.add_parser("plot-fs", help="figure curves over an s grid")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--s-range", type=str, required=True, metavar="START:STOP:STEP")
     p.add_argument("--tol", type=float, default=1e-10)
-    common(p)
+    common(p, _plot_fs)
 
     p = sub.add_parser("quadrature", help="1/N-quadrature rule nodes and weights")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--N", type=int, required=True, dest="n")
-    common(p)
+    common(p, _quadrature)
 
     p = sub.add_parser("ulb", help="universal lower bound N^2 sum w h(x)")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--N", type=int, required=True, dest="n")
     p.add_argument("--potential", type=str, required=True,
                    help="riesz:s or gauss:alpha")
-    common(p)
+    common(p, _ulb)
 
     p = sub.add_parser("gauss", help="Gaussian energy bound in R^d")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--rho", type=float, default=1.0)
-    common(p)
+    common(p, _gauss)
 
     return parser
 
@@ -255,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ns = _build_parser().parse_args(argv)
     try:
-        text = RENDERERS[ns.command](ns)
+        text = ns.render(ns)
     except DomainError as exc:
         print(f"rieszbounds: {exc}", file=sys.stderr)
         return 2

@@ -31,21 +31,9 @@ from .special import (
     unit_sphere_area,
 )
 
-__all__ = [
-    "RieszPotential",
-    "GaussianPotential",
-    "parse_potential",
-    "ulb_energy",
-    "theta_bound",
-    "xi_bound",
-    "xi_flags",
-    "AsdBound",
-    "asd_bound",
-    "GaussBound",
-    "gauss_bound",
-    "packing_bound",
-    "bd_ratio",
-]
+__all__ = ["RieszPotential", "GaussianPotential", "parse_potential", "ulb_energy",
+           "theta_bound", "xi_bound", "xi_flags", "AsdBound", "asd_bound", "GaussBound",
+           "gauss_bound", "packing_bound", "bd_ratio"]
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +266,23 @@ def asd_bound(d: int, s: float, tol: float = 1e-10) -> AsdBound:
         raise NumericalError(f"asd_bound underflows for d={d}, s={s}")
 
     m = 600 if delta < _TRUNCATION_DELTA else 240
+    if delta < _TRUNCATION_DELTA:
+        u2, u4, u6 = _tail_u(d, delta)
+
+        def model_rel(a: float) -> float:
+            # the O(zeta(D+7, a)) term of the tail model, relative to the first term
+            return (4.0 * (math.pi / 2.0) * (1.0 + abs(u6)) * math.pi ** (-delta - 7.0)
+                    * hurwitz_zeta(delta + 7.0, a)) * math.exp(-log_t1)
+
+        # The model term falls with m, so no pass up to _MAX_TERMS gets it
+        # below its value there, while a pass certifies only with it below
+        # (tol - _ASD_FLOOR) total_rel, and total_rel <= 1 + z_1/(pi delta)
+        # (above).  4 ulps of tol keep the tols at the floor that the
+        # rounding of that test lets through.
+        total_max = 1.0 + z1 / (math.pi * delta)
+        if model_rel(_MAX_TERMS + 1.0 + q) > (tol - _ASD_FLOOR + 4 * math.ulp(tol)) * total_max:
+            raise ResourceError(f"asd_bound tail model cannot reach tol={tol} within "
+                                f"{_MAX_TERMS} terms for d={d}, s={s}")
     while True:
         zs, ws = _zero_weights(d, m + 1)
         logz1 = math.log(zs[0])
@@ -288,15 +293,12 @@ def asd_bound(d: int, s: float, tol: float = 1e-10) -> AsdBound:
 
         if delta < _TRUNCATION_DELTA:
             a = m + 1.0 + q
-            u2, u4, u6 = _tail_u(d, delta)
             tail = (math.pi / 2.0) * (
                 math.pi ** (-delta - 1.0) * hurwitz_zeta(delta + 1.0, a)
                 + u2 * math.pi ** (-delta - 3.0) * hurwitz_zeta(delta + 3.0, a)
                 + u4 * math.pi ** (-delta - 5.0) * hurwitz_zeta(delta + 5.0, a))
             tail_rel = tail * math.exp(-log_t1)
-            model_err = (4.0 * (math.pi / 2.0) * (1.0 + abs(u6))
-                         * math.pi ** (-delta - 7.0) * hurwitz_zeta(delta + 7.0, a))
-            err_rel = model_err * math.exp(-log_t1)
+            err_rel = model_rel(a)
         else:
             # Past zs[m], w <= (z/zs[m]) ws[m] and the zero spacing (see above)
             # bound the tail by the term at zs[m] times 1 + zs[m]/(pi delta).
@@ -331,7 +333,8 @@ class GaussBound(NamedTuple):
     tail_bound: float
 
 
-_GAUSS_MAX_TERMS = 200_000
+# most series terms tried: the doubling 64, 128, 256, ... stops at this count
+_GAUSS_MAX_TERMS = 64 * 2**11
 _LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 
 
@@ -358,14 +361,10 @@ def gauss_bound(d: int, alpha: float, rho: float = 1.0) -> GaussBound:
     scale = 4.0 / (lambda_d(d) * math.gamma(d + 1.0))
     decay = alpha / (math.pi * radius) ** 2
     # The loop below returns only once the term ratio past z_next is below
-    # 1/2, which needs 2 pi decay z_next > ln 2.  m doubles from 64 until
-    # the next doubling would pass the cap, so the largest z_next tested
-    # is zs[m_last], and j_{nu,k} <= (k + nu/2 - 1/4) pi for nu >= 1/2.
-    # 0.69 < ln 2 leaves room for the rounding of the test itself.
-    m_last = 64
-    while m_last + 2 * m_last <= _GAUSS_MAX_TERMS:
-        m_last *= 2
-    z_last = (m_last + 1 + d / 4.0 - 0.25) * math.pi
+    # 1/2, which needs 2 pi decay z_next > ln 2.  The largest z_next tested
+    # is zs[_GAUSS_MAX_TERMS], and j_{nu,k} <= (k + nu/2 - 1/4) pi for
+    # nu >= 1/2.  0.69 < ln 2 leaves room for the rounding of the test itself.
+    z_last = (_GAUSS_MAX_TERMS + 1 + d / 4.0 - 0.25) * math.pi
     if 2.0 * math.pi * decay * z_last < 0.69:
         raise ResourceError(
             f"gauss_bound truncation cannot be certified within {_GAUSS_MAX_TERMS} "
@@ -392,9 +391,12 @@ def gauss_bound(d: int, alpha: float, rho: float = 1.0) -> GaussBound:
         ratio = math.exp((d - 1) * math.pi / z_next - 2.0 * decay * math.pi * z_next)
         if ratio < 0.5:
             cert = t_next / (1.0 - ratio)
-            if cert <= 1e-12 * max(total, 5e-324):
-                return GaussBound(scale * total, m, scale * cert)
-        if m + 2 * max(64, m) > _GAUSS_MAX_TERMS:
+            if cert <= 1e-12 * total:
+                if (value := scale * total) == 0.0:
+                    raise NumericalError(
+                        f"gauss_bound underflows for d={d}, alpha={alpha}, rho={rho}")
+                return GaussBound(value, m, scale * cert)
+        if m == _GAUSS_MAX_TERMS:
             raise ResourceError(
                 f"gauss_bound truncation not certified within {_GAUSS_MAX_TERMS} terms "
                 f"for d={d}, alpha={alpha}, rho={rho}")

@@ -6,6 +6,8 @@ failures (iteration did not converge, budget exhausted) so that callers
 exit codes.
 """
 
+__all__ = ["DomainError", "NumericalError", "ResourceError"]
+
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""

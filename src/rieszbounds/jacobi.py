@@ -4,7 +4,7 @@ All polynomials are normalized to equal 1 at t = 1.  A family is
 addressed by the sphere dimension d >= 2 and a parameter pair
 (a, b) in {0, 1}^2, corresponding to Jacobi parameters
 alpha = (d-2)/2 + a, beta = (d-2)/2 + b; (0, 0) is the Gegenbauer
-family attached to harmonic analysis on S^(d-1).
+family attached to harmonic analysis on S^d.
 
 Evaluation runs the conventional three-term recurrence in extended
 precision on coefficients tabulated once per family.  Norm ratios are the
@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError, NumericalError, ResourceError
+
+__all__ = ["cd_kernel", "family_params", "jacobi_values", "largest_zero", "norm_ratios"]
 
 # Largest polynomial degree given to the dense k x k eigen-solve or to
 # largest_zero, checked before anything is allocated.  The matrix and

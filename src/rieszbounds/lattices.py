@@ -32,19 +32,8 @@ from typing import Callable, NamedTuple
 from .errors import DomainError, NumericalError, ResourceError
 from .special import ball_volume
 
-__all__ = [
-    "LatticeSpec",
-    "LATTICES",
-    "LATTICE_FOR_DIMENSION",
-    "CONJECTURED_DIMENSIONS",
-    "C_TILDE_DIMENSIONS",
-    "tau_coefficients",
-    "theta_coefficients",
-    "EpsteinZeta",
-    "epstein_zeta",
-    "c_tilde",
-    "packing_density",
-]
+__all__ = ["LatticeSpec", "LATTICES", "EpsteinZeta", "epstein_zeta", "c_tilde",
+           "packing_density", "theta_coefficients"]
 
 
 def __getattr__(name: str):

@@ -17,9 +17,12 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, ResourceError
 from . import jacobi
 from .jacobi import cd_kernel, family_params
+
+__all__ = ["QuadratureRule", "build_rule", "dgs_bound", "lev_branch", "lev_function",
+           "solve_s_for_n", "verify_exactness"]
 
 
 def dgs_bound(d: int, tau: int) -> int:
@@ -90,7 +93,8 @@ def _resolve_interval(d: int, s: float) -> int:
     # their right ends rise strictly with tau up to the order budget
     tau = _first_true(lambda t: s <= _end(d, t), 2 * jacobi._MAX_ORDER)
     if tau is None:
-        raise NumericalError(f"interval resolution ran away for d={d}, s={s}")
+        raise ResourceError(f"lev_function at s={s} needs an order above the budget of "
+                            f"{jacobi._MAX_ORDER} for d={d}")
     return tau
 
 

@@ -29,6 +29,9 @@ from dataclasses import dataclass
 
 from .errors import DomainError, NumericalError
 
+__all__ = ["BesselZeroTable", "ball_volume", "bessel_j", "bessel_zeros", "hurwitz_zeta",
+           "lambda_d", "unit_sphere_area"]
+
 _EPS = 2.220446049250313e-16
 
 

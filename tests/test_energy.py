@@ -237,8 +237,23 @@ def test_asd_tol_below_floor_refused_at_once(tol):
 
 
 def test_asd_tol_at_floor_still_tried():
-    got = energy.asd_bound(3, 40.0, 2e-13)
-    assert got.tail_bound <= 2e-13 * got.value
+    # at (2, 4) only rounding lets the floor pass, with the tail model's term
+    # far below it; the gate before the first table leaves room for that
+    for d, s, terms in ((3, 40.0, 240), (2, 4.0, 2400)):
+        got = energy.asd_bound(d, s, 2e-13)
+        assert got.terms_used == terms and got.tail_bound <= 2e-13 * got.value
+
+
+def test_asd_refuses_a_tol_its_tail_model_cannot_meet(cold_zeros):
+    # at the 80,000-term cap the model term is still 1.7e-23 of the first
+    # term, against the 1.2e-26 that this tol leaves: refused from the first
+    # zero alone, where the loop used to build 76,800 zeros (3.4 s) first
+    special.bessel_zeros(1.0, 1)  # the Bessel series loads mpmath
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match="tail model cannot reach tol=2e-13"):
+        energy.asd_bound(60, 60.1, 2e-13)
+    assert time.perf_counter() - start < 0.05
+    assert len(special._zero_cache[30.0][0]) == 1
 
 
 def test_asd_doubling_meets_a_tol_the_first_pass_misses():
@@ -334,6 +349,11 @@ def test_gauss_bound_monotone_and_vanishing():
     assert v1 > v2 > v4 > 0.0
     assert energy.gauss_bound(2, 200.0).value < 1e-30
     assert abs(v1 - 2.1417388079459667) < 1e-12 * v1
+    assert energy.gauss_bound(2, 100.0).value == 1.1192696844357648e-50
+    # at alpha = 1000 the sum underflows; a 0 would claim an exactness the
+    # positive true value does not have
+    with pytest.raises(NumericalError, match="gauss_bound underflows for d=2"):
+        energy.gauss_bound(2, 1000.0)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

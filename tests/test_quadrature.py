@@ -382,17 +382,19 @@ def test_solve_s_for_n_refuses_a_bracket_with_no_sign_change(monkeypatch, n):
     assert time.perf_counter() - start < 0.05
 
 
-@pytest.mark.parametrize("call, message", [
-    (lambda: quadrature.lev_function(2, 0.999999), "interval resolution ran away"),
-    (lambda: quadrature.solve_s_for_n(2, 1600000), "Levenshtein inversion stalled"),
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: quadrature.lev_function(2, 0.999999), ResourceError,
+     "lev_function at s=0.999999 needs an order above the budget of 2000 for d=2"),
+    (lambda: quadrature.solve_s_for_n(2, 1600000), NumericalError,
+     "Levenshtein inversion stalled"),
 ], ids=["lev_function", "solve_s_for_n"])
-def test_refusals_near_the_budget_run_no_eigen_solve(monkeypatch, call, message):
+def test_refusals_near_the_budget_run_no_eigen_solve(monkeypatch, call, error, message):
     # interval ends and the root bracket are largest zeros, which Newton on
     # one point finds; only a full node set takes the dense solve
     calls = []
     eig = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eig(m))
-    with pytest.raises(NumericalError, match=message):
+    with pytest.raises(error, match=message):
         call()
     assert calls == []
 
