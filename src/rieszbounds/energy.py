@@ -96,14 +96,16 @@ def parse_potential(text: str):
 def ulb_energy(d: int, n: int, h) -> float:
     """Lower bound N^2 sum w_i h(x_i) for the h-energy of N points on S^d.
 
-    h must be finite on [-1, 1); the rule nodes never include 1.
+    h must map the array of rule nodes to an array of the same shape, as
+    both potentials here do, and be finite on [-1, 1); the nodes never
+    include 1.  A result of another shape raises DomainError.
     """
     rule = build_rule(d, n)
     import numpy as np
     x = np.array(rule.nodes, dtype=float)
     vals = np.asarray(h(x), dtype=float)
     if vals.shape != x.shape:
-        vals = np.array([float(h(t)) for t in x], dtype=float)
+        raise DomainError(f"potential must map the nodes to shape {x.shape}, got {vals.shape}")
     if not np.all(np.isfinite(vals)):
         raise NumericalError("potential not finite at a quadrature node")
     return float(n) * float(n) * float(np.dot(np.array(rule.weights), vals))

@@ -202,10 +202,9 @@ class EpsteinZeta(NamedTuple):
 # _ROUNDING is the rounding to double (2^-53 relative) plus 2^-60, which
 # covers those remainders and the arithmetic (together below 2^-95).  The
 # Leech tau tail adds at most 2^-55 where M <= TAU_TRUNCATION_DEFAULT
-# reaches it, so tail bounds stay below _FLOOR, and a smaller tol is refused.
+# reaches it, so every tail bound stays below 2^-52 of its value.
 _PREC = 110
 _ROUNDING = 2.0**-53 + 2.0**-60
-_FLOOR = 2.0**-52
 _EM_START = 24  # zeta heads sum n < 24; L(w, chi_-3) pairs n < 72
 # smallest prime factor of each m <= TAU_TRUNCATION_DEFAULT
 _SPF = list(range(TAU_TRUNCATION_DEFAULT + 1))
@@ -313,7 +312,7 @@ def _closed_form(lat: LatticeSpec, w: mpf) -> tuple[mpf, mpf]:
     return lat.scale * mpf(2) ** -w * zeta * (1 + _zeta_minus_one(w - 3)), mpf(0)
 
 
-def epstein_zeta(lattice: LatticeSpec | str, s: float, tol: float = 1e-10) -> EpsteinZeta:
+def epstein_zeta(lattice: LatticeSpec | str, s: float) -> EpsteinZeta:
     """Zeta function of the lattice, sum of |x|^-s over nonzero vectors.
 
     With w = s/2 it is a product of Dirichlet series (Sarnak & Strombergsson,
@@ -324,9 +323,8 @@ def epstein_zeta(lattice: LatticeSpec | str, s: float, tol: float = 1e-10) -> Ep
     is a head sum plus an Euler-Maclaurin tail, and the tau sum of
     L(w, Delta) stops where Deligne's bound puts its tail below a quarter
     ulp.  tail_bound is that tau tail plus one rounding, which also covers
-    the Euler-Maclaurin remainders; the target is tail_bound <= tol * value,
-    and a tol below 2^-52, which bounds every tail_bound, raises
-    ResourceError at once.  Other lattices raise DomainError.
+    the Euler-Maclaurin remainders, so tail_bound <= 2^-52 * value.  Other
+    lattices raise DomainError.
     """
     lat = _spec(lattice)
     if lat.scale is None:
@@ -334,21 +332,11 @@ def epstein_zeta(lattice: LatticeSpec | str, s: float, tol: float = 1e-10) -> Ep
                           f"lattices: {', '.join(n for n, x in LATTICES.items() if x.scale)}")
     if not lat.d < s < math.inf:
         raise DomainError(f"lattice zeta of {lat.name} requires finite s > {lat.d}, got {s}")
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tolerance must be positive and finite, got {tol}")
-    if tol < _FLOOR:
-        raise ResourceError(
-            f"zeta tolerance {tol:g} for {lat.name} at s={s} is below the "
-            f"relative floating-point floor {_FLOOR:g}")
     from mpmath import mp, mpf
     with mp.workprec(_PREC):
         z, tau_tail = _closed_form(lat, mpf(s) / 2)
         value = float(z)
-        tail = float(tau_tail) + _ROUNDING * value
-    if not tail <= tol * value:
-        raise ResourceError(
-            f"zeta of {lat.name} at s={s} has tail {tail:.3e} above tol {tol:g}")
-    return EpsteinZeta(value, tail)
+        return EpsteinZeta(value, float(tau_tail) + _ROUNDING * value)
 
 
 def c_tilde(d: int, s: float) -> float:

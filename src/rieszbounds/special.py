@@ -54,7 +54,8 @@ def unit_sphere_area(d: int) -> float:
     try:
         return 2.0 * math.pi ** ((d + 1) / 2.0) / math.gamma((d + 1) / 2.0)
     except OverflowError:
-        raise NumericalError(f"unit_sphere_area overflows for d={d}") from None
+        raise NumericalError(f"unit_sphere_area for d={d}: Gamma({(d + 1) / 2:g}) overflows "
+                             "a double, though the area does not") from None
 
 
 def ball_volume(d: int, r: float = 1.0) -> float:
@@ -64,7 +65,12 @@ def ball_volume(d: int, r: float = 1.0) -> float:
     if not 0.0 <= r < math.inf:
         raise DomainError(f"ball_volume requires finite r >= 0, got {r}")
     try:
-        value = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * r**d
+        gamma = math.gamma(d / 2.0 + 1.0)
+    except OverflowError:
+        raise NumericalError(f"ball_volume for d={d}: Gamma({d / 2 + 1:g}) overflows a "
+                             "double, though the unit ball's volume does not") from None
+    try:
+        value = math.pi ** (d / 2.0) / gamma * r**d
     except OverflowError:
         value = math.inf
     if value == math.inf:
@@ -131,24 +137,25 @@ def _bessel_series(nu: float, x: float) -> float:
 
 def _bessel_asymptotic(nu: float, x: float) -> tuple[float, float, float]:
     # Hankel expansion J_nu(x) ~ sqrt(2/(pi x)) (P cos w - Q sin w) with
-    # w = x - (nu/2 + 1/4) pi.  coeffs[k] is a_k(nu)/x^k: P sums the even
-    # k and Q the odd k, with alternating signs.  For real order, DLMF
-    # 10.17(iii) bounds the remainder of P after l terms by its first
-    # neglected term once l >= max(nu/2 - 1/4, 1), and that of Q once
-    # l >= max(nu/2 - 3/4, 1).  n = len(coeffs) >= nu - 1/2 meets both: P
-    # has ceil(n/2) >= nu/2 - 1/4 terms and Q floor(n/2) >= (n-1)/2 >=
-    # nu/2 - 3/4, and n >= 2 since coeffs[1] is always kept.  So terms are
-    # taken while they shrink until that count is reached, and only then
-    # cut below 1e-18.  When the loop stops at the turnover the first
-    # neglected terms are the omitted c and the one after it; past the
-    # sign change of mu - (2k-1)^2 each term ratio exceeds the previous
-    # one by less than 1/x, so that one is at most 1 + 2/x times larger,
-    # hence the 2.5.  A term that underflows to 0.0 is a cut too, even
-    # before the term count: below the sign change the ratio
-    # |mu - (2k-1)^2| / (8 k x) falls as k grows, so once the turnover test
-    # has passed it stays below 1 up to the DLMF count, and every omitted
-    # term up to there, and the remainder past it, is below that one.  So
-    # the loop ends, at the latest where the terms turn over or underflow.
+    # w = x - (nu/2 + 1/4) pi.  The term c_k = a_k(nu)/x^k goes to P for
+    # even k and to Q for odd k, with sign (-1)^(k//2), as it is made.  For
+    # real order, DLMF 10.17(iii) bounds the remainder of P after l terms by
+    # its first neglected term once l >= max(nu/2 - 1/4, 1), and that of Q
+    # once l >= max(nu/2 - 3/4, 1).  Keeping the n terms c_0..c_{n-1} with
+    # n >= nu - 1/2 meets both: P has ceil(n/2) >= nu/2 - 1/4 terms and Q
+    # floor(n/2) >= (n-1)/2 >= nu/2 - 3/4, and n >= 2 since c_1 is always
+    # kept.  So terms are taken while they shrink until that count is
+    # reached, and only then cut below 1e-18.  When the loop stops at the
+    # turnover the first neglected terms are the omitted c and the one
+    # after it; past the sign change of mu - (2k-1)^2 each term ratio
+    # exceeds the previous one by less than 1/x, so that one is at most
+    # 1 + 2/x times larger, hence the 2.5.  A term that underflows to 0.0
+    # is a cut too, even before the term count: below the sign change the
+    # ratio |mu - (2k-1)^2| / (8 k x) falls as k grows, so once the
+    # turnover test has passed it stays below 1 up to the DLMF count, and
+    # every omitted term up to there, and the remainder past it, is below
+    # that one.  So the loop ends, at the latest where the terms turn over
+    # or underflow.
     #
     # Returns (value, err, phase_err).  err covers truncation and
     # arithmetic; phase_err covers the rounding of w, at most about 1.3
@@ -157,27 +164,24 @@ def _bessel_asymptotic(nu: float, x: float) -> tuple[float, float, float]:
     # |value - J_nu(x)| <= err + phase_err.
     mu = 4.0 * nu * nu
     need = nu - 0.5
-    coeffs = [1.0]
-    c = 1.0
-    k = 1
+    p_sum = last = c = 1.0
+    q_sum = 0.0
+    k = 1  # c_k is made next, after the k terms c_0..c_{k-1}
     while True:
         c *= (mu - (2.0 * k - 1.0) ** 2) / (8.0 * k * x)
-        if k > 2 and abs(c) >= abs(coeffs[-1]):
+        if k > 2 and abs(c) >= abs(last):
             # turned over: certified only past the DLMF term count
-            omitted = abs(c) if len(coeffs) >= need else math.inf
+            omitted = abs(c) if k >= need else math.inf
             break
-        coeffs.append(c)
-        if c == 0.0 or (abs(c) < 1e-18 and len(coeffs) >= need):
+        if k % 2:
+            q_sum += c if k % 4 == 1 else -c
+        else:
+            p_sum += c if k % 4 == 0 else -c
+        last = c
+        if c == 0.0 or (abs(c) < 1e-18 and k + 1 >= need):
             omitted = 0.0
             break
         k += 1
-    p_sum = 0.0
-    q_sum = 0.0
-    for j, cj in enumerate(coeffs):
-        if j % 2 == 0:
-            p_sum += cj if (j // 2) % 2 == 0 else -cj
-        else:
-            q_sum += cj if (j // 2) % 2 == 0 else -cj
     pref = math.sqrt(2.0 / (math.pi * x))
     omega = x - (0.5 * nu + 0.25) * math.pi
     value = pref * (math.cos(omega) * p_sum - math.sin(omega) * q_sum)

@@ -247,6 +247,21 @@ def riesz_energy(points, s: float) -> float:
     return float(np.sum(dist**-s))
 
 
+# Sharp codes (Cohn & Kumar, J. Amer. Math. Soc. 20, 2007): each is a
+# spherical (2m-1)-design with m distinct inner products between distinct
+# points, so it attains the Levenshtein bound and its h-energy,
+# N sum count * h(t), is the universal lower bound for every absolutely
+# monotone h.  Entry: (d of S^d, N, {t: how many other points lie at inner
+# product t with any one point}); the counts are those of Conway & Sloane,
+# Sphere Packings, Lattices and Groups, ch. 4 and 14.
+SHARP_CODES = {
+    "icosahedron": (2, 12, {-1.0: 1, -1.0 / math.sqrt(5.0): 5, 1.0 / math.sqrt(5.0): 5}),
+    "E8 roots": (7, 240, {-1.0: 1, -0.5: 56, 0.0: 126, 0.5: 56}),
+    "Leech minimal vectors": (23, 196560, {-1.0: 1, -0.5: 4600, -0.25: 47104, 0.0: 93150,
+                                           0.25: 47104, 0.5: 4600}),
+}
+
+
 # Christoffel-Darboux kernel by its defining sum, in mpmath.
 
 

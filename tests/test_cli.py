@@ -304,6 +304,23 @@ def test_huge_n_refusal_prints_no_warning():
     assert "Warning" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [("bounds", "--d", "2", "--s", "4"),
+                                  ("gauss", "--d", "2", "--alpha", "1"),
+                                  ("table-bd",),
+                                  ("plot-fs", "--d", "2", "--s-range", "2.5:4:0.5")],
+                         ids=lambda argv: argv[0])
+def test_subcommand_without_a_rule_imports_no_numpy_in_a_fresh_process(argv):
+    # the import log of -X importtime, as the CI step reads it for the
+    # installed console script
+    proc = _fresh_python("-X", "importtime", "-m", "rieszbounds.cli", *argv)
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "mpmath" in imported  # the log is read: every one of these loads mpmath
+    for module in ("numpy", "fractions"):
+        assert not {m for m in imported if m.split(".")[0] == module}, (argv, module)
+
+
 _NUMPY_PROBE = r"""
 import contextlib, io, sys
 from rieszbounds.cli import main
@@ -336,7 +353,7 @@ import contextlib, io, sys
 import rieszbounds
 from rieszbounds import lattices
 from rieszbounds.cli import main
-from rieszbounds.errors import DomainError, ResourceError
+from rieszbounds.errors import DomainError
 
 def call(*argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -354,10 +371,10 @@ for argv, code in [(("quadrature", "--d", "2", "--N", "100"), 0),
     assert "mpmath" not in sys.modules, argv
 for f, args in [(lattices.c_tilde, (3, 4.0)), (lattices.c_tilde, (2, 2.0)),
                 (lattices.c_tilde, (8, float("nan"))), (lattices.epstein_zeta, ("fcc", 5.0)),
-                (lattices.epstein_zeta, ("E8", 8.0)), (lattices.epstein_zeta, ("E8", 9.0, 1e-20))]:
+                (lattices.epstein_zeta, ("E8", 8.0))]:
     try:
         f(*args)
-    except (DomainError, ResourceError):
+    except DomainError:
         pass
     else:
         raise AssertionError(args)

@@ -40,6 +40,26 @@ def test_ulb_takes_any_callable(d, n):
     assert abs(got - n * n) <= 1e-13 * n * n
 
 
+def test_ulb_refuses_a_potential_that_does_not_map_the_node_array():
+    # a constant Python float is not an array of the nodes' shape
+    with pytest.raises(DomainError, match="potential must map the nodes"):
+        energy.ulb_energy(2, 4, lambda t: 1.0)
+
+
+@pytest.mark.parametrize("name", list(oracles.SHARP_CODES))
+def test_ulb_is_attained_by_sharp_codes(name):
+    # a sharp code's energy is the bound itself; the rule has one node per
+    # inner product, and the largest gap measured was 2.5e-16 relative
+    # (Leech minimal vectors, riesz:26), so 1e-15 leaves four times that
+    d, n, dist = oracles.SHARP_CODES[name]
+    assert sum(dist.values()) == n - 1
+    for text in ("riesz:1", f"riesz:{d + 3}", "gauss:0.7"):
+        h = energy.parse_potential(text)
+        want = n * math.fsum(count * float(h(t)) for t, count in dist.items())
+        got = energy.ulb_energy(d, n, h)
+        assert abs(got - want) <= 1e-15 * want, (name, text, got, want)
+
+
 def test_ulb_tetrahedron_closed_form():
     for s in (2.0, 3.0, 4.0, 6.0):
         got = energy.ulb_energy(2, 4, energy.RieszPotential(s))

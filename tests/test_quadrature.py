@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import time
@@ -224,6 +225,17 @@ def test_exactness_on_design_sizes():
                 rule = quadrature.build_rule(d, n)
                 assert quadrature.verify_exactness(rule, rule.exact_degree) < 1e-10
                 assert quadrature.verify_exactness(rule, rule.exact_degree + 2) > 1e-6
+
+
+def test_rule_validation_refuses_each_broken_invariant():
+    rule = quadrature.build_rule(2, 12)
+    nodes, weights = rule.nodes, rule.weights
+    for bad, match in [({"weights": (0.0,) + weights[1:]}, "nonpositive weights"),
+                       ({"nodes": (1.0,) + nodes[1:]}, "a node >= 1"),
+                       ({"nodes": (nodes[1], nodes[0]) + nodes[2:]}, "nodes not decreasing"),
+                       ({"weights": tuple(1.01 * w for w in weights)}, "weight sum off")]:
+        with pytest.raises(NumericalError, match=match):
+            dataclasses.replace(rule, **bad).validate()
 
 
 @given(st.integers(min_value=2, max_value=60), st.sampled_from([2, 3, 8]))

@@ -27,9 +27,17 @@ def test_sphere_area_and_ball_volume():
     assert abs(special.ball_volume(2, 1.0) - math.pi) < 1e-15
     assert abs(special.ball_volume(3, 2.0) - 32.0 * math.pi / 3.0) < 1e-13
     assert abs(special.ball_volume(1, 0.5) - 1.0) < 1e-15
-    for d, r in ((342, 1.0), (2, 1e200), (2, 1e154)):
-        with pytest.raises(NumericalError):
+    for d, r in ((2, 1e200), (2, 1e154)):
+        with pytest.raises(NumericalError, match="ball_volume overflows"):
             special.ball_volume(d, r)
+    # the area of S^343 is 5.2e-224 and the volume of the 342-ball 8.3e-225,
+    # but Gamma(172) overflows a double; one dimension lower both answer
+    with pytest.raises(NumericalError, match=r"Gamma\(172\) overflows a double, though"):
+        special.unit_sphere_area(343)
+    with pytest.raises(NumericalError, match=r"Gamma\(172\) overflows a double, though"):
+        special.ball_volume(342)
+    assert special.unit_sphere_area(342).hex() == "0x1.1ce3dcd5091c0p-739"
+    assert special.ball_volume(341).hex() == "0x1.6abbbb47ebf95p-742"
     for r in (math.inf, math.nan):
         with pytest.raises(DomainError):
             special.ball_volume(2, r)
