@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DomainError, NumericalError, ResourceError
+from .errors import DomainError, NumericalError, ResourceError, _integer
 from .quadrature import build_rule
 from .special import (
     _mcmahon_p,
@@ -117,8 +117,7 @@ def ulb_energy(d: int, n: int, h) -> float:
 
 
 def _check_s_gt_d(d: int, s: float) -> None:
-    if d < 1 or d != int(d):
-        raise DomainError(f"dimension must be a positive integer, got {d}")
+    _integer(d, 1, "dimension must be a positive integer, got {}")
     if not d < s < math.inf:
         raise DomainError(f"requires finite s > d, got s={s}, d={d}")
 
@@ -347,8 +346,7 @@ def gauss_bound(d: int, alpha: float, rho: float = 1.0) -> GaussBound:
     exp(-alpha (z_i/(pi R))^2) with vol(B^d(R/2)) = rho, truncated once the
     remaining terms are certified below 1e-12 of the sum.
     """
-    if d < 1 or d != int(d):
-        raise DomainError(f"dimension must be a positive integer, got {d}")
+    d = _integer(d, 1, "dimension must be a positive integer, got {}")
     if not 0.0 < alpha < math.inf:
         raise DomainError(f"alpha must be positive and finite, got {alpha}")
     if not 0.0 < rho < math.inf:
@@ -412,8 +410,7 @@ def gauss_bound(d: int, alpha: float, rho: float = 1.0) -> GaussBound:
 def packing_bound(d: int) -> float:
     """Sphere-packing density bound z_1^d/(Gamma(d/2+1)^2 4^d), z_1 the
     first zero of J_{d/2}."""
-    if d < 1 or d != int(d):
-        raise DomainError(f"dimension must be a positive integer, got {d}")
+    d = _integer(d, 1, "dimension must be a positive integer, got {}")
     z1 = bessel_zeros(d / 2.0, 1).zeros[0]
     return math.exp(d * math.log(z1) - 2.0 * math.lgamma(d / 2.0 + 1.0)
                     - d * math.log(4.0))

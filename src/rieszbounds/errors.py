@@ -6,6 +6,8 @@ failures (iteration did not converge, budget exhausted) so that callers
 exit codes.
 """
 
+import math
+
 __all__ = ["DomainError", "NumericalError", "ResourceError"]
 
 
@@ -19,3 +21,11 @@ class NumericalError(RuntimeError):
 
 class ResourceError(NumericalError):
     """A configured budget (series terms, table size) was exhausted."""
+
+
+def _integer(n, lo: int, message: str) -> int:
+    # n as an int when it is an integer value >= lo, written so that NaN and
+    # infinities fail too; otherwise DomainError(message), {} standing for n
+    if not (lo <= n < math.inf and n == int(n)):
+        raise DomainError(message.format(n))
+    return int(n)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, NumericalError, ResourceError
+from .errors import DomainError, NumericalError, ResourceError, _integer
 
 __all__ = ["cd_kernel", "family_params", "jacobi_values", "largest_zero", "norm_ratios"]
 
@@ -27,15 +27,16 @@ __all__ = ["cd_kernel", "family_params", "jacobi_values", "largest_zero", "norm_
 # largest_zero, checked before anything is allocated.  The matrix and
 # eigvalsh's copy of it (unseen by tracemalloc) take 16 k^2 bytes, 64 MB at
 # the budget: the peak of a node set.  Recurrence tables stop at order
-# _MAX_ORDER + 1 (lev_branch reads k + 1): 330 kB a family.
+# _MAX_ROW = 2 _MAX_ORDER + 1, the largest exact degree of a rule, which
+# verify_exactness reads: 660 kB a family, grown only as far as asked.
 _MAX_ORDER = 2000
+_MAX_ROW = 2 * _MAX_ORDER + 1
 _COEFFS: dict[tuple[float, float], tuple] = {}
 
 
 def family_params(d: int, a: int, b: int) -> tuple[float, float]:
     """Jacobi (alpha, beta) for the (a, b) family on S^d."""
-    if d < 2 or d != int(d):
-        raise DomainError(f"dimension must be an integer >= 2, got {d}")
+    _integer(d, 2, "dimension must be an integer >= 2, got {}")
     if a not in (0, 1) or b not in (0, 1):
         raise DomainError(f"family indices must lie in {{0, 1}}, got ({a}, {b})")
     return (d - 2) / 2.0 + a, (d - 2) / 2.0 + b
@@ -44,12 +45,12 @@ def family_params(d: int, a: int, b: int) -> tuple[float, float]:
 def _coeffs(kmax: int, alpha: float, beta: float) -> tuple:
     # c0..c3 of the recurrence (read from order 2 on) and C(k+alpha, k), by
     # the operations the recurrence step once ran itself, so rows keep their bits
-    if kmax > _MAX_ORDER + 1:
-        raise ResourceError(f"order {kmax} exceeds the recurrence budget of {_MAX_ORDER + 1}")
+    if kmax > _MAX_ROW:
+        raise ResourceError(f"order {kmax} exceeds the recurrence budget of {_MAX_ROW}")
     table = _COEFFS.get((alpha, beta))
     if table is None or len(table[-1]) <= kmax:
         # at least doubled, so orders asked for one by one cost O(K) in all
-        kmax = min(max(kmax, 2 * len(table[-1]) if table else 0), _MAX_ORDER + 1)
+        kmax = min(max(kmax, 2 * len(table[-1]) if table else 0), _MAX_ROW)
         import numpy as np
         k = np.arange(kmax + 1.0)
         s = alpha + beta
@@ -64,7 +65,8 @@ def _coeffs(kmax: int, alpha: float, beta: float) -> tuple:
     return table
 
 
-def _rows(kmax: int, alpha: float, beta: float, t: np.ndarray, first: int = 0, kern=None):
+def _rows(kmax: int, alpha: float, beta: float, t: np.ndarray, first: int = 0, kern=None,
+          weights=None):
     import numpy as np
     # Orders first..kmax, conventionally normalized (C(k+alpha, k) at 1) and
     # divided by that value as stored.  One point runs on numpy scalars, free
@@ -72,11 +74,14 @@ def _rows(kmax: int, alpha: float, beta: float, t: np.ndarray, first: int = 0, k
     # order, so a column does not depend on the points beside it.  Given
     # kern = (r, m), it also returns sum_{i < len(r)} r_i P_i(x) P_i(y) at x =
     # t[:m], y = t[-m:], added in order in extended precision (in double it
-    # lost 6e-16 relative at order 383).
+    # lost 6e-16 relative at order 383).  Given weights, each order is reduced
+    # to sum_i weights_i P_k(t_i) in extended precision as it is made, and
+    # those sums are returned, in memory linear in kmax and the points.
     c0, c1, c2, c3, scale = _coeffs(max(kmax, 1), alpha, beta)
     t = np.asarray(t, dtype=float)
     tl = np.longdouble(t.item()) if t.size == 1 else t.astype(np.longdouble).ravel()
     (r, m), lo, out, total = kern or ((), 0), 0 if kern else first, [], 0.0
+    keep = out.append if weights is None else lambda row: out.append(np.dot(weights, row))
     # orders k-1 and k before rescaling; order 0 is ones shaped like tl
     prev, cur = tl ** 0, (alpha + 1.0) + (alpha + beta + 2.0) * (tl - 1.0) / 2.0
     for k in range(kmax + 1):
@@ -88,7 +93,9 @@ def _rows(kmax: int, alpha: float, beta: float, t: np.ndarray, first: int = 0, k
                 v = np.asarray(row, dtype=float).ravel()
                 total = total + r[k] * np.multiply(v[:m], v[-m:], dtype=np.longdouble)
             if k >= first:
-                out.append(row)
+                keep(row)
+    if weights is not None:
+        return np.array(out).ravel()
     rows = np.array(out, dtype=float).reshape(kmax + 1 - first, tl.size)
     return (rows, total.astype(float)) if kern else rows
 
@@ -107,8 +114,7 @@ def jacobi_values(kmax: int, d: int, a: int, b: int, t) -> np.ndarray:
     shape (kmax+1, 1).
     """
     import numpy as np
-    if kmax < 0:
-        raise DomainError(f"kmax must be >= 0, got {kmax}")
+    kmax = _integer(kmax, 0, "kmax must be >= 0, got {}")
     alpha, beta = family_params(d, a, b)
     pts = np.atleast_1d(np.asarray(t, dtype=float))
     _check_points(pts)
@@ -138,10 +144,9 @@ def norm_ratios(kmax: int, d: int, a: int, b: int) -> np.ndarray:
     the dimensions of the spaces of spherical harmonics.
     """
     import numpy as np
-    if kmax < 0:
-        raise DomainError(f"kmax must be >= 0, got {kmax}")
-    if kmax > _MAX_ORDER + 1:
-        raise ResourceError(f"order {kmax} exceeds the recurrence budget of {_MAX_ORDER + 1}")
+    kmax = _integer(kmax, 0, "kmax must be >= 0, got {}")
+    if kmax > _MAX_ROW:
+        raise ResourceError(f"order {kmax} exceeds the recurrence budget of {_MAX_ROW}")
     alpha, beta = family_params(d, a, b)
     # r_k / r_{k-1} = (k+alpha)(k+alpha+beta)(2k+alpha+beta+1)
     #                 / (k (k+beta) (2k+alpha+beta-1));
@@ -179,8 +184,7 @@ def cd_kernel(k: int, d: int, a: int, b: int, x, y):
     xa, ya = np.broadcast_arrays(xa, ya)
     pts = xa if np.array_equal(xa, ya) else np.concatenate((xa, ya), axis=None)
     _check_points(pts)
-    if k < 0:
-        raise DomainError(f"order must be >= 0, got {k}")
+    k = _integer(k, 0, "order must be >= 0, got {}")
     alpha, beta = family_params(d, a, b)
     vals = _rows(k, alpha, beta, pts, k, (norm_ratios(k, d, a, b), xa.size))[1]
     return float(vals[0]) if np.ndim(x) == 0 == np.ndim(y) else vals.reshape(xa.shape)
@@ -195,7 +199,11 @@ def _zeros_raw(k: int, d: int, a: int, b: int, s: float) -> tuple:
     # Newton steps on F, evaluated in extended precision from orders k-1
     # and k alone, tighten each eigenvalue to a residual at rounding level;
     # the pass that checks it also returns the kernel Q_{k-1}(t, t) at the
-    # sorted nodes and at s last, where F is 0.
+    # sorted nodes and at s last, where F is 0.  At an endpoint s is the
+    # memoized largest zero of P_k, and P_k(s) is taken as 0 there: as
+    # computed it is a rounding residue, which built the rule at the double s
+    # instead of at the zero and moved every node by a common amount (705 ulp
+    # at t = 0.0256 for N = 961 on S^2, 3.1e-11 at the top degree for 10^6).
     if k > _MAX_ORDER:
         raise ResourceError(
             f"polynomial degree {k} exceeds the eigen-solve budget of {_MAX_ORDER}")
@@ -212,6 +220,8 @@ def _zeros_raw(k: int, d: int, a: int, b: int, s: float) -> tuple:
     mat.flat[1::k + 1] = off
     mat.flat[k::k + 1] = off
     pk1_s, pk_s = _rows(k, alpha, beta, np.array([s]), k - 1)[:, 0]
+    if s == _LARGEST_ZERO_CACHE.get((k, alpha, beta)):
+        pk_s = 0.0
     if pk1_s == 0.0:
         raise NumericalError(f"degenerate shift: P_{k-1}({s}) = 0")
     mk1 = math.exp(_log_lead(k - 1, alpha, beta) - _log_lead(k, alpha, beta))
@@ -260,8 +270,7 @@ def largest_zero(k: int, d: int, a: int, b: int) -> float:
 
     Memoized per (k, alpha, beta) for the life of the process.
     """
-    if k < 1:
-        raise DomainError(f"largest_zero needs k >= 1, got {k}")
+    k = _integer(k, 1, "largest_zero needs k >= 1, got {}")
     alpha, beta = family_params(d, a, b)
     if k > _MAX_ORDER:
         raise ResourceError(

@@ -12,12 +12,10 @@ it is used, as in jacobi.
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .errors import DomainError, NumericalError, ResourceError
+from .errors import DomainError, NumericalError, ResourceError, _integer
 from . import jacobi
 from .jacobi import cd_kernel, family_params
 
@@ -31,10 +29,8 @@ def dgs_bound(d: int, tau: int) -> int:
     D(d, 2k-1) = 2 C(d+k-1, d) and D(d, 2k) = C(d+k, d) + C(d+k-1, d),
     in exact integer arithmetic.
     """
-    if d < 1 or d != int(d):
-        raise DomainError(f"dgs_bound requires d >= 1, got {d}")
-    if tau < 1 or tau != int(tau):
-        raise DomainError(f"dgs_bound requires tau >= 1, got {tau}")
+    d = _integer(d, 1, "dgs_bound requires d >= 1, got {}")
+    tau = _integer(tau, 1, "dgs_bound requires tau >= 1, got {}")
     k = (tau + 1) // 2
     if tau % 2 == 1:
         return 2 * math.comb(d + k - 1, d)
@@ -47,12 +43,11 @@ def lev_branch(d: int, tau: int, s) -> float:
     Adjacent branches agree where their intervals meet, and the common
     value there is the design cardinality dgs_bound(d, tau + 1).
     """
-    if not 1 <= tau < math.inf or tau != int(tau):
-        raise DomainError(f"lev_branch requires an integer tau >= 1, got {tau}")
+    tau = _integer(tau, 1, "lev_branch requires an integer tau >= 1, got {}")
     # an even branch is 0/0 at s = -1, where P_k and P_{k+1} cancel
     if not -1.0 <= s < 1.0 or s == -1.0 and tau % 2 == 0:
         raise DomainError(f"lev_branch requires s in [-1, 1), above -1 for even tau, got {s}")
-    k = (int(tau) + 1) // 2
+    k = (tau + 1) // 2
     # the Gegenbauer orders k-1, k and k+1 at s
     p_prev, pk, p_next = jacobi._rows(k + 1, *family_params(d, 0, 0), [s], k - 1)[:, 0]
     if tau % 2 == 1:
@@ -312,35 +307,18 @@ def build_rule(d: int, n: int) -> QuadratureRule:
     return rule
 
 
-def _even_moments(d: int) -> Iterator[tuple[int, int]]:
-    # mu_0, mu_2, mu_4, ... as exact (numerator, denominator) pairs:
-    # mu_{2p} = prod_{i=1}^{p} (2i-1)/(2i+d-1), each carried from the one
-    # before; int true division rounds num / den once, correctly
-    num = den = 1
-    for i in itertools.count(1):
-        yield num, den
-        num *= 2 * i - 1
-        den *= 2 * i + d - 1
-
-
 def verify_exactness(rule: QuadratureRule, max_degree: int) -> float:
-    """Worst defect of the rule on monomials t^j, j = 0..max_degree.
+    """Worst defect of the rule on the Gegenbauer polynomials of S^d.
 
-    Compares f(1)/N + sum w_i f(x_i) against the closed-form moment for
-    each monomial and returns the largest absolute gap.
+    Returns the largest |1/N + sum_i w_i P_j(x_i) - [j = 0]| over j =
+    0..max_degree, P_j the (0, 0) family normalized at 1, evaluated by the
+    extended-precision recurrence that builds the rules and summed against
+    the weights one order at a time.  Degrees up to the rule's exact_degree
+    integrate exactly.
     """
-    if max_degree < 0:
-        raise DomainError(f"max_degree must be >= 0, got {max_degree}")
+    max_degree = _integer(max_degree, 0, "max_degree must be >= 0, got {}")
     import numpy as np
-    nodes = np.array(rule.nodes, dtype=np.longdouble)
-    weights = np.array(rule.weights, dtype=np.longdouble)
-    worst = 0.0
-    powers = np.ones_like(nodes)
-    moments = _even_moments(rule.d)
-    for j in range(max_degree + 1):
-        if j > 0:
-            powers = powers * nodes
-        val = float(1.0 / np.longdouble(rule.n) + np.sum(weights * powers))
-        num, den = next(moments) if j % 2 == 0 else (0, 1)
-        worst = max(worst, abs(val - num / den))
-    return worst
+    sums = jacobi._rows(max_degree, *family_params(rule.d, 0, 0), rule.nodes,
+                        weights=np.array(rule.weights, dtype=np.longdouble))
+    sums[0] -= 1.0
+    return float(np.max(np.abs(sums + 1.0 / np.longdouble(rule.n))))

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, _integer
 
 __all__ = ["BesselZeroTable", "ball_volume", "bessel_j", "bessel_zeros", "hurwitz_zeta",
            "lambda_d", "unit_sphere_area"]
@@ -42,15 +42,13 @@ def lambda_d(d: int) -> float:
     (1-t^2)^((d-2)/2) on [-1, 1], so (1/lambda_d) * w_d is a probability
     density.  lambda_1 = pi, lambda_2 = 2, lambda_3 = pi/2.
     """
-    if d < 1 or d != int(d):
-        raise DomainError(f"lambda_d requires a positive integer dimension, got {d}")
+    d = _integer(d, 1, "lambda_d requires a positive integer dimension, got {}")
     return math.sqrt(math.pi) * math.exp(math.lgamma(d / 2.0) - math.lgamma((d + 1) / 2.0))
 
 
 def unit_sphere_area(d: int) -> float:
     """Surface measure of the unit sphere S^d embedded in R^(d+1)."""
-    if d < 0 or d != int(d):
-        raise DomainError(f"unit_sphere_area requires integer d >= 0, got {d}")
+    d = _integer(d, 0, "unit_sphere_area requires integer d >= 0, got {}")
     try:
         return 2.0 * math.pi ** ((d + 1) / 2.0) / math.gamma((d + 1) / 2.0)
     except OverflowError:
@@ -60,8 +58,7 @@ def unit_sphere_area(d: int) -> float:
 
 def ball_volume(d: int, r: float = 1.0) -> float:
     """Volume of the d-dimensional ball of radius r."""
-    if d < 1 or d != int(d):
-        raise DomainError(f"ball_volume requires a positive integer dimension, got {d}")
+    d = _integer(d, 1, "ball_volume requires a positive integer dimension, got {}")
     if not 0.0 <= r < math.inf:
         raise DomainError(f"ball_volume requires finite r >= 0, got {r}")
     try:
@@ -321,9 +318,7 @@ def bessel_zeros(nu: float, n: int) -> BesselZeroTable:
     """
     if not 0.0 <= nu < math.inf:
         raise DomainError(f"bessel_zeros requires finite nu >= 0, got {nu}")
-    if not (1 <= n < math.inf and n == int(n)):
-        raise DomainError(f"bessel_zeros requires a positive integer count, got {n}")
-    n = int(n)
+    n = _integer(n, 1, "bessel_zeros requires a positive integer count, got {}")
     zeros, j_next = _zero_cache.setdefault(nu, ([], []))
     guess = _mcmahon_guess if nu <= 36.5 else _olver_guess
     for k in range(len(zeros) + 1, n + 1):

@@ -259,7 +259,44 @@ SHARP_CODES = {
     "E8 roots": (7, 240, {-1.0: 1, -0.5: 56, 0.0: 126, 0.5: 56}),
     "Leech minimal vectors": (23, 196560, {-1.0: 1, -0.5: 4600, -0.25: 47104, 0.0: 93150,
                                            0.25: 47104, 0.5: 4600}),
+    "Schlafli": (5, 27, {-0.5: 10, 0.25: 16}),
+    "E7* minimal vectors": (6, 56, {-1.0: 1, -1.0 / 3.0: 27, 1.0 / 3.0: 27}),
 }
+# the simplex (d + 2 points) and the cross-polytope (2d + 2) of every S^d
+SHARP_CODES.update({f"simplex S^{d}": (d, d + 2, {-1.0 / (d + 1): d + 1}) for d in range(2, 25)})
+SHARP_CODES.update({f"cross-polytope S^{d}": (d, 2 * d + 2, {-1.0: 1, 0.0: 2 * d})
+                    for d in range(2, 25)})
+
+# The 600-cell (S^3, 120) is universally optimal but not sharp: an 11-design
+# with eight inner products, so its energy lies above the ULB.
+_PHI = (1.0 + math.sqrt(5.0)) / 2.0
+SIX_HUNDRED_CELL = (3, 120, {-1.0: 1, -_PHI / 2.0: 12, -0.5: 20, -0.5 / _PHI: 12, 0.0: 30,
+                             0.5 / _PHI: 12, 0.5: 20, _PHI / 2.0: 12})
+
+
+def jacobi_zero_mp(k: int, d: int, a: int, b: int, guess: float, dps: int = 40):
+    """The zero of the order-k (a, b) family member on S^d nearest guess.
+
+    Newton on mpmath's hypergeometric P_k^{(alpha, beta)}, alpha = (d-2)/2 +
+    a, beta = (d-2)/2 + b, with its derivative from the (alpha+1, beta+1)
+    family, at dps + 20 digits; returns an mpf rounded to dps digits.
+    """
+    with mp.workdps(dps + 20):
+        al = mp.mpf(d - 2) / 2 + a
+        be = mp.mpf(d - 2) / 2 + b
+        t = mp.mpf(guess)
+        for _ in range(100):
+            # an exact zero, such as P_1(0) at alpha = beta, would make
+            # hypsum raise without zeroprec
+            value = mp.jacobi(k, al, be, t, zeroprec=4 * mp.mp.prec)
+            step = value / ((k + al + be + 1) / 2 * mp.jacobi(k - 1, al + 1, be + 1, t))
+            t -= step
+            if abs(step) <= mp.mpf(10) ** (-dps - 10):
+                break
+        else:
+            raise ArithmeticError(f"Newton did not settle on a zero near {guess}")
+    with mp.workdps(dps):
+        return +t
 
 
 # Christoffel-Darboux kernel by its defining sum, in mpmath.

@@ -49,15 +49,30 @@ def test_ulb_refuses_a_potential_that_does_not_map_the_node_array():
 @pytest.mark.parametrize("name", list(oracles.SHARP_CODES))
 def test_ulb_is_attained_by_sharp_codes(name):
     # a sharp code's energy is the bound itself; the rule has one node per
-    # inner product, and the largest gap measured was 2.5e-16 relative
-    # (Leech minimal vectors, riesz:26), so 1e-15 leaves four times that
+    # inner product, and the largest gap measured was 3.2e-16 relative
+    # (simplex on S^10, riesz:1), so 1e-15 leaves three times that.  All
+    # of these are endpoint rules, built from the zeros of P_k
     d, n, dist = oracles.SHARP_CODES[name]
     assert sum(dist.values()) == n - 1
+    assert len(quadrature.build_rule(d, n).nodes) == len(dist)
     for text in ("riesz:1", f"riesz:{d + 3}", "gauss:0.7"):
         h = energy.parse_potential(text)
         want = n * math.fsum(count * float(h(t)) for t, count in dist.items())
         got = energy.ulb_energy(d, n, h)
         assert abs(got - want) <= 1e-15 * want, (name, text, got, want)
+
+
+def test_ulb_lies_below_the_600_cell():
+    # the 600-cell's energy lies above the ULB by relative margins measured
+    # at 4.95e-5, 2.91e-4, 6.95e-3 and 3.56e-10; the floors are those
+    # margins rounded down in their second digit
+    d, n, dist = oracles.SIX_HUNDRED_CELL
+    assert sum(dist.values()) == n - 1
+    for text, floor in (("riesz:1", 4.9e-5), ("riesz:2", 2.9e-4), ("riesz:6", 6.9e-3),
+                        ("gauss:1", 3.5e-10)):
+        h = energy.parse_potential(text)
+        code = n * math.fsum(count * float(h(t)) for t, count in dist.items())
+        assert (code - energy.ulb_energy(d, n, h)) / code >= floor, text
 
 
 def test_ulb_tetrahedron_closed_form():
@@ -303,6 +318,7 @@ def test_asd_domain_errors():
             energy.asd_bound(2, s, tol)
 
 
+_RULE = quadrature.build_rule(2, 4)
 _GUARDED_CALLS = [
     (jacobi.family_params, (2, 2, 0)),
     (jacobi.jacobi_values, (-1, 2, 0, 0, 0.5)),
@@ -315,7 +331,7 @@ _GUARDED_CALLS = [
     (quadrature.lev_branch, (2, 2.5, 0.5)),
     (quadrature.lev_branch, (2, 4, -1.0)),
     (quadrature.build_rule, (2, 2.5)),
-    (quadrature.verify_exactness, (quadrature.build_rule(2, 4), -1)),
+    (quadrature.verify_exactness, (_RULE, -1)),
     (energy.theta_bound, (0, 1.0)),
     (energy.gauss_bound, (0, 1.0)),
     (energy.packing_bound, (0,)),
@@ -333,6 +349,48 @@ def test_input_guards_refuse_at_once(fn, args):
     with pytest.raises(DomainError):
         fn(*args)
     assert time.perf_counter() - start < 0.05
+
+
+_NON_INTEGER_CALLS = [
+    (jacobi.jacobi_values, (2.5, 2, 0, 0, 0.5)),
+    (jacobi.jacobi_values, (math.nan, 2, 0, 0, 0.5)),
+    (jacobi.jacobi_values, (math.inf, 2, 0, 0, 0.5)),
+    (jacobi.cd_kernel, (2.5, 2, 0, 0, 0.5, 0.5)),
+    (jacobi.largest_zero, (2.5, 2, 1, 0)),
+    (jacobi.norm_ratios, (2.5, 2, 0, 0)),
+    (jacobi.family_params, (math.inf, 0, 0)),
+    (jacobi.family_params, (math.nan, 0, 0)),
+    (quadrature.verify_exactness, (_RULE, 2.5)),
+    (quadrature.verify_exactness, (_RULE, math.nan)),
+    (quadrature.dgs_bound, (2, math.inf)),
+    (quadrature.dgs_bound, (math.nan, 3)),
+    (quadrature.lev_branch, (2, math.nan, 0.5)),
+    (special.lambda_d, (math.inf,)),
+    (special.unit_sphere_area, (math.nan,)),
+    (special.ball_volume, (math.inf,)),
+    (special.bessel_zeros, (1.0, math.nan)),
+    (energy.theta_bound, (math.inf, 5.0)),
+    (energy.gauss_bound, (math.nan, 1.0)),
+    (energy.gauss_bound, (2.5, 1.0)),
+    (energy.packing_bound, (math.inf,)),
+]
+
+
+@pytest.mark.parametrize("fn,args", _NON_INTEGER_CALLS,
+                         ids=[fn.__name__ for fn, _ in _NON_INTEGER_CALLS])
+def test_integer_arguments_refuse_non_integers_with_domain_error(fn, args):
+    # a fraction, NaN or an infinity is outside the domain of an integer
+    # argument, not a TypeError, ValueError or OverflowError from inside
+    with pytest.raises(DomainError):
+        fn(*args)
+
+
+def test_integer_valued_floats_are_integers():
+    assert quadrature.dgs_bound(2.0, 3.0) == 6
+    assert quadrature.dgs_bound(2, 1e300) == quadrature.dgs_bound(2, int(1e300))
+    assert jacobi.norm_ratios(2.0, 2, 0, 0).tolist() == [1.0, 3.0, 5.0]
+    assert jacobi.jacobi_values(2.0, 2, 0, 0, 0.5).shape == (3, 1)
+    assert quadrature.verify_exactness(_RULE, 2.0) <= 1e-16
 
 
 def test_non_finite_s_rejected():

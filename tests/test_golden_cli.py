@@ -10,6 +10,9 @@ Regenerate only when an output changes on purpose, and say which digits
 moved and why:
 
     PYTHONPATH=src python3 tests/test_golden_cli.py
+
+It prints each invocation whose bytes changed with how many printed numbers
+moved, and leaves the file untouched when none did.
 """
 
 from __future__ import annotations
@@ -18,9 +21,12 @@ import contextlib
 import functools
 import io
 import json
+import math
 import os
+import re
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -28,7 +34,9 @@ import pytest
 from rieszbounds.cli import main
 
 GOLDEN_PATH = Path(__file__).with_name("golden_cli.json")
+ORACLE_PATH = Path(__file__).with_name("golden_oracle.json")
 OUT = "{out}"  # stands for the --out path in argv
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 ARGVS = (
     ("bounds", "--d", "2", "--s", "4"),
@@ -99,12 +107,57 @@ def test_corpus_matches_invocation_list():
     assert list(_golden()) == list(ARGVS)
 
 
+@functools.lru_cache(maxsize=None)
+def _oracle() -> list[dict]:
+    with open(ORACLE_PATH, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_endpoint_rule_nodes_are_correctly_rounded():
+    # each printed node of a golden endpoint rule is within half an ulp of
+    # its 40-digit zero (tests/make_golden_oracle.py); before endpoint rules
+    # were built from P_k itself, N = 100 and 961 on S^2 were 11.3 and 705
+    # ulp off
+    worst = []
+    for case in _oracle():
+        errors = [abs(Fraction(float(x)) - Fraction(z)) / Fraction(math.ulp(float(x)))
+                  for x, z in zip(case["nodes"], case["zeros"])]
+        worst.append(max(errors))
+    assert len(worst) == 6 and max(worst) <= Fraction(1, 2), [float(e) for e in worst]
+
+
+def test_oracle_holds_the_nodes_the_corpus_prints():
+    from make_golden_oracle import printed_nodes
+
+    for case in _oracle():
+        assert case["nodes"] == printed_nodes(case["argv"], _golden()[tuple(case["argv"])])
+
+
+def _moved_numbers(old: dict, new: dict) -> int:
+    """How many printed numbers differ between two results of one invocation."""
+    count = 0
+    for key in ("stdout", "stderr", "file"):
+        before, after = (NUMBER.findall(r.get(key, "")) for r in (old, new))
+        count += sum(x != y for x, y in zip(before, after)) + abs(len(before) - len(after))
+    return count
+
+
 if __name__ == "__main__":
+    old = _golden() if GOLDEN_PATH.exists() else {}
     cases = []
     with tempfile.TemporaryDirectory() as tmp:
         for argv in ARGVS:
             cases.append({"argv": list(argv),
                           **run_case(list(argv), os.path.join(tmp, "out.txt"))})
+    changed = [case for case in cases if old.get(tuple(case["argv"])) != {
+        k: v for k, v in case.items() if k != "argv"}]
+    if not changed and list(old) == list(ARGVS):
+        print(f"no invocation changed; {GOLDEN_PATH.name} left as it is")
+        sys.exit(0)
+    for case in changed:
+        argv = tuple(case["argv"])
+        what = f"{_moved_numbers(old[argv], case)} printed numbers moved" if argv in old else "new"
+        print(f"{' '.join(argv)}: {what}")
     with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
         json.dump(cases, fh, indent=1)
         fh.write("\n")

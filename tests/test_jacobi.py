@@ -335,10 +335,12 @@ def test_recurrence_and_eigen_solve_memory_peaks(monkeypatch):
 
 
 def test_recurrence_table_stops_at_its_budget():
-    # lev_branch reads order k + 1 of a degree-k rule, so the tables reach
-    # _MAX_ORDER + 1 and no further
-    with pytest.raises(ResourceError):
-        jacobi.jacobi_values(jacobi._MAX_ORDER + 2, 3, 1, 0, 0.5)
-    assert all(len(table[-1]) <= jacobi._MAX_ORDER + 2 for table in jacobi._COEFFS.values())
-    jacobi.jacobi_values(jacobi._MAX_ORDER + 1, 3, 1, 0, 0.5)
-    assert max(len(table[-1]) for table in jacobi._COEFFS.values()) == jacobi._MAX_ORDER + 2
+    # verify_exactness reads up to a rule's exact degree, at most
+    # 2 _MAX_ORDER + 1 (an endpoint rule of even strength 2 _MAX_ORDER), so
+    # the tables reach that order and no further
+    assert jacobi._MAX_ROW == 2 * jacobi._MAX_ORDER + 1
+    with pytest.raises(ResourceError, match="recurrence budget"):
+        jacobi.jacobi_values(jacobi._MAX_ROW + 1, 3, 1, 0, 0.5)
+    assert all(len(table[-1]) <= jacobi._MAX_ROW + 1 for table in jacobi._COEFFS.values())
+    jacobi.jacobi_values(jacobi._MAX_ROW, 3, 1, 0, 0.5)
+    assert max(len(table[-1]) for table in jacobi._COEFFS.values()) == jacobi._MAX_ROW + 1

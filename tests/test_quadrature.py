@@ -1,8 +1,6 @@
 import dataclasses
-import itertools
 import math
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -180,41 +178,60 @@ def test_weights_are_the_public_kernel_bit_for_bit():
 def test_rule_and_kernel_build_no_table_of_every_order():
     # the kernel is summed inside one recurrence pass, so neither a rule at
     # k = 999 nor the kernel at 1,000 points holds a (k+1) x k table (23.5
-    # and 23.3 MiB traced when they did); the rule's peak is its matrix
+    # and 23.3 MiB traced when they did); the rule's peak is its matrix.
+    # verify_exactness reduces each order against the weights as it is made
+    # (a table of orders 0..1998 at the rule's 999 nodes peaked at 46 MiB)
     import tracemalloc
 
     x = np.linspace(-0.999, 0.999, 1000)
-    peaks = []
+    peaks, rule = [], []
     tracemalloc.start()
     try:
-        for call in (lambda: quadrature.build_rule(2, 10**6),
-                     lambda: jacobi.cd_kernel(999, 2, 1, 0, x, x)):
+        for call in (lambda: rule.append(quadrature.build_rule(2, 10**6)),
+                     lambda: jacobi.cd_kernel(999, 2, 1, 0, x, x),
+                     lambda: quadrature.verify_exactness(rule[0], 1998)):
             tracemalloc.reset_peak()
             call()
             peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
     finally:
         tracemalloc.stop()
-    assert peaks[0] < 12.0 and peaks[1] < 1.0, peaks
+    assert peaks[0] < 12.0 and peaks[1] < 1.0 and peaks[2] < 1.0, peaks
+
+
+@pytest.mark.parametrize("n", [6480, 34410])
+def test_endpoint_rule_meets_its_top_degree(n):
+    # at N = D(2, tau+1) the rule is exact for P_{tau+1} as well; built at
+    # the double s instead of at the zero of P_k these read 1.6e-14 and
+    # 5.7e-13, and with P_k(s) taken as 0 they read 8e-19 and 4e-18
+    rule = quadrature.build_rule(2, n)
+    deg = rule.exact_degree
+    assert rule.endpoint and deg == rule.tau + 1
+    pv = jacobi.jacobi_values(deg, 2, 0, 0, rule.nodes)[deg]
+    defect = abs(1.0 / n + math.fsum(w * v for w, v in zip(rule.weights, pv)))
+    assert defect <= 1e-15, defect
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_exactness_certificate_sees_a_perturbed_rule(d):
+    # the Gegenbauer certificate of the rule at N = 100007 is at rounding
+    # level (2.3e-16 and below); scaling one interior weight by 1 + 1e-10 or
+    # moving one node by 1e-12 lifts it far above that
+    rule = quadrature.build_rule(d, 100007)
+    deg = rule.exact_degree
+    assert quadrature.verify_exactness(rule, deg) <= 3e-16
+    i = len(rule.nodes) // 2
+    weights, nodes = list(rule.weights), list(rule.nodes)
+    weights[i] *= 1.0 + 1e-10
+    nodes[i] += 1e-12
+    for bad in (dataclasses.replace(rule, weights=tuple(weights)),
+                dataclasses.replace(rule, nodes=tuple(nodes))):
+        assert quadrature.verify_exactness(bad, deg) > 1e-14
 
 
 @pytest.mark.parametrize("n", [148066, 500009])
 def test_large_rule_passes_weight_sum_gate(n):
     rule = quadrature.build_rule(2, n)
     assert quadrature.verify_exactness(rule, rule.exact_degree) <= 1e-12
-
-
-def test_gegenbauer_moments():
-    # mu_0, mu_2, ... of the projected sphere measure, exact
-    mu2 = [Fraction(*p) for p in itertools.islice(quadrature._even_moments(2), 3)]
-    assert mu2 == [1, Fraction(1, 3), Fraction(1, 5)]
-    mu3 = [Fraction(*p) for p in itertools.islice(quadrature._even_moments(3), 4)]
-    assert mu3[:2] == [1, Fraction(1, 4)]
-    # cross-check against direct numeric integration on S^3 projection
-    nodes, glw = oracles.gauss_legendre(2048)
-    mass = oracles.weighted_inner(np.ones_like(nodes), 3, 0, 0, nodes, glw)
-    for j in (2, 6):
-        direct = oracles.weighted_inner(nodes**j, 3, 0, 0, nodes, glw) / mass
-        assert abs(float(mu3[j // 2]) - direct) < 5e-9
 
 
 def test_exactness_on_design_sizes():
