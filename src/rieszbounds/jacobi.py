@@ -24,7 +24,7 @@ from .errors import DomainError, NumericalError, ResourceError, _integer
 __all__ = ["cd_kernel", "family_params", "jacobi_values", "largest_zero", "norm_ratios"]
 
 # Largest polynomial degree given to the dense k x k eigen-solve or to
-# largest_zero, checked before anything is allocated.  The matrix and
+# _top_zero, checked before anything is allocated.  The matrix and
 # eigvalsh's copy of it (unseen by tracemalloc) take 16 k^2 bytes, 64 MB at
 # the budget: the peak of a node set.  Recurrence tables stop at order
 # _MAX_ROW = 2 _MAX_ORDER + 1, the largest exact degree of a rule, which
@@ -190,25 +190,20 @@ def cd_kernel(k: int, d: int, a: int, b: int, x, y):
     return float(vals[0]) if np.ndim(x) == 0 == np.ndim(y) else vals.reshape(xa.shape)
 
 
-def _zeros_raw(k: int, d: int, a: int, b: int, s: float) -> tuple:
+def _zeros_raw(k: int, d: int, a: int, b: int, num: int, den: int) -> tuple:
     # Golub-Welsch: the zeros of P_k are the eigenvalues of the k x k
     # recurrence matrix.  The same matrix with its last diagonal entry
     # shifted by gamma has as eigenvalues the zeros of the order-k
-    # polynomial F(t) = P_k(t) P_{k-1}(s) - P_{k-1}(t) P_k(s), gamma being
-    # chosen to make monic p_k - gamma p_{k-1} proportional to F.  Two
-    # Newton steps on F, evaluated in extended precision from orders k-1
-    # and k alone, tighten each eigenvalue to a residual at rounding level;
-    # the pass that checks it also returns the kernel Q_{k-1}(t, t) at the
-    # sorted nodes and at s last, where F is 0.  At an endpoint s is the
-    # memoized largest zero of P_k, and P_k(s) is taken as 0 there: as
-    # computed it is a rounding residue, which built the rule at the double s
-    # instead of at the zero and moved every node by a common amount (705 ulp
-    # at t = 0.0256 for N = 961 on S^2, 3.1e-11 at the top degree for 10^6).
-    if k > _MAX_ORDER:
-        raise ResourceError(
-            f"polynomial degree {k} exceeds the eigen-solve budget of {_MAX_ORDER}")
-    import numpy as np
+    # polynomial F = P_k - R P_{k-1}, R = num/den, gamma being chosen to make
+    # monic p_k - gamma p_{k-1} proportional to F.  Two Newton steps on F,
+    # evaluated in extended precision from orders k-1 and k alone, tighten
+    # each eigenvalue to a residual at rounding level; the largest becomes
+    # _top_zero's, and the pass that checks them also returns the kernel
+    # Q_{k-1}(t, t) at the nodes.  At R = 0 in a family with alpha = beta,
+    # F = P_k is odd or even, and the nodes are made so to the last bit.
     alpha, beta = family_params(d, a, b)
+    top = _top_zero(k, alpha, beta, num, den)
+    import numpy as np
     # the monic recurrence p_{j+1}(t) = (t - a_j) p_j(t) - b_j p_{j-1}(t):
     # a_j on the diagonal, sqrt(b_j) beside it, set in place on both sides
     s_ab = alpha + beta
@@ -219,44 +214,65 @@ def _zeros_raw(k: int, d: int, a: int, b: int, s: float) -> tuple:
     off = np.sqrt(4.0 * j * (j + alpha) * (j + beta) * (j + s_ab) / (q * q * (q * q - 1.0)))
     mat.flat[1::k + 1] = off
     mat.flat[k::k + 1] = off
-    pk1_s, pk_s = _rows(k, alpha, beta, np.array([s]), k - 1)[:, 0]
-    if s == _LARGEST_ZERO_CACHE.get((k, alpha, beta)):
-        pk_s = 0.0
-    if pk1_s == 0.0:
-        raise NumericalError(f"degenerate shift: P_{k-1}({s}) = 0")
+    r = num / den
     mk1 = math.exp(_log_lead(k - 1, alpha, beta) - _log_lead(k, alpha, beta))
-    mat[k - 1, k - 1] += mk1 * pk_s / pk1_s
+    mat[k - 1, k - 1] += mk1 * r
     nodes = np.linalg.eigvalsh(mat)
     for _ in range(2):
         pv = _rows(k, alpha, beta, nodes, k - 1)
         dv = _deriv_rows(k, alpha, beta, nodes, k - 1)
-        fval = pv[1] * pk1_s - pv[0] * pk_s
-        fder = dv[1] * pk1_s - dv[0] * pk_s
+        fval = pv[1] - r * pv[0]
+        fder = dv[1] - r * dv[0]
         step = np.where(fder != 0.0, fval / np.where(fder == 0.0, 1.0, fder), 0.0)
         nodes = np.sort(nodes - step)
-    pts = np.append(nodes, s)
-    pv, diag = _rows(k, alpha, beta, pts, k - 1, (norm_ratios(k - 1, d, a, b), pts.size))
-    if np.any(np.abs(pv[1] * pk1_s - pv[0] * pk_s) > 1e-10 * max(abs(pk_s), abs(pk1_s), 1e-30)):
+    if abs(nodes[-1] - top) > 5e-11:
+        raise NumericalError(f"largest node drifted from its zero at polynomial degree {k}")
+    nodes[-1] = top
+    if num == 0 and alpha == beta:
+        nodes = (nodes - nodes[::-1]) / 2.0
+    pv, diag = _rows(k, alpha, beta, nodes, k - 1, (norm_ratios(k - 1, d, a, b), k))
+    if np.any(np.abs(pv[1] - r * pv[0]) > 1e-10 * max(1.0, abs(r))):
         raise NumericalError(f"node polish failed at polynomial degree {k}")
     return nodes, diag
 
 
-def _top_zero(k: int, alpha: float, beta: float) -> float:
-    # Newton from t = 1: P_k is positive, increasing and convex right of its
-    # largest zero, so the iterates fall monotonically to it.  The first step
-    # that does not lower t ends the loop, and the value there must be within
-    # 1e-13 of the slope.  Order 1 is the 1 x 1 eigen-solve, which Newton
-    # misses by a few ulp.
+def _top_zero(k: int, alpha: float, beta: float, num: int = 0, den: int = 1) -> float:
+    # The largest zero of F = P_k - R P_{k-1}, R = num/den <= 0.  F(1) = 1 - R
+    # is positive and no zero of F lies right of its largest, so F is
+    # positive, increasing and convex there, and Newton from t = 1 falls
+    # monotonically to it.  The first step that does not lower t ends the
+    # loop, and the value there must be within 1e-13 of the slope; F is
+    # evaluated in extended precision, and of t and its two neighbouring
+    # doubles the one with the least |F| is returned.  Order 1 is linear.
+    if k > _MAX_ORDER:
+        raise ResourceError(
+            f"polynomial degree {k} exceeds the eigen-solve budget of {_MAX_ORDER}")
     if k == 1:
-        return (beta - alpha) / (alpha + beta + 2.0)
+        # P_1(t) = 1 + (t - 1)(alpha + beta + 2) / (2 alpha + 2) = R, in integers
+        p, q = round(2.0 * alpha + 2.0), round(alpha + beta + 2.0)
+        return (den * q + (num - den) * p) / (den * q)
     import numpy as np
-    t = np.ones(1)
+    # R in extended precision: the double nearest it plus the double nearest
+    # the rest, each an integer ratio rounded once
+    hi = num / den
+    a, b = hi.as_integer_ratio()
+    r = np.longdouble(hi) + (num * b - a * den) / (den * b)
+    one = np.ones(1, dtype=np.longdouble)
+
+    def f(x: float):
+        pk1, pk = _rows(k, alpha, beta, np.array([x]), k - 1, weights=one)
+        return pk - r * pk1
+
+    t = 1.0
     for _ in range(100):
-        p, dp = _rows(k, alpha, beta, t, k)[0, 0], _deriv_rows(k, alpha, beta, t, k)[0, 0]
-        lower = t - p / dp
-        if not lower[0] < t[0]:
-            if abs(p) <= 1e-13 * max(1.0, abs(dp)):
-                return float(t[0])
+        fv = f(t)
+        dpk1, dpk = _deriv_rows(k, alpha, beta, np.array([t]), k - 1)[:, 0]
+        dfv = dpk - r * dpk1
+        lower = float(t - fv / dfv)
+        if not lower < t:
+            if abs(fv) <= 1e-13 * max(1.0, abs(dfv)):
+                return min((t, math.nextafter(t, -2.0), math.nextafter(t, 2.0)),
+                           key=lambda x: abs(f(x)) if x != t else abs(fv))
             break
         t = lower
     raise NumericalError(f"largest zero failed to converge for k={k}, alpha={alpha}, beta={beta}")
@@ -272,9 +288,6 @@ def largest_zero(k: int, d: int, a: int, b: int) -> float:
     """
     k = _integer(k, 1, "largest_zero needs k >= 1, got {}")
     alpha, beta = family_params(d, a, b)
-    if k > _MAX_ORDER:
-        raise ResourceError(
-            f"polynomial degree {k} exceeds the eigen-solve budget of {_MAX_ORDER}")
     key = (k, alpha, beta)
     z = _LARGEST_ZERO_CACHE.get(key)
     if z is None:

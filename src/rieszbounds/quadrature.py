@@ -3,11 +3,12 @@
 The rules integrate low-degree polynomials against the projected sphere
 measure using the node t = 1 with weight 1/N plus k interior nodes.  The
 interior nodes are the roots of (t - s) Q_{k-1}(t, s) in the (1,0) or
-(1,1) kernel family, where s solves N = L(d, s); they are computed as
-eigenvalues of the k x k recurrence matrix with its last diagonal entry
-shifted, which makes the endpoint cardinalities N = D(d, tau+1)
-degenerate exactly to plain Jacobi-zero rules.  numpy is imported where
-it is used, as in jacobi.
+(1,1) kernel family, where s solves N = L(d, s): the zeros of P_k - R P_{k-1}
+with R = P_k(s)/P_{k-1}(s), which is an exact rational function of N, so a
+rule is built from N alone.  They are computed as eigenvalues of the k x k
+recurrence matrix with its last diagonal entry shifted, which makes the
+endpoint cardinalities N = D(d, tau+1), where R = 0, degenerate exactly to
+plain Jacobi-zero rules.  numpy is imported where it is used, as in jacobi.
 """
 
 from __future__ import annotations
@@ -111,106 +112,41 @@ def _resolve_tau(d: int, n) -> int:
     return _first_true(lambda t: n <= dgs_bound(d, t + 1))
 
 
-# Half-width of the window around the root, relative to max(|s|, 1/2),
-# inside which bisection evaluates the sign of L(d, s) - N instead of
-# reading it off the root: 8 to 16 doubles for s >= 1/2, 8.9e-16 below.
-# Rounding in lev_branch put sign changes at most 1.7e-16 from the root
-# in a scan of 550 (d, N) pairs, d in {2, 3, 4, 8}, N up to 2e4, and the
-# window held the sign change in all 26,982 solves of a scan over
-# d in {2, 3, 4, 5, 8, 16} and N up to 2e6.  Should it ever miss, the
-# pair bisection ends on has no sign change and solve_s_for_n refuses.
-_WINDOW = 2.0**-49
-
-
-def _bisect_pair(f, lo: float, hi: float, root: float, w: float) -> tuple[float, float]:
-    # the adjacent doubles a < b that bisection of [lo, hi] on the sign of
-    # f ends on, or (m, m) for a midpoint m where f vanishes; midpoints
-    # farther than w from root take the sign of m - root unevaluated
-    a, b = lo, hi
-    while True:
-        m = 0.5 * (a + b)
-        if m == a or m == b:
-            return a, b
-        fm = f(m) if abs(m - root) <= w else m - root
-        if fm == 0.0:
-            return m, m
-        if fm < 0.0:
-            a = m
-        else:
-            b = m
+def _node_ratio(d: int, n, tau: int) -> tuple[int, int]:
+    # R = P_k(s) / P_{k-1}(s) = num / den in integers, in the rule's family
+    # ((1, 0) for tau = 2k - 1, (1, 1) for tau = 2k), at L_tau(d, s) = N =
+    # p/q.  DLMF 18.9.5-18.9.6 make each branch a Moebius map of R.  Odd:
+    # L = M (1 - P^{(1,0)}_{k-1}/P^{(0,0)}_k) with M = C(k+d-2, k-1)(2k+d-2)/d
+    # and P^{(0,0)}_k = (A R - B) P^{(1,0)}_{k-1}, so R = (M/(M - N) + B)/A,
+    # A = (k+d-1)(2k+d)/(d(2k+d-1)), B = k(2k+d-2)/(d(2k+d-1)).  Even: R =
+    # k(1 + rho)/((k+d)(rho - 1)), rho = (M' - N)(2k+d)/(d M'), M' = C(k+d-1,
+    # k)(2k+d)/d.  R is 0 at N = D(d, tau+1) and negative inside the interval.
+    p, q = (int(n), 1) if n == int(n) else float(n).as_integer_ratio()
+    k = (tau + 1) // 2
+    if tau % 2:
+        m = math.comb(k + d - 2, k - 1) * (2 * k + d - 2)  # d M
+        e = m * q - p * d  # d q (M - N)
+        return (m * q * d * (2 * k + d - 1) + k * (2 * k + d - 2) * e,
+                e * (k + d - 1) * (2 * k + d))
+    c = math.comb(k + d - 1, k)
+    g, h = c * (2 * k + d) * q - p * d, c * d * q  # rho = g / h
+    return k * (h + g), (k + d) * (g - h)
 
 
 def solve_s_for_n(d: int, n: float) -> float:
     """The unique s with L(d, s) = N, for finite N >= D(d, 1) = 2.
 
-    Endpoint cardinalities N = D(d, tau+1) return the largest zero of
-    the corresponding adjacent Jacobi polynomial directly (machine
-    precision).  Interior N are bracketed in their interval, where
-    safeguarded secant steps locate the root; bisection of the bracket
-    then finds the pair of adjacent doubles around the sign change of
-    L(d, s) - N, evaluating L only near the root, and up to three steps
-    along the last secant slope finish to |L(d,s) - N| below 1e-11.
+    With tau the strength of N, s is the largest zero of P_k - R P_{k-1}
+    in the (1, 0) family for odd tau and the (1, 1) family for even tau,
+    where R is an exact rational function of N: Newton from t = 1 on that
+    polynomial, in extended precision.  At N = D(d, tau+1), R = 0 and s is
+    the largest zero of P_k.
     """
     if not 2 <= n < math.inf:
         raise DomainError(f"solve_s_for_n requires finite N >= 2, got {n}")
-    if n == 2:
-        return -1.0
     tau = _resolve_tau(d, n)
-    # s lies in I_tau = (lo, hi], and at N = D(d, tau+1) it is hi itself
-    hi = _end(d, tau)
-    if n == dgs_bound(d, tau + 1):
-        return hi
-    lo = _end(d, tau - 1)
-    fvals: dict[float, float] = {}
-
-    def f(x: float) -> float:
-        if x not in fvals:
-            fvals[x] = lev_branch(d, tau, x) - n
-        return fvals[x]
-
-    # L rises from D(d, tau) at lo to D(d, tau+1) at hi.  Secant steps
-    # start from (lo, D(d, tau) - N) and the regula falsi point of the end
-    # values, and bisect the bracket [a, b] whenever a step leaves it or
-    # its two points coincide in x or in f.  They stop once the step, or
-    # the next step, which superlinear convergence keeps below
-    # step^2 / last, is inside the window.
-    d_lo, d_hi = dgs_bound(d, tau), dgs_bound(d, tau + 1)
-    a, b = lo, hi
-    x_prev, f_prev = lo, float(d_lo - n)
-    x = lo + (n - d_lo) * (hi - lo) / (d_hi - d_lo)
-    last = slope = 0.0
-    for _ in range(100):
-        fx = f(x)
-        if fx < 0.0:
-            a = x
-        elif fx > 0.0:
-            b = x
-        if x == x_prev or fx == f_prev:
-            step = x - 0.5 * (a + b)
-        else:
-            slope = (fx - f_prev) / (x - x_prev)
-            step = fx / slope
-        root = float(x - step)
-        w = _WINDOW * max(abs(root), 0.5)
-        if abs(step) <= w or step * step <= 0.125 * w * last:
-            break
-        last = abs(step)
-        x_prev, f_prev = x, fx
-        x = root if a < root < b else 0.5 * (a + b)
-    a, b = _bisect_pair(f, lo, hi, root, w)
-    if a == b:
-        return a
-    if not f(a) < 0.0 < f(b):
-        raise NumericalError(f"bracket failure solving L({d}, s) = {n} in branch {tau}")
-    s = a if abs(f(a)) <= abs(f(b)) else b
-    for _ in range(3):
-        step = s if slope == 0.0 else min(max(s - f(s) / slope, lo), hi)
-        if step == s:
-            break
-        s = float(step)
-    if abs(f(s)) > 1e-11 * max(1.0, n):
-        raise NumericalError(f"Levenshtein inversion stalled for d={d}, N={n}")
-    return s
+    alpha, beta = family_params(d, 1, 1 - tau % 2)
+    return jacobi._top_zero((tau + 1) // 2, alpha, beta, *_node_ratio(d, n, tau))
 
 
 @dataclass(frozen=True)
@@ -260,30 +196,21 @@ class QuadratureRule:
 def build_rule(d: int, n: int) -> QuadratureRule:
     """Construct the 1/N-quadrature rule for N points on S^d.
 
-    Resolves tau with N in (D(d,tau), D(d,tau+1)], solves N = L(d,s),
-    and places the interior nodes and weights of the matching parity
-    case.  Even strength appends the node -1.  The returned rule is
-    validated: positive weights, decreasing nodes, weight sum 1 - 1/N.
+    Resolves tau with N in (D(d,tau), D(d,tau+1)], takes the ratio R of
+    N = L(d,s) exactly from N, and places the interior nodes (the largest
+    is s) and weights of the matching parity case.  Even strength appends
+    the node -1.  The returned rule is validated: positive weights,
+    decreasing nodes, weight sum 1 - 1/N.
     """
-    if not abs(n) < math.inf:
-        raise DomainError(f"build_rule requires a finite N, got {n}")
-    if n != int(n):
-        raise DomainError(f"build_rule requires integer N, got {n}")
-    n = int(n)
-    if n < 2:
-        raise DomainError(f"build_rule requires N >= 2, got {n}")
+    n = _integer(n, 2, "build_rule requires N >= 2, got {}")
     tau = _resolve_tau(d, n)
     k = (tau + 1) // 2
-    s = solve_s_for_n(d, n)
     odd = tau % 2 == 1
     # interior nodes: zeros of the shifted (1, 0) family polynomial for odd
-    # tau, of the (1, 1) family for even tau, the largest pinned to s
-    b = 0 if odd else 1
+    # tau, of the (1, 1) family for even tau, the largest of them s
+    interior, diag = jacobi._zeros_raw(k, d, 1, 1 - tau % 2, *_node_ratio(d, n, tau))
+    s = interior[-1]
     import numpy as np
-    interior, diag = jacobi._zeros_raw(k, d, 1, b, s)
-    if abs(interior[-1] - s) > 5e-11:
-        raise NumericalError(f"largest node drifted from s at polynomial degree {k}")
-    interior[-1] = s
     # Christoffel weights of the family measure (1 - t)(1 + t)^b dmu_d,
     # whose mass is 1 for odd tau and 1 - mu_2 = d/(d+1) for even tau,
     # from the order-(k-1) kernel matching the node polynomial (at s for the
@@ -291,7 +218,7 @@ def build_rule(d: int, n: int) -> QuadratureRule:
     t = interior.astype(np.longdouble)
     mass = np.longdouble(1.0) if odd else np.longdouble(d) / (d + 1)
     factor = (1.0 - t) if odd else (1.0 - t) * (1.0 + t)
-    weights = (mass / (factor * np.delete(diag, -2))).astype(float)[::-1]
+    weights = (mass / (factor * diag)).astype(float)[::-1]
     nodes = interior[::-1]
     if not odd:
         # weight at the node -1 from the Gegenbauer kernel determinant.

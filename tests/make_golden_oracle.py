@@ -1,11 +1,15 @@
-"""Write golden_oracle.json: 40-digit nodes of the golden endpoint rules.
+"""Write golden_oracle.json: 40-digit nodes of the golden quadrature rules.
 
-At N = D(d, tau+1) the Levenshtein rule's nodes below 1 are the k zeros of
-the order-k (1, b) family member, k = (tau+1)//2, b = tau + 1 mod 2, and,
-for even tau, the node -1.  For every quadrature invocation of the golden
-corpus that prints such a rule, this finds each zero by mpmath Newton from
-the printed node (oracles.jacobi_zero_mp) and stores it beside that node,
-so the test of the printed nodes needs neither mpmath nor the library:
+The Levenshtein rule's nodes below 1 are the k zeros of P_k(t) P_{k-1}(s) -
+P_{k-1}(t) P_k(s) in the (1, b) family, k = (tau+1)//2, b = tau + 1 mod 2,
+where L_tau(d, s) = N, and, for even tau, the node -1.  At N = D(d, tau+1)
+they are the zeros of P_k itself, found by mpmath Newton from the printed
+node (oracles.jacobi_zero_mp).  At any other N, s* is the 50-digit root of
+the branch formula bracketed around the printed s (oracles.lev_root_mp),
+and each node the zero found from the printed one by the secant method
+(oracles.rule_node_mp).  Every quadrature invocation of the golden corpus
+gets its nodes stored beside these zeros, so the tests of the printed nodes
+need neither mpmath nor the library:
 
     python3 tests/make_golden_oracle.py
 
@@ -52,13 +56,18 @@ def oracle_cases() -> list[dict]:
             continue
         d, n = int(argv[argv.index("--d") + 1]), int(argv[argv.index("--N") + 1])
         tau = next(t for t in range(1, n) if n <= design_size(d, t + 1))
-        if n != design_size(d, tau + 1):
-            continue
         k, b = (tau + 1) // 2, 1 - tau % 2
         nodes = printed_nodes(argv, case)
-        zeros = [mp.nstr(oracles.jacobi_zero_mp(k, d, 1, b, float(x)), 40) for x in nodes[b:]]
-        cases.append({"argv": argv, "d": d, "N": n, "tau": tau, "family": [1, b],
-                      "nodes": nodes, "zeros": ["-1"] * b + zeros})
+        entry = {"argv": argv, "d": d, "N": n, "tau": tau, "family": [1, b],
+                 "endpoint": n == design_size(d, tau + 1)}
+        if entry["endpoint"]:
+            zeros = [oracles.jacobi_zero_mp(k, d, 1, b, float(x)) for x in nodes[b:]]
+        else:
+            s = oracles.lev_root_mp(d, tau, n, float(nodes[-1]))
+            entry["s"] = mp.nstr(s, 50)
+            zeros = [oracles.rule_node_mp(d, tau, s, float(x)) for x in nodes[b:]]
+        cases.append({**entry, "nodes": nodes,
+                      "zeros": ["-1"] * b + [mp.nstr(z, 40) for z in zeros]})
     return cases
 
 

@@ -299,6 +299,100 @@ def jacobi_zero_mp(k: int, d: int, a: int, b: int, guess: float, dps: int = 40):
         return +t
 
 
+# The Levenshtein function by its branch formula, and the nodes of the rule
+# for N, in mpmath.
+
+
+def gegenbauer_mp(kmax: int, d: int, t) -> list:
+    """P_0..P_kmax of the (0, 0) family on S^d, normalized at 1, at t.
+
+    The recurrence (j + d - 1) P_{j+1} = (2j + d - 1) t P_j - j P_{j-1}, at
+    mpmath's working precision.
+    """
+    t = mp.mpf(t)
+    p = [mp.mpf(1), t]
+    for j in range(1, kmax):
+        p.append(((2 * j + d - 1) * t * p[j] - j * p[j - 1]) / (j + d - 1))
+    return p[:kmax + 1]
+
+
+def lev_branch_mp(d: int, tau: int, s):
+    """L_tau(d, s) by Levenshtein's branch formula, at mpmath's working precision.
+
+    With k = (tau+1)//2 and P_j from gegenbauer_mp: C(k+d-2, k-1) ((2k+d-2)/d
+    - (P_{k-1} - P_k) / ((1 - s) P_k)) for odd tau, and C(k+d-1, k) ((2k+d)/d
+    - (1 + s)(P_k - P_{k+1}) / ((1 - s)(P_k + P_{k+1}))) for even tau.
+    """
+    k = (tau + 1) // 2
+    s = mp.mpf(s)
+    p = gegenbauer_mp(k + 1, d, s)
+    if tau % 2:
+        return math.comb(k + d - 2, k - 1) * (
+            mp.mpf(2 * k + d - 2) / d - (p[k - 1] - p[k]) / ((1 - s) * p[k]))
+    return math.comb(k + d - 1, k) * (
+        mp.mpf(2 * k + d) / d - (1 + s) * (p[k] - p[k + 1]) / ((1 - s) * (p[k] + p[k + 1])))
+
+
+def lev_root_mp(d: int, tau: int, n, guess: float, dps: int = 50):
+    """The s in [guess - 2^-40, guess + 2^-40] with L_tau(d, s) = N.
+
+    Anderson-Bjorck on lev_branch_mp at dps + 10 digits, once the bracket
+    is seen to hold a sign change; returns an mpf rounded to dps digits.
+    """
+    with mp.workdps(dps + 10):
+        f = lambda x: lev_branch_mp(d, tau, x) - n
+        lo, hi = mp.mpf(guess) - mp.mpf(2) ** -40, mp.mpf(guess) + mp.mpf(2) ** -40
+        if not f(lo) < 0 < f(hi):
+            raise ArithmeticError(f"no root of L_{tau}({d}, s) = {n} near {guess}")
+        root = mp.findroot(f, (lo, hi), solver="anderson")
+    with mp.workdps(dps):
+        return +root
+
+
+def _jacobi_pair_mp(k: int, alpha, beta, t) -> tuple:
+    # conventional P_{k-1} and P_k of the (alpha, beta) family at t, by the
+    # three-term recurrence (DLMF 18.9.1)
+    prev, cur = mp.mpf(1), (alpha + 1) + (alpha + beta + 2) * (t - 1) / 2
+    for j in range(2, k + 1):
+        c = 2 * j + alpha + beta
+        prev, cur = cur, ((c - 1) * (c * (c - 2) * t + alpha ** 2 - beta ** 2) * cur
+                          - 2 * (j + alpha - 1) * (j + beta - 1) * c * prev) / (
+                              2 * j * (j + alpha + beta) * (c - 2))
+    return prev, cur
+
+
+def rule_node_mp(d: int, tau: int, s, guess: float, dps: int = 40):
+    """The node nearest guess of the Levenshtein rule whose largest node is s.
+
+    A zero of P_k(t) P_{k-1}(s) - P_{k-1}(t) P_k(s), k = (tau+1)//2, in the
+    (1, 0) Jacobi family on S^d for odd tau and the (1, 1) family for even
+    tau, by the secant method at dps + 20 digits; returns an mpf rounded to
+    dps digits.
+    """
+    with mp.workdps(dps + 20):
+        k, b = (tau + 1) // 2, 1 - tau % 2
+        alpha, beta = mp.mpf(d) / 2, mp.mpf(d - 2) / 2 + b
+        qk1, qk = _jacobi_pair_mp(k, alpha, beta, mp.mpf(s))
+
+        def f(t):
+            pk1, pk = _jacobi_pair_mp(k, alpha, beta, t)
+            return pk * qk1 - pk1 * qk
+
+        x0, x1 = mp.mpf(guess), mp.mpf(guess) + mp.mpf(2) ** -60
+        f0, f1 = f(x0), f(x1)
+        for _ in range(50):
+            if f1 == f0:
+                break
+            x0, x1, f0 = x1, x1 - f1 * (x1 - x0) / (f1 - f0), f1
+            f1 = f(x1)
+            if abs(x1 - x0) <= mp.mpf(10) ** (-dps - 10):
+                break
+        else:
+            raise ArithmeticError(f"secant did not settle on a node near {guess}")
+    with mp.workdps(dps):
+        return +x1
+
+
 # Christoffel-Darboux kernel by its defining sum, in mpmath.
 
 

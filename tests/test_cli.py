@@ -294,10 +294,15 @@ def test_usage_error_is_a_one_line_refusal_in_a_fresh_process():
 
 
 def test_huge_n_refusal_prints_no_warning():
-    # D(8, 600) is so close to this N that the regula falsi start of the
-    # Levenshtein inversion rounds to the bracket end; a secant through two
-    # equal points would divide by zero and numpy would warn on stderr
-    proc = _fresh_cli("ulb", "--d", "8", "--N", "3617698316688337", "--potential", "riesz:1")
+    # D(8, 600) is so close to the first N that a search on the sign of L - N
+    # could not bracket its root (the regula falsi start rounded to the
+    # bracket end); with s taken from N exactly, the rule builds.  An N past
+    # the order budget refuses in one line, with no numpy warning
+    argv = ("ulb", "--d", "8", "--potential", "riesz:1", "--N")
+    proc = _fresh_cli(*argv, "3617698316688337")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("d,N,potential,value\n8,3617698316688337,riesz:1,")
+    proc = _fresh_cli(*argv, str(3 * 10**25))
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr.startswith("rieszbounds:") and proc.stderr.count("\n") == 1

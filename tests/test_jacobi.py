@@ -34,8 +34,8 @@ def _plain_zeros(k, d, a, b):
 
 def _zeros(k, d, a, b):
     # all k zeros of the order-k family member, ascending, from the shifted
-    # solve with s at the top zero: there F(t) is P_k(t) times P_{k-1}(s)
-    return jacobi._zeros_raw(k, d, a, b, jacobi.largest_zero(k, d, a, b))[0]
+    # solve at R = 0, where F = P_k - R P_{k-1} is P_k itself
+    return jacobi._zeros_raw(k, d, a, b, 0, 1)[0]
 
 
 def _p(k, d, a, b, t):
@@ -268,7 +268,8 @@ def test_largest_zero_is_the_full_solve_top_and_memoized(monkeypatch):
     calls, rows = [], []
     eig, recur = np.linalg.eigvalsh, jacobi._rows
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eig(m))
-    monkeypatch.setattr(jacobi, "_rows", lambda *args: rows.append(args[0]) or recur(*args))
+    monkeypatch.setattr(jacobi, "_rows",
+                        lambda *args, **kw: rows.append(args[0]) or recur(*args, **kw))
     first = jacobi.largest_zero(37, 5, 1, 1)
     assert calls == [] and rows
     rows.clear()
@@ -297,7 +298,7 @@ def test_eigen_solve_budget_checked_before_allocation():
         with pytest.raises(ResourceError):
             jacobi.largest_zero(2**20, 2, 1, 0)
         with pytest.raises(ResourceError):
-            jacobi._zeros_raw(jacobi._MAX_ORDER + 1, 3, 0, 0, 0.5)
+            jacobi._zeros_raw(jacobi._MAX_ORDER + 1, 3, 0, 0, -1, 2)
         for call in (lambda: jacobi.norm_ratios(10**6, 2, 0, 0),
                      lambda: jacobi.cd_kernel(10**6, 2, 0, 0, 0.5, 0.5)):
             with pytest.raises(ResourceError, match="recurrence budget"):
@@ -317,15 +318,14 @@ def test_recurrence_and_eigen_solve_memory_peaks(monkeypatch):
     import tracemalloc
 
     pts = np.linspace(-0.999, 0.999, 999)
-    # a shift inside the interval of the degree-999 rules on S^2
-    s = (jacobi.largest_zero(998, 2, 1, 1) + jacobi.largest_zero(999, 2, 1, 0)) / 2.0
+    # the node solve takes R = P_k(s)/P_{k-1}(s) = -1/2, as an interior rule has
     monkeypatch.setattr(jacobi, "_LARGEST_ZERO_CACHE", {})
     peaks = []
     tracemalloc.start()
     try:
         for call in (lambda: jacobi._rows(999, 1.0, 1.0, pts),
                      lambda: jacobi.largest_zero(999, 2, 1, 0),
-                     lambda: jacobi._zeros_raw(999, 2, 1, 0, s)):
+                     lambda: jacobi._zeros_raw(999, 2, 1, 0, -1, 2)):
             tracemalloc.reset_peak()
             call()
             peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)

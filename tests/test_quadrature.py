@@ -1,7 +1,9 @@
 import dataclasses
 import math
+import random
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -211,6 +213,19 @@ def test_endpoint_rule_meets_its_top_degree(n):
     assert defect <= 1e-15, defect
 
 
+@pytest.mark.parametrize("n", [110, 272])
+def test_symmetric_endpoint_rule_has_its_middle_node_at_zero(n):
+    # at N = D(2, tau+1) with even tau and odd k the nodes below 1 are the
+    # zeros of the odd P_k^{(1,1)}: 0 and pairs of mirror nodes, to the last
+    # bit (the middle node read 1.17e-21 and -4.9e-22 when the polish alone
+    # placed it)
+    rule = quadrature.build_rule(2, n)
+    interior = rule.nodes[:-1]
+    assert rule.endpoint and rule.parity == "even" and rule.nodes[-1] == -1.0
+    assert interior[len(interior) // 2] == 0.0
+    assert interior == tuple(-x for x in reversed(interior))
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_exactness_certificate_sees_a_perturbed_rule(d):
     # the Gegenbauer certificate of the rule at N = 100007 is at rounding
@@ -330,7 +345,7 @@ _SOLVE_BITS = [
     (4, 51, '0x1.067634275a3b0p-1'),
     (5, 6, '-0x1.999999999999ap-3'),
     (8, 20000, '0x1.9b6a062d118f6p-1'),
-    (24, 30, '-0x1.d41d41d41d41bp-6'),
+    (24, 30, '-0x1.d41d41d41d41dp-6'),
     (24, 1000, '0x1.ca3840722d570p-3'),
 ]
 
@@ -342,84 +357,87 @@ def test_lev_function_and_inversion_keep_their_bits():
     assert got == _SOLVE_BITS
 
 
-def _bisection_s(d, n):
-    # the inversion as plain bisection of the bracket down to adjacent
-    # doubles, the one of the pair with the smaller |L - N|, then three
-    # finite-difference secant steps
+def _within_half_an_ulp(d, n, s):
+    # the root of L_tau(d, .) = N lies between the midpoints of s and its
+    # neighbouring doubles, by the branch formula at 50 digits; L_tau rises
+    # through the root, so s is then the double nearest it
     tau = quadrature._resolve_tau(d, n)
-    k = (tau + 1) // 2
-    assert n != quadrature.dgs_bound(d, tau + 1)
-    if tau % 2 == 1:
-        lo = -1.0 if k == 1 else jacobi.largest_zero(k - 1, d, 1, 1)
-        hi = jacobi.largest_zero(k, d, 1, 0)
-    else:
-        lo, hi = jacobi.largest_zero(k, d, 1, 0), jacobi.largest_zero(k, d, 1, 1)
-
-    def f(x):
-        return quadrature.lev_branch(d, tau, x) - n
-
-    a, b, fa = lo, hi, f(lo)
-    while True:
-        m = 0.5 * (a + b)
-        if m == a or m == b:
-            break
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if fa * fm < 0.0:
-            b = m
-        else:
-            a, fa = m, fm
-    s = a if abs(fa) <= abs(f(b)) else b
-    for _ in range(3):
-        h = max(1e-9, 1e-9 * abs(s))
-        right, left = min(s + h, hi), max(s - h, lo)
-        s = min(max(s - f(s) * (right - left) / (f(right) - f(left)), lo), hi)
-    return s
+    with mp.workdps(50):
+        lo, hi = ((mp.mpf(s) + mp.mpf(math.nextafter(s, x))) / 2 for x in (-2.0, 2.0))
+        return oracles.lev_branch_mp(d, tau, lo) <= n <= oracles.lev_branch_mp(d, tau, hi)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 8])
-def test_solve_s_for_n_lands_where_bisection_does(d):
-    # the search evaluates L only near the root but must end on the same
-    # double as a full bisection; these N include pairs where rounding
-    # spreads the sign change of L - N over up to 30 doubles
+def test_solve_s_for_n_lies_within_half_an_ulp(d):
+    # a full bisection of L - N missed the root by up to 3.6 ulp at these N
+    # (2.9 at N = 8 on S^4, 4.5 at N = 19 on S^8), where rounding in
+    # lev_branch spreads the sign change over up to 30 doubles
     for n in (3, 5, 7, 8, 17, 19, 21, 23, 60, 89, 197, 1001, 5001):
-        if n != quadrature.dgs_bound(d, quadrature._resolve_tau(d, n) + 1):
-            assert quadrature.solve_s_for_n(d, n) == _bisection_s(d, n), n
+        assert _within_half_an_ulp(d, n, quadrature.solve_s_for_n(d, n)), n
+
+
+def test_solve_s_for_n_lies_within_half_an_ulp_on_a_log_uniform_sample():
+    # the pinned inputs and 200 seeded (d, N), N log-uniform up to 4e6 on
+    # S^2, near the order budget, and up to 3e5 otherwise
+    rng = random.Random(38)
+    cases = [(d, n) for d, n, _ in _SOLVE_BITS]
+    for _ in range(200):
+        d = rng.choice((2, 3, 4, 8, 24))
+        top = 4e6 if d == 2 else 3e5
+        cases.append((d, round(math.exp(rng.uniform(math.log(3.0), math.log(top))))))
+    missed = [(d, n) for d, n in cases
+              if not _within_half_an_ulp(d, n, quadrature.solve_s_for_n(d, n))]
+    # the one miss: at (24, 51) s = 0.00166, whose ulp (2.2e-19) is twice
+    # the rounding unit of the extended-precision recurrence, which adds
+    # O(1) terms there (P_1 = (13 + 12.5 (t - 1)) / 13); s lies 0.533 ulp
+    # from its root
+    assert missed == [(24, 51)]
+    s = quadrature.solve_s_for_n(24, 51)
+    assert abs(mp.mpf(s) - oracles.lev_root_mp(24, 3, 51, s)) <= 0.54 * math.ulp(s)
+
+
+def test_n_near_the_order_budget_answers(monkeypatch):
+    # R = P_k(s)/P_{k-1}(s) comes from N exactly, so no N inside the budget
+    # stalls: a search on the sign of L - N refused N = 1.6e6 and 2,000,003
+    # on S^2 and 21 of 4,497 sampled N in [1.42e6, 1.99e6], since one ulp
+    # of s moved L by more than its gate, and D(8, 600) + 1, which it could
+    # not bracket.  Each answer is a few Newton passes on one point
+    calls = []
+    eig = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eig(m))
+    rng = random.Random(7)
+    cases = [(2, 1600000), (2, 2000003), (2, 3999999), (8, quadrature.dgs_bound(8, 600) + 1)]
+    cases += [(2, rng.randint(1420000, 1990000)) for _ in range(100)]
+    for d, n in cases:
+        start = time.perf_counter()
+        s = quadrature.solve_s_for_n(d, n)
+        assert time.perf_counter() - start < 0.05, (d, n)
+        assert _within_half_an_ulp(d, n, s), (d, n)
+    assert calls == []
 
 
 def test_solve_s_for_n_needs_few_branch_evaluations(monkeypatch):
+    # the solve and the rule take s from N itself and evaluate no branch of L
     calls = []
     branch = quadrature.lev_branch
     monkeypatch.setattr(quadrature, "lev_branch", lambda *args: calls.append(args) or branch(*args))
     for n in (10, 11, 100, 101, 1000, 1001, 10**4, 10**4 + 1, 10**5, 10**5 + 1):
-        calls.clear()
         s = quadrature.solve_s_for_n(2, n)
-        assert len(calls) <= 12, (n, len(calls))
-        assert abs(quadrature.lev_function(2, s) - n) <= 1e-11 * n
-
-
-@pytest.mark.parametrize("n", [10, 101, 5001])
-def test_solve_s_for_n_refuses_a_bracket_with_no_sign_change(monkeypatch, n):
-    # a branch that never reaches N leaves the pair bisection ends on
-    # without a sign change; that is refused at once, with no second search
-    quadrature.solve_s_for_n(2, n)  # the first solve loads numpy
-    monkeypatch.setattr(quadrature, "lev_branch", lambda d, tau, s: n - 1.0)
-    start = time.perf_counter()
-    with pytest.raises(NumericalError, match="bracket failure"):
-        quadrature.solve_s_for_n(2, n)
-    assert time.perf_counter() - start < 0.05
+        quadrature.build_rule(2, n)
+        assert calls == [], n
+        assert abs(branch(2, quadrature._resolve_tau(2, n), s) - n) <= 1e-11 * n
 
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: quadrature.lev_function(2, 0.999999), ResourceError,
      "lev_function at s=0.999999 needs an order above the budget of 2000 for d=2"),
-    (lambda: quadrature.solve_s_for_n(2, 1600000), NumericalError,
-     "Levenshtein inversion stalled"),
+    (lambda: quadrature.solve_s_for_n(2, quadrature.dgs_bound(2, 4001) + 1), ResourceError,
+     "polynomial degree 2001 exceeds the eigen-solve budget of 2000"),
 ], ids=["lev_function", "solve_s_for_n"])
 def test_refusals_near_the_budget_run_no_eigen_solve(monkeypatch, call, error, message):
-    # interval ends and the root bracket are largest zeros, which Newton on
-    # one point finds; only a full node set takes the dense solve
+    # interval ends and s are largest zeros, which Newton on one point finds,
+    # and the order is checked first; only a full node set takes the dense
+    # solve
     calls = []
     eig = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eig(m))
