@@ -66,7 +66,7 @@ def _coeffs(kmax: int, alpha: float, beta: float) -> tuple:
 
 
 def _rows(kmax: int, alpha: float, beta: float, t: np.ndarray, first: int = 0, kern=None,
-          weights=None):
+          weights=None, dtype=float):
     import numpy as np
     # Orders first..kmax, conventionally normalized (C(k+alpha, k) at 1) and
     # divided by that value as stored.  One point runs on numpy scalars, free
@@ -77,6 +77,7 @@ def _rows(kmax: int, alpha: float, beta: float, t: np.ndarray, first: int = 0, k
     # lost 6e-16 relative at order 383).  Given weights, each order is reduced
     # to sum_i weights_i P_k(t_i) in extended precision as it is made, and
     # those sums are returned, in memory linear in kmax and the points.
+    # dtype=np.longdouble returns the rows unrounded.
     c0, c1, c2, c3, scale = _coeffs(max(kmax, 1), alpha, beta)
     t = np.asarray(t, dtype=float)
     tl = np.longdouble(t.item()) if t.size == 1 else t.astype(np.longdouble).ravel()
@@ -96,7 +97,7 @@ def _rows(kmax: int, alpha: float, beta: float, t: np.ndarray, first: int = 0, k
                 keep(row)
     if weights is not None:
         return np.array(out).ravel()
-    rows = np.array(out, dtype=float).reshape(kmax + 1 - first, tl.size)
+    rows = np.array(out, dtype=dtype).reshape(kmax + 1 - first, tl.size)
     return (rows, total.astype(float)) if kern else rows
 
 
@@ -122,17 +123,17 @@ def jacobi_values(kmax: int, d: int, a: int, b: int, t) -> np.ndarray:
 
 
 def _deriv_rows(kmax: int, alpha: float, beta: float, t: np.ndarray,
-                first: int = 0) -> np.ndarray:
+                first: int = 0, dtype=float) -> np.ndarray:
     import numpy as np
     # Orders first..kmax.  d/dt of the normalized order-k polynomial equals
     # k (k+alpha+beta+1) / (2 (alpha+1)) times the normalized order-(k-1)
     # polynomial of the (alpha+1, beta+1) family.
     lo = max(first, 1)
-    shifted = _rows(max(kmax - 1, 0), alpha + 1.0, beta + 1.0, t, lo - 1)
-    k = np.arange(lo, kmax + 1.0)
+    shifted = _rows(max(kmax - 1, 0), alpha + 1.0, beta + 1.0, t, lo - 1, dtype=dtype)
+    k = np.arange(lo, kmax + 1, dtype=dtype)
     ck = k * (k + alpha + beta + 1.0) / (2.0 * (alpha + 1.0))
     out = ck[:, None] * shifted[:kmax + 1 - lo]
-    return out if first else np.vstack((np.zeros((1, t.size)), out))
+    return out if first else np.vstack((np.zeros((1, t.size), dtype=dtype), out))
 
 
 def norm_ratios(kmax: int, d: int, a: int, b: int) -> np.ndarray:
@@ -196,8 +197,9 @@ def _zeros_raw(k: int, d: int, a: int, b: int, num: int, den: int) -> tuple:
     # shifted by gamma has as eigenvalues the zeros of the order-k
     # polynomial F = P_k - R P_{k-1}, R = num/den, gamma being chosen to make
     # monic p_k - gamma p_{k-1} proportional to F.  Two Newton steps on F,
-    # evaluated in extended precision from orders k-1 and k alone, tighten
-    # each eigenvalue to a residual at rounding level; the largest becomes
+    # each formed in extended precision from orders k-1 and k alone (F, F',
+    # R and the subtraction) and rounded once, tighten each eigenvalue to
+    # the double nearest its zero, even near t = 0; the largest becomes
     # _top_zero's, and the pass that checks them also returns the kernel
     # Q_{k-1}(t, t) at the nodes.  At R = 0 in a family with alpha = beta,
     # F = P_k is odd or even, and the nodes are made so to the last bit.
@@ -218,13 +220,14 @@ def _zeros_raw(k: int, d: int, a: int, b: int, num: int, den: int) -> tuple:
     mk1 = math.exp(_log_lead(k - 1, alpha, beta) - _log_lead(k, alpha, beta))
     mat[k - 1, k - 1] += mk1 * r
     nodes = np.linalg.eigvalsh(mat)
+    r_ext = _ratio(num, den)
     for _ in range(2):
-        pv = _rows(k, alpha, beta, nodes, k - 1)
-        dv = _deriv_rows(k, alpha, beta, nodes, k - 1)
-        fval = pv[1] - r * pv[0]
-        fder = dv[1] - r * dv[0]
+        pv = _rows(k, alpha, beta, nodes, k - 1, dtype=np.longdouble)
+        dv = _deriv_rows(k, alpha, beta, nodes, k - 1, dtype=np.longdouble)
+        fval = pv[1] - r_ext * pv[0]
+        fder = dv[1] - r_ext * dv[0]
         step = np.where(fder != 0.0, fval / np.where(fder == 0.0, 1.0, fder), 0.0)
-        nodes = np.sort(nodes - step)
+        nodes = np.sort((nodes - step).astype(float))
     if abs(nodes[-1] - top) > 5e-11:
         raise NumericalError(f"largest node drifted from its zero at polynomial degree {k}")
     nodes[-1] = top
@@ -234,6 +237,15 @@ def _zeros_raw(k: int, d: int, a: int, b: int, num: int, den: int) -> tuple:
     if np.any(np.abs(pv[1] - r * pv[0]) > 1e-10 * max(1.0, abs(r))):
         raise NumericalError(f"node polish failed at polynomial degree {k}")
     return nodes, diag
+
+
+def _ratio(num: int, den: int):
+    import numpy as np
+    # R = num/den in extended precision: the double nearest it plus the
+    # double nearest the rest, each an integer ratio rounded once
+    hi = num / den
+    a, b = hi.as_integer_ratio()
+    return np.longdouble(hi) + (num * b - a * den) / (den * b)
 
 
 def _top_zero(k: int, alpha: float, beta: float, num: int = 0, den: int = 1) -> float:
@@ -252,11 +264,7 @@ def _top_zero(k: int, alpha: float, beta: float, num: int = 0, den: int = 1) -> 
         p, q = round(2.0 * alpha + 2.0), round(alpha + beta + 2.0)
         return (den * q + (num - den) * p) / (den * q)
     import numpy as np
-    # R in extended precision: the double nearest it plus the double nearest
-    # the rest, each an integer ratio rounded once
-    hi = num / den
-    a, b = hi.as_integer_ratio()
-    r = np.longdouble(hi) + (num * b - a * den) / (den * b)
+    r = _ratio(num, den)
     one = np.ones(1, dtype=np.longdouble)
 
     def f(x: float):

@@ -131,9 +131,10 @@ def test_endpoint_rule_nodes_are_correctly_rounded():
 
 # The worst node of each golden interior rule, in ulp, as measured when the
 # rules were first built from N alone.  Built for L(s) at the rounded s,
-# they read 11,010, 1.32 and 0.81 ulp.  The 0.504 is the node 0.0992, whose
-# ulp (1.4e-17) is near what the double-precision polish leaves.
-_INTERIOR_WORST_ULP = {(2, 20000): 0.5039, (4, 7): 0.3201, (8, 50): 0.2158}
+# they read 11,010, 1.32 and 0.81 ulp.  At (2, 20000) the node 0.0992, whose
+# ulp is 1.4e-17, lay 0.504 ulp off while the Newton step was formed from
+# rows rounded to double.
+_INTERIOR_WORST_ULP = {(2, 20000): 0.4963, (4, 7): 0.3201, (8, 50): 0.2158}
 
 
 def test_interior_rule_nodes_lie_within_their_measured_ulp():

@@ -396,6 +396,16 @@ def test_solve_s_for_n_lies_within_half_an_ulp_on_a_log_uniform_sample():
     assert abs(mp.mpf(s) - oracles.lev_root_mp(24, 3, 51, s)) <= 0.54 * math.ulp(s)
 
 
+def test_rule_node_near_zero_lies_within_half_an_ulp():
+    # each Newton step of the node solve is formed in extended precision and
+    # rounded once; polished on rows rounded to double, the node near 0.0441
+    # of this rule lay 2.22 ulp from its 40-digit zero, where an ulp is 6.9e-18
+    rule = quadrature.build_rule(3, 120)
+    s = oracles.lev_root_mp(3, rule.tau, 120, rule.nodes[0])
+    x = min(rule.nodes, key=lambda t: abs(t - 0.0441))
+    assert abs(mp.mpf(x) - oracles.rule_node_mp(3, rule.tau, s, x)) <= 0.5 * math.ulp(x)
+
+
 def test_n_near_the_order_budget_answers(monkeypatch):
     # R = P_k(s)/P_{k-1}(s) comes from N exactly, so no N inside the budget
     # stalls: a search on the sign of L - N refused N = 1.6e6 and 2,000,003
