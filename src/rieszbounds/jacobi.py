@@ -23,13 +23,14 @@ from .errors import DomainError, NumericalError, ResourceError, _integer
 
 __all__ = ["cd_kernel", "family_params", "jacobi_values", "largest_zero", "norm_ratios"]
 
-# Largest polynomial degree given to the dense k x k eigen-solve or to
-# _top_zero, checked before anything is allocated.  The matrix and
-# eigvalsh's copy of it (unseen by tracemalloc) take 16 k^2 bytes, 64 MB at
-# the budget: the peak of a node set.  Recurrence tables stop at order
-# _MAX_ROW = 2 _MAX_ORDER + 1, the largest exact degree of a rule, which
-# verify_exactness reads: 660 kB a family, grown only as far as asked.
+# Largest polynomial degree given to the node solve or to _top_zero, checked
+# before anything is allocated (a rule at the budget takes about 0.5 s), and
+# the order from which the node seeds take no matrix.  Recurrence tables
+# stop at order _MAX_ROW = 2 _MAX_ORDER + 1, the largest exact degree of a
+# rule, which verify_exactness reads: 660 kB a family, grown as far as asked.
 _MAX_ORDER = 2000
+_DENSE_BELOW = 64
+_NEWTON_STEPS = 12
 _MAX_ROW = 2 * _MAX_ORDER + 1
 _COEFFS: dict[tuple[float, float], tuple] = {}
 
@@ -72,16 +73,16 @@ def _rows(kmax: int, alpha: float, beta: float, t: np.ndarray, first: int = 0, k
     # divided by that value as stored.  One point runs on numpy scalars, free
     # of per-step array overhead, through the same operations in the same
     # order, so a column does not depend on the points beside it.  Given
-    # kern = (r, m), it also returns sum_{i < len(r)} r_i P_i(x) P_i(y) at x =
-    # t[:m], y = t[-m:], added in order in extended precision (in double it
-    # lost 6e-16 relative at order 383).  Given weights, each order is reduced
+    # kern = (r, m, o), it also returns sum_{i < len(r)} r_i P_i(x) P_i(y) at
+    # x = t[:m], y = t[o:o + m], added in order in extended precision (in
+    # double it lost 6e-16 relative at order 383).  Given weights, each order is reduced
     # to sum_i weights_i P_k(t_i) in extended precision as it is made, and
     # those sums are returned, in memory linear in kmax and the points.
     # dtype=np.longdouble returns the rows unrounded.
     c0, c1, c2, c3, scale = _coeffs(max(kmax, 1), alpha, beta)
     t = np.asarray(t, dtype=float)
     tl = np.longdouble(t.item()) if t.size == 1 else t.astype(np.longdouble).ravel()
-    (r, m), lo, out, total = kern or ((), 0), 0 if kern else first, [], 0.0
+    (r, m, o), lo, out, total = kern or ((), 0, 0), 0 if kern else first, [], 0.0
     keep = out.append if weights is None else lambda row: out.append(np.dot(weights, row))
     # orders k-1 and k before rescaling; order 0 is ones shaped like tl
     prev, cur = tl ** 0, (alpha + 1.0) + (alpha + beta + 2.0) * (tl - 1.0) / 2.0
@@ -92,7 +93,7 @@ def _rows(kmax: int, alpha: float, beta: float, t: np.ndarray, first: int = 0, k
             row = cur / scale[k] if k else prev
             if k < len(r):
                 v = np.asarray(row, dtype=float).ravel()
-                total = total + r[k] * np.multiply(v[:m], v[-m:], dtype=np.longdouble)
+                total = total + r[k] * np.multiply(v[:m], v[o:o + m], dtype=np.longdouble)
             if k >= first:
                 keep(row)
     if weights is not None:
@@ -160,18 +161,6 @@ def norm_ratios(kmax: int, d: int, a: int, b: int) -> np.ndarray:
     return np.cumprod(np.concatenate(([np.longdouble(1)], step))).astype(float)
 
 
-def _log_lead(k: int, alpha: float, beta: float) -> float:
-    # leading coefficient of the normalized polynomial, in logs
-    log_tilde = (
-        math.lgamma(2.0 * k + alpha + beta + 1.0)
-        - k * math.log(2.0)
-        - math.lgamma(k + 1.0)
-        - math.lgamma(k + alpha + beta + 1.0)
-    )
-    log_binom = math.lgamma(k + alpha + 1.0) - math.lgamma(alpha + 1.0) - math.lgamma(k + 1.0)
-    return log_tilde - log_binom
-
-
 def cd_kernel(k: int, d: int, a: int, b: int, x, y):
     """Reproducing kernel Q_k(x, y) = sum_{i<=k} r_i P_i(x) P_i(y).
 
@@ -187,65 +176,119 @@ def cd_kernel(k: int, d: int, a: int, b: int, x, y):
     _check_points(pts)
     k = _integer(k, 0, "order must be >= 0, got {}")
     alpha, beta = family_params(d, a, b)
-    vals = _rows(k, alpha, beta, pts, k, (norm_ratios(k, d, a, b), xa.size))[1]
+    kern = (norm_ratios(k, d, a, b), xa.size, pts.size - xa.size)
+    vals = _rows(k, alpha, beta, pts, k, kern)[1]
     return float(vals[0]) if np.ndim(x) == 0 == np.ndim(y) else vals.reshape(xa.shape)
 
 
+def _seeds(k: int, alpha: float, beta: float, r: float):
+    import numpy as np
+    # The zeros of F, ascending, to a few digits: theta = arccos t solves
+    # Phi - c + delta = (m - 1/4) pi, m = 1..k from t = 1.  Phi is the
+    # Liouville-Green phase of the Jacobi equation with Langer's change, in
+    # closed form from its turning point lo (it reaches (k + 1/2) pi at hi);
+    # c = cot(theta)/(8 kappa) + 5 Q'/(48 kappa^3), kappa = Phi' = sqrt(Q),
+    # its next term, holds McMahon's, Gatteschi-Pittaluga's and Olver's
+    # corrections; delta is the phase -R P_{k-1} adds, lagging by psi =
+    # dPhi/drho, its amplitude R times that of Szego's constants.
+    rho = k + (alpha + beta + 1.0) / 2.0
+    a2, b2, p2 = alpha * alpha / 4.0, beta * beta / 4.0, rho * rho
+    bb = p2 + a2 - b2
+    root = math.sqrt(bb * bb - 4.0 * p2 * a2)
+    lo, hi = (2.0 * math.asin(math.sqrt((bb + sign * root) / (2.0 * p2))) for sign in (-1, 1))
+    mu = r * (2 * k + alpha + beta + 1.0) * (2 * k + alpha + beta) / (4.0 * k * (k + beta))
+    asin = lambda x: np.arcsin(np.clip(x / root, -1.0, 1.0)) + np.pi / 2.0
+    target = (np.arange(1, k + 1) - 0.25) * np.pi
+    theta = lo + (hi - lo) * target / ((k + 0.5) * np.pi)
+    for _ in range(30):
+        sn, cs = np.sin(theta / 2.0), np.cos(theta / 2.0)
+        psi = asin(2.0 * p2 * sn * sn - bb)
+        phi = (rho * psi - alpha / 2.0 * asin(bb - 2.0 * a2 / (sn * sn))
+               + beta / 2.0 * (asin(2.0 * p2 - bb - 2.0 * b2 / (cs * cs)) - np.pi))
+        q = np.maximum(p2 - a2 / (sn * sn) - b2 / (cs * cs), 1e-30)
+        c = (1.0 / np.tan(theta) + 5.0 * (a2 * cs / sn ** 3 - b2 * sn / cs ** 3) / (12.0 * q))
+        step = (phi - c / (8.0 * np.sqrt(q)) - target
+                + np.arctan2(mu * np.sin(psi), 1.0 - mu * np.cos(psi))) / np.sqrt(q)
+        theta, last = np.clip(theta - step, (lo + theta) / 2.0, (hi + theta) / 2.0), theta
+        # the smallest zero, seeded apart when R < 0, may not settle here
+        if np.max(np.abs(theta - last)[:k - (r < 0)], initial=0.0) < 1e-10:
+            break
+    return np.cos(theta[::-1])
+
+
 def _zeros_raw(k: int, d: int, a: int, b: int, num: int, den: int) -> tuple:
-    # Golub-Welsch: the zeros of P_k are the eigenvalues of the k x k
-    # recurrence matrix.  The same matrix with its last diagonal entry
-    # shifted by gamma has as eigenvalues the zeros of the order-k
-    # polynomial F = P_k - R P_{k-1}, R = num/den, gamma being chosen to make
-    # monic p_k - gamma p_{k-1} proportional to F.  Two Newton steps on F,
-    # each formed in extended precision from orders k-1 and k alone (F, F',
-    # R and the subtraction) and rounded once, tighten each eigenvalue to
-    # the double nearest its zero, even near t = 0; the largest becomes
-    # _top_zero's, and the pass that checks them also returns the kernel
-    # Q_{k-1}(t, t) at the nodes.  At R = 0 in a family with alpha = beta,
-    # F = P_k is odd or even, and the nodes are made so to the last bit.
+    # The k zeros of F = P_k - R P_{k-1}, R = num/den <= 0, ascending, and
+    # Q_{k-1}(t, t) there.  Each node takes Newton steps on F, formed in
+    # extended precision (F, F', R and the subtraction) and rounded once,
+    # until a step is so small that the next would be far below an ulp.
+    # Seeds: from _DENSE_BELOW on, _seeds, in memory linear in k, and for
+    # R < 0 _top_zero on F(-t) for the smallest zero, which nears -1 as -R
+    # (k+alpha)/(k+beta) nears 1; below, two steps from the eigenvalues of
+    # the Golub-Welsch matrix shifted to make monic p_k - gamma p_{k-1} ~ F.  The
+    # largest node is _top_zero's; at R = 0 and alpha = beta, F = P_k has a
+    # parity the nodes keep to the last bit.  The last pass returns the
+    # kernel and certifies: F changes sign between a point just below -1,
+    # the midpoints of the nodes and 1, so each of k brackets holds a zero.
     alpha, beta = family_params(d, a, b)
     top = _top_zero(k, alpha, beta, num, den)
     import numpy as np
-    # the monic recurrence p_{j+1}(t) = (t - a_j) p_j(t) - b_j p_{j-1}(t):
-    # a_j on the diagonal, sqrt(b_j) beside it, set in place on both sides
-    s_ab = alpha + beta
-    j = np.arange(1.0, k)
-    q = 2.0 * j + s_ab
-    mat = np.diag(np.append((beta - alpha) / (s_ab + 2.0),
-                            (beta * beta - alpha * alpha) / (q * (q + 2.0))))
-    off = np.sqrt(4.0 * j * (j + alpha) * (j + beta) * (j + s_ab) / (q * q * (q * q - 1.0)))
-    mat.flat[1::k + 1] = off
-    mat.flat[k::k + 1] = off
-    r = num / den
-    mk1 = math.exp(_log_lead(k - 1, alpha, beta) - _log_lead(k, alpha, beta))
-    mat[k - 1, k - 1] += mk1 * r
-    nodes = np.linalg.eigvalsh(mat)
-    r_ext = _ratio(num, den)
-    for _ in range(2):
-        pv = _rows(k, alpha, beta, nodes, k - 1, dtype=np.longdouble)
-        dv = _deriv_rows(k, alpha, beta, nodes, k - 1, dtype=np.longdouble)
-        fval = pv[1] - r_ext * pv[0]
-        fder = dv[1] - r_ext * dv[0]
-        step = np.where(fder != 0.0, fval / np.where(fder == 0.0, 1.0, fder), 0.0)
-        nodes = np.sort((nodes - step).astype(float))
+    dense = k < _DENSE_BELOW
+    if dense:
+        # p_{j+1} = (t - a_j) p_j - b_j p_{j-1}: a_j on the diagonal, sqrt(b_j) off it
+        s_ab, j = alpha + beta, np.arange(1.0, k)
+        q = 2.0 * j + s_ab
+        off = np.sqrt(4.0 * j * (j + alpha) * (j + beta) * (j + s_ab) / (q * q * (q * q - 1.0)))
+        mat = np.diag(off, 1) + np.diag(off, -1) + np.diag(np.append(
+            (beta - alpha) / (s_ab + 2.0), (beta * beta - alpha * alpha) / (q * (q + 2.0))))
+        # gamma: R times the ratio of leading coefficients, from their logs
+        lead = lambda n: (math.lgamma(2.0 * n + s_ab + 1.0) - n * math.log(2.0)
+                          - math.lgamma(n + 1.0) - math.lgamma(n + s_ab + 1.0)) - (
+            math.lgamma(n + alpha + 1.0) - math.lgamma(alpha + 1.0) - math.lgamma(n + 1.0))
+        mat[k - 1, k - 1] += math.exp(lead(k - 1) - lead(k)) * (num / den)
+        nodes = np.linalg.eigvalsh(mat)
+    else:
+        nodes = _seeds(k, alpha, beta, num / den)
+        if num:
+            nodes[0] = -_top_zero(k, beta, alpha, -num * round(2 * k + 2 * alpha),
+                                  den * round(2 * k + 2 * beta))
+    gap = np.abs(np.diff(nodes))
+    gap = np.minimum(np.append(gap, 2.0), np.append(2.0, gap))
+    tol = np.sqrt(gap * np.spacing(np.abs(nodes))) / 16.0
+    r, live = _ratio(num, den), np.arange(k)
+    for i in range(_NEWTON_STEPS):
+        x = nodes[live]
+        pv = _rows(k, alpha, beta, x, k - 1, dtype=np.longdouble)
+        dv = _deriv_rows(k, alpha, beta, x, k - 1, dtype=np.longdouble)
+        step = (pv[1] - r * pv[0]) / (dv[1] - r * dv[0])
+        nodes[live] = (x - step).astype(float)
+        live = live[(np.abs(step) > tol[live]) | (i < dense)]
+        if not live.size:
+            break
+    else:
+        raise NumericalError(f"node polish failed at polynomial degree {k}")
+    nodes.sort()
     if abs(nodes[-1] - top) > 5e-11:
         raise NumericalError(f"largest node drifted from its zero at polynomial degree {k}")
     nodes[-1] = top
     if num == 0 and alpha == beta:
         nodes = (nodes - nodes[::-1]) / 2.0
-    pv, diag = _rows(k, alpha, beta, nodes, k - 1, (norm_ratios(k - 1, d, a, b), k))
-    if np.any(np.abs(pv[1] - r * pv[0]) > 1e-10 * max(1.0, abs(r))):
+    pts = np.concatenate((nodes, [-1.0 - 2.0 ** -20], (nodes[1:] + nodes[:-1]) / 2.0))
+    pv, diag = _rows(k, alpha, beta, pts, k - 1, (norm_ratios(k - 1, d, a, b), k, 0),
+                     dtype=np.longdouble)
+    f = pv[1] - r * pv[0]
+    if np.any(np.abs(f[:k]) > 1e-10 * max(1.0, abs(num / den))):
         raise NumericalError(f"node polish failed at polynomial degree {k}")
+    if not (nodes[0] >= -1.0 and np.all(np.sign(f[k:]) == (-1.0) ** np.arange(k, 0, -1))):
+        raise NumericalError(f"node solve lost a zero at polynomial degree {k}")
     return nodes, diag
 
 
 def _ratio(num: int, den: int):
-    import numpy as np
     # R = num/den in extended precision: the double nearest it plus the
     # double nearest the rest, each an integer ratio rounded once
-    hi = num / den
-    a, b = hi.as_integer_ratio()
-    return np.longdouble(hi) + (num * b - a * den) / (den * b)
+    import numpy as np
+    a, b = (num / den).as_integer_ratio()
+    return np.longdouble(num / den) + (num * b - a * den) / (den * b)
 
 
 def _top_zero(k: int, alpha: float, beta: float, num: int = 0, den: int = 1) -> float:
@@ -265,10 +308,9 @@ def _top_zero(k: int, alpha: float, beta: float, num: int = 0, den: int = 1) -> 
         return (den * q + (num - den) * p) / (den * q)
     import numpy as np
     r = _ratio(num, den)
-    one = np.ones(1, dtype=np.longdouble)
 
     def f(x: float):
-        pk1, pk = _rows(k, alpha, beta, np.array([x]), k - 1, weights=one)
+        pk1, pk = _rows(k, alpha, beta, np.array([x]), k - 1, dtype=np.longdouble)[:, 0]
         return pk - r * pk1
 
     t = 1.0

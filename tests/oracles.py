@@ -393,6 +393,114 @@ def rule_node_mp(d: int, tau: int, s, guess: float, dps: int = 40):
         return +x1
 
 
+def _jacobi_rows_mp(kmax: int, alpha, beta, t) -> list:
+    # P_0..P_kmax of the (alpha, beta) family at t, normalized to 1 at t = 1,
+    # by the three-term recurrence (DLMF 18.9.1) at the working precision
+    rows = [mp.mpf(1), (alpha + 1) + (alpha + beta + 2) * (t - 1) / 2]
+    for j in range(2, kmax + 1):
+        c = 2 * j + alpha + beta
+        rows.append(((c - 1) * (c * (c - 2) * t + alpha ** 2 - beta ** 2) * rows[-1]
+                     - 2 * (j + alpha - 1) * (j + beta - 1) * c * rows[-2])
+                    / (2 * j * (j + alpha + beta) * (c - 2)))
+    return [p / mp.binomial(j + alpha, j) for j, p in enumerate(rows[:kmax + 1])]
+
+
+def kernel_mp(k: int, d: int, a: int, b: int, x, y):
+    """Q_k(x, y) = sum_{i<=k} r_i P_i(x) P_i(y) at the working precision.
+
+    r_i is the total mass of the weight (1-t)^alpha (1+t)^beta times
+    P_i(1)^2 over the classical squared norm, as in cd_kernel_sum, and P_i
+    comes from the three-term recurrence.
+    """
+    al, be = mp.mpf(d - 2) / 2 + a, mp.mpf(d - 2) / 2 + b
+    two = mp.mpf(2) ** (al + be + 1)
+    mass = two * mp.gamma(al + 1) * mp.gamma(be + 1) / mp.gamma(al + be + 2)
+    px, py = _jacobi_rows_mp(k, al, be, mp.mpf(x)), _jacobi_rows_mp(k, al, be, mp.mpf(y))
+    total = mp.mpf(0)
+    for i in range(k + 1):
+        h = (two / (2 * i + al + be + 1) * mp.gamma(i + al + 1) * mp.gamma(i + be + 1)
+             / (mp.gamma(i + al + be + 1) * mp.factorial(i)))
+        total += mass * mp.binomial(i + al, i) ** 2 / h * px[i] * py[i]
+    return total
+
+
+def rule_weights_mp(d: int, tau: int, zeros: list, dps: int = 40) -> list:
+    """Weights of the Levenshtein rule at its nodes below 1, ascending.
+
+    zeros are the nodes (mpf, with -1 first for even tau) and their largest
+    is s.  An interior node t takes M / (f(t) Q_{k-1}(t, t)) in the rule's
+    family, with f = 1 - t, M = 1 for odd tau and f = 1 - t^2, M = d/(d+1)
+    for even tau; the node -1 takes Q(s, 1) / (Q(-1, -1) Q(s, 1) - Q(-1, 1)
+    Q(s, -1)) from the order-k Gegenbauer kernel Q.  Returns mpf rounded to
+    dps digits.
+    """
+    with mp.workdps(dps + 20):
+        k, b = (tau + 1) // 2, 1 - tau % 2
+        mass = mp.mpf(1) if b == 0 else mp.mpf(d) / (d + 1)
+        out = []
+        for t in (mp.mpf(z) for z in zeros[b:]):
+            f = (1 - t) * (1 + t) ** b
+            out.append(mass / (f * kernel_mp(k - 1, d, 1, b, t, t)))
+        if b:
+            s = mp.mpf(zeros[-1])
+            q_s1, q_mm, q_m1, q_sm = (kernel_mp(k, d, 0, 0, x, y) for x, y in
+                                      ((s, 1), (-1, -1), (-1, 1), (s, -1)))
+            out.insert(0, q_s1 / (q_mm * q_s1 - q_m1 * q_sm))
+    with mp.workdps(dps):
+        return [+w for w in out]
+
+
+def _largest_root_mp(coeffs: list):
+    # the largest real root of the polynomial with these ascending
+    # coefficients, all of whose roots are real
+    return max(mp.re(z) for z in mp.polyroots(coeffs[::-1], maxsteps=400, extraprec=400))
+
+
+def _jacobi_coeffs_mp(kmax: int, alpha, beta) -> list:
+    # ascending monomial coefficients of P_0..P_kmax, normalized at 1
+    rows = [[mp.mpf(1)], [(alpha + 1) - (alpha + beta + 2) / 2, (alpha + beta + 2) / 2]]
+    for j in range(2, kmax + 1):
+        c = 2 * j + alpha + beta
+        p, q = rows[-1] + [0], rows[-2] + [0, 0]
+        t_p = [0] + rows[-1]
+        rows.append([((c - 1) * (c * (c - 2) * t_p[i] + (alpha ** 2 - beta ** 2) * p[i])
+                      - 2 * (j + alpha - 1) * (j + beta - 1) * c * q[i])
+                     / (2 * j * (j + alpha + beta) * (c - 2)) for i in range(j + 1)])
+    return [[x / mp.binomial(j + alpha, j) for x in row] for j, row in enumerate(rows[:kmax + 1])]
+
+
+def ulb_mp(d: int, n: int, h, design_size, dps: int = 50):
+    """N^2 sum w_i h(t_i) over the exact Levenshtein rule for N points on S^d.
+
+    The nodes below 1 are the roots (mpmath polyroots, then Newton) of P_k
+    in the rule's family at N = D(d, tau+1), else of P_k(t) P_{k-1}(s) -
+    P_{k-1}(t) P_k(s), s the root of the branch formula L_tau(d, s) = N
+    bracketed by the ends of I_tau, the largest zeros of the adjacent
+    families; the node -1 joins them for even tau.  Weights come from
+    rule_weights_mp; h maps an mpf to an mpf.  Meant for small k.
+    """
+    tau = next(t for t in range(1, n) if n <= design_size(d, t + 1))
+    k, b = (tau + 1) // 2, 1 - tau % 2
+    with mp.workdps(dps + 30):
+        al, be = mp.mpf(d) / 2, mp.mpf(d - 2) / 2 + b
+        rows = _jacobi_coeffs_mp(k, al, be)
+        if n == design_size(d, tau + 1):
+            poly = rows[k]
+        else:
+            ends = [(mp.mpf(d) / 2, mp.mpf(d) / 2, (tau - 1) // 2) if tau % 2 else
+                    (mp.mpf(d) / 2, mp.mpf(d - 2) / 2, k), (al, be, k)]
+            lo, hi = (_largest_root_mp(_jacobi_coeffs_mp(m, x, y)[m]) if m else mp.mpf(-1)
+                      for x, y, m in ends)
+            s = mp.findroot(lambda x: lev_branch_mp(d, tau, x) - n, (lo, hi), solver="anderson")
+            pk1, pk = _jacobi_pair_mp(k, al, be, s)
+            poly = [x * pk1 / mp.binomial(k - 1 + al, k - 1) - y * pk / mp.binomial(k + al, k)
+                    for x, y in zip(rows[k], rows[k - 1] + [0])]
+        roots = sorted(mp.re(z) for z in mp.polyroots(poly[::-1], maxsteps=400, extraprec=400))
+        zeros = [mp.mpf(-1)] * b + roots
+        weights = rule_weights_mp(d, tau, zeros, dps + 10)
+        return +(n * n * mp.fsum(w * h(t) for w, t in zip(weights, zeros)))
+
+
 # Christoffel-Darboux kernel by its defining sum, in mpmath.
 
 

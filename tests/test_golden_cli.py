@@ -108,16 +108,20 @@ def test_corpus_matches_invocation_list():
 
 
 @functools.lru_cache(maxsize=None)
-def _oracle() -> list[dict]:
+def _oracle() -> dict[str, list[dict]]:
     with open(ORACLE_PATH, encoding="utf-8") as fh:
         return json.load(fh)
 
 
+def _ulp(printed: str, exact: str) -> Fraction:
+    # the distance of a printed double from its exact value, in its ulp
+    x = float(printed)
+    return abs(Fraction(x) - Fraction(exact)) / Fraction(math.ulp(x))
+
+
 def _worst_ulp(case: dict) -> Fraction:
-    # the largest distance of a printed node from its 40-digit zero, in ulp
-    # of the printed node
-    return max(abs(Fraction(float(x)) - Fraction(z)) / Fraction(math.ulp(float(x)))
-               for x, z in zip(case["nodes"], case["zeros"]))
+    # the largest distance of a printed node from its 40-digit zero
+    return max(_ulp(x, z) for x, z in zip(case["nodes"], case["zeros"]))
 
 
 def test_endpoint_rule_nodes_are_correctly_rounded():
@@ -125,7 +129,7 @@ def test_endpoint_rule_nodes_are_correctly_rounded():
     # its 40-digit zero (tests/make_golden_oracle.py); before endpoint rules
     # were built from P_k itself, N = 100 and 961 on S^2 were 11.3 and 705
     # ulp off
-    worst = [_worst_ulp(case) for case in _oracle() if case["endpoint"]]
+    worst = [_worst_ulp(case) for case in _oracle()["quadrature"] if case["endpoint"]]
     assert len(worst) == 6 and max(worst) <= Fraction(1, 2), [float(e) for e in worst]
 
 
@@ -138,7 +142,7 @@ _INTERIOR_WORST_ULP = {(2, 20000): 0.4963, (4, 7): 0.3201, (8, 50): 0.2158}
 
 
 def test_interior_rule_nodes_lie_within_their_measured_ulp():
-    worst = {(case["d"], case["N"]): _worst_ulp(case) for case in _oracle()
+    worst = {(case["d"], case["N"]): _worst_ulp(case) for case in _oracle()["quadrature"]
              if not case["endpoint"]}
     assert set(worst) == set(_INTERIOR_WORST_ULP)
     for key, bound in _INTERIOR_WORST_ULP.items():
@@ -146,10 +150,31 @@ def test_interior_rule_nodes_lie_within_their_measured_ulp():
 
 
 def test_oracle_holds_the_nodes_the_corpus_prints():
-    from make_golden_oracle import printed_nodes
+    # and the weights and ULB values
+    from make_golden_oracle import printed_rule, printed_value
 
-    for case in _oracle():
-        assert case["nodes"] == printed_nodes(case["argv"], _golden()[tuple(case["argv"])])
+    for case in _oracle()["quadrature"]:
+        printed = printed_rule(case["argv"], _golden()[tuple(case["argv"])])
+        assert (case["nodes"], case["weights"]) == printed
+    assert [case["value"] for case in _oracle()["ulb"]] == [
+        printed_value(case["argv"], _golden()[tuple(case["argv"])]) for case in _oracle()["ulb"]]
+
+
+def test_printed_values_move_no_farther_from_the_oracle(tmp_path):
+    # every node, weight and ULB value the CLI prints now lies no farther,
+    # in ulp, from its 40- or 50-digit value than the one the committed
+    # corpus holds, so a change that moves a golden byte moves it closer
+    from make_golden_oracle import printed_rule, printed_value
+
+    out = str(tmp_path / "out.txt")
+    for case in _oracle()["quadrature"]:
+        nodes, weights = printed_rule(case["argv"], run_case(list(case["argv"]), out))
+        for now, was, exact in zip(nodes + weights, case["nodes"] + case["weights"],
+                                   case["zeros"] + case["exact_weights"]):
+            assert _ulp(now, exact) <= _ulp(was, exact), (case["argv"], now, was)
+    for case in _oracle()["ulb"]:
+        now = printed_value(case["argv"], run_case(list(case["argv"]), out))
+        assert _ulp(now, case["exact"]) <= _ulp(case["value"], case["exact"]), case["argv"]
 
 
 def _moved_numbers(old: dict, new: dict) -> int:

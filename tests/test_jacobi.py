@@ -313,8 +313,11 @@ def test_eigen_solve_budget_checked_before_allocation():
 def test_recurrence_and_eigen_solve_memory_peaks(monkeypatch):
     # _rows keeps one extended-precision row per order and converts the
     # list once (the output alone is 7.6 MiB); largest_zero runs one-point
-    # recurrences and no matrix; the full solve allocates one k x k matrix
-    # (7.6 MiB at k = 999), and its Newton polish keeps orders k-1 and k
+    # recurrences and no matrix; the full solve seeds its nodes with no
+    # matrix (the dense one took 7.6 MiB at k = 999), and its Newton polish
+    # and last pass keep orders k-1 and k.  Each peak is taken above what was
+    # traced when the call began, so the tables earlier calls left in the
+    # cache (0.5 MiB) do not count
     import tracemalloc
 
     pts = np.linspace(-0.999, 0.999, 999)
@@ -327,11 +330,64 @@ def test_recurrence_and_eigen_solve_memory_peaks(monkeypatch):
                      lambda: jacobi.largest_zero(999, 2, 1, 0),
                      lambda: jacobi._zeros_raw(999, 2, 1, 0, -1, 2)):
             tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
             call()
-            peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+            peaks.append((tracemalloc.get_traced_memory()[1] - held) / 2**20)
     finally:
         tracemalloc.stop()
-    assert peaks[0] <= 26.0 and peaks[1] <= 1.0 and peaks[2] <= 12.0, peaks
+    assert peaks[0] <= 26.0 and peaks[1] <= 1.0 and peaks[2] <= 1.0, peaks
+
+
+@pytest.mark.parametrize("d,a,b,orders", [
+    (2, 0, 0, (64, 65, 333)), (2, 1, 0, (64, 65, 333, 1999)), (3, 1, 1, (64, 333, 1999)),
+    (8, 1, 0, (64, 333)), (24, 1, 1, (64, 333))])
+def test_seeded_nodes_match_the_dense_reference(d, a, b, orders):
+    # from _DENSE_BELOW on the nodes are seeded asymptotically, and at R = 0
+    # they agree with the plain Golub-Welsch solve to an ulp of 1 (where
+    # t = 0 is a zero, the symmetric solve puts it at 0.0 exactly)
+    assert jacobi._DENSE_BELOW == 64
+    for k in orders:
+        assert np.max(np.abs(_zeros(k, d, a, b) - _plain_zeros(k, d, a, b))) <= 2.0 ** -52, k
+
+
+def test_two_seeds_in_one_gap_refuse(monkeypatch):
+    # a seed set that leaves one zero without a seed, two seeds sharing the
+    # gap above it, must end in NumericalError and never in a rule that has
+    # a zero twice and another not at all
+    from rieszbounds import quadrature
+    from rieszbounds.errors import NumericalError
+
+    seeds = jacobi._seeds
+
+    def crowded(k, alpha, beta, r):
+        z = seeds(k, alpha, beta, r)
+        z[40], z[41] = z[41] + np.array([0.3, 0.7]) * (z[42] - z[41])
+        return z
+
+    monkeypatch.setattr(jacobi, "_seeds", crowded)
+    for n in (20000, 20164):  # k = 140 inside an interval, k = 141 at its end
+        with pytest.raises(NumericalError):
+            quadrature.build_rule(2, n)
+    monkeypatch.undo()
+    assert len(quadrature.build_rule(2, 20000).nodes) == 141
+
+
+def test_no_dense_solve_from_the_dense_order_on(monkeypatch):
+    # below _DENSE_BELOW the seeds are eigenvalues of the shifted recurrence
+    # matrix; from there on no node solve calls np.linalg
+    from rieszbounds import quadrature
+
+    calls = []
+    eig = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eig(m))
+    quadrature.build_rule(2, 961)
+    assert calls == [(30, 30)]
+    calls.clear()
+    for d, n in ((2, 8000), (2, 8128), (3, 10**6), (2, 10**6), (8, 10**12)):
+        rule = quadrature.build_rule(d, n)
+        assert (rule.tau + 1) // 2 >= jacobi._DENSE_BELOW, (d, n)
+    jacobi._zeros_raw(jacobi._DENSE_BELOW, 5, 0, 0, 0, 1)
+    assert calls == []
 
 
 def test_recurrence_table_stops_at_its_budget():
