@@ -11,7 +11,9 @@ precision on coefficients tabulated once per family.  Norm ratios are the
 cumulative product of their exact order-to-order ratio, also in extended
 precision; the Christoffel-Darboux kernel, its defining sum of positive
 terms on the diagonal, is summed inside a recurrence pass, as the node
-solve's last pass does for the rule weights.  numpy is imported where it is
+solve's last pass does for the rule weights.  The node solve seeds the zeros
+by their asymptotic phase, polishes them by Newton and certifies them by
+sign changes, in memory linear in the order.  numpy is imported where it is
 used, so that importing the package, and constants needing no rule, load none.
 """
 
@@ -25,12 +27,10 @@ __all__ = ["cd_kernel", "family_params", "jacobi_values", "largest_zero", "norm_
 
 # Largest polynomial degree given to the node solve or to _top_zero, checked
 # before anything is allocated (a rule at the budget takes about 0.5 s), and
-# the order from which the node seeds take no matrix.  Recurrence tables
-# stop at order _MAX_ROW = 2 _MAX_ORDER + 1, the largest exact degree of a
-# rule, which verify_exactness reads: 660 kB a family, grown as far as asked.
-_MAX_ORDER = 2000
-_DENSE_BELOW = 64
-_NEWTON_STEPS = 12
+# the order from which node seeds take no matrix.  Recurrence tables stop at
+# _MAX_ROW = 2 _MAX_ORDER + 1, the largest exact degree of a rule, which
+# verify_exactness reads: 660 kB a family, grown as far as asked.
+_MAX_ORDER, _DENSE_BELOW = 2000, 64
 _MAX_ROW = 2 * _MAX_ORDER + 1
 _COEFFS: dict[tuple[float, float], tuple] = {}
 
@@ -184,13 +184,11 @@ def cd_kernel(k: int, d: int, a: int, b: int, x, y):
 def _seeds(k: int, alpha: float, beta: float, r: float):
     import numpy as np
     # The zeros of F, ascending, to a few digits: theta = arccos t solves
-    # Phi - c + delta = (m - 1/4) pi, m = 1..k from t = 1.  Phi is the
-    # Liouville-Green phase of the Jacobi equation with Langer's change, in
-    # closed form from its turning point lo (it reaches (k + 1/2) pi at hi);
-    # c = cot(theta)/(8 kappa) + 5 Q'/(48 kappa^3), kappa = Phi' = sqrt(Q),
-    # its next term, holds McMahon's, Gatteschi-Pittaluga's and Olver's
-    # corrections; delta is the phase -R P_{k-1} adds, lagging by psi =
-    # dPhi/drho, its amplitude R times that of Szego's constants.
+    # Phi - c + delta = (m - 1/4) pi, m = 1..k.  Phi: the Liouville-Green
+    # phase of the Jacobi equation with Langer's change, in closed form from
+    # its turning point lo ((k + 1/2) pi at hi); c = cot(theta)/(8 sqrt(Q)) +
+    # 5 Q'/(48 Q^1.5), Q = Phi'^2, its next term; delta: the phase -R P_{k-1}
+    # adds, lagging by psi = dPhi/drho, R times as large as Szego's constants.
     rho = k + (alpha + beta + 1.0) / 2.0
     a2, b2, p2 = alpha * alpha / 4.0, beta * beta / 4.0, rho * rho
     bb = p2 + a2 - b2
@@ -218,17 +216,14 @@ def _seeds(k: int, alpha: float, beta: float, r: float):
 
 def _zeros_raw(k: int, d: int, a: int, b: int, num: int, den: int) -> tuple:
     # The k zeros of F = P_k - R P_{k-1}, R = num/den <= 0, ascending, and
-    # Q_{k-1}(t, t) there.  Each node takes Newton steps on F, formed in
-    # extended precision (F, F', R and the subtraction) and rounded once,
-    # until a step is so small that the next would be far below an ulp.
-    # Seeds: from _DENSE_BELOW on, _seeds, in memory linear in k, and for
-    # R < 0 _top_zero on F(-t) for the smallest zero, which nears -1 as -R
-    # (k+alpha)/(k+beta) nears 1; below, two steps from the eigenvalues of
-    # the Golub-Welsch matrix shifted to make monic p_k - gamma p_{k-1} ~ F.  The
-    # largest node is _top_zero's; at R = 0 and alpha = beta, F = P_k has a
-    # parity the nodes keep to the last bit.  The last pass returns the
-    # kernel and certifies: F changes sign between a point just below -1,
-    # the midpoints of the nodes and 1, so each of k brackets holds a zero.
+    # Q_{k-1}(t, t) there.  Newton steps on F, formed in extended precision
+    # and rounded once, run until the next would be far below an ulp, from
+    # seeds: _seeds, and _top_zero on F(-t) for the smallest zero (near -1
+    # as -R (k+alpha)/(k+beta) nears 1); below _DENSE_BELOW, two steps from
+    # the eigenvalues of the Golub-Welsch matrix shifted to make monic p_k -
+    # gamma p_{k-1} ~ F.  The top node is _top_zero's; a parity of F = P_k
+    # is kept to the last bit.  The last pass returns the kernel and checks
+    # that F changes sign between a point below -1, the nodes' midpoints and 1.
     alpha, beta = family_params(d, a, b)
     top = _top_zero(k, alpha, beta, num, den)
     import numpy as np
@@ -248,14 +243,15 @@ def _zeros_raw(k: int, d: int, a: int, b: int, num: int, den: int) -> tuple:
         nodes = np.linalg.eigvalsh(mat)
     else:
         nodes = _seeds(k, alpha, beta, num / den)
-        if num:
+        shift = -num / den * (k + alpha) / (k + beta)
+        if (1.0 - shift) * (k + (alpha + beta + 1.0) / 2.0) < 4.0 * (beta + 2.0) * shift:
             nodes[0] = -_top_zero(k, beta, alpha, -num * round(2 * k + 2 * alpha),
                                   den * round(2 * k + 2 * beta))
     gap = np.abs(np.diff(nodes))
     gap = np.minimum(np.append(gap, 2.0), np.append(2.0, gap))
     tol = np.sqrt(gap * np.spacing(np.abs(nodes))) / 16.0
     r, live = _ratio(num, den), np.arange(k)
-    for i in range(_NEWTON_STEPS):
+    for i in range(12):
         x = nodes[live]
         pv = _rows(k, alpha, beta, x, k - 1, dtype=np.longdouble)
         dv = _deriv_rows(k, alpha, beta, x, k - 1, dtype=np.longdouble)

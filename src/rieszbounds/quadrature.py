@@ -5,10 +5,10 @@ measure using the node t = 1 with weight 1/N plus k interior nodes.  The
 interior nodes are the roots of (t - s) Q_{k-1}(t, s) in the (1,0) or
 (1,1) kernel family, where s solves N = L(d, s): the zeros of P_k - R P_{k-1}
 with R = P_k(s)/P_{k-1}(s), which is an exact rational function of N, so a
-rule is built from N alone.  They are computed as eigenvalues of the k x k
-recurrence matrix with its last diagonal entry shifted, which makes the
-endpoint cardinalities N = D(d, tau+1), where R = 0, degenerate exactly to
-plain Jacobi-zero rules.  numpy is imported where it is used, as in jacobi.
+rule is built from N alone.  jacobi seeds them asymptotically (from order
+64 on, in memory linear in k), polishes them by Newton and certifies that
+no zero is lost; at the endpoint cardinalities N = D(d, tau+1), R = 0 and
+the rules are plain Jacobi-zero rules.  numpy is imported where it is used.
 """
 
 from __future__ import annotations
