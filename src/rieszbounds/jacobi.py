@@ -208,7 +208,7 @@ def _seeds(k: int, alpha: float, beta: float, r: float):
         step = (phi - c / (8.0 * np.sqrt(q)) - target
                 + np.arctan2(mu * np.sin(psi), 1.0 - mu * np.cos(psi))) / np.sqrt(q)
         theta, last = np.clip(theta - step, (lo + theta) / 2.0, (hi + theta) / 2.0), theta
-        # the smallest zero, seeded apart when R < 0, may not settle here
+        # with R < 0 the smallest zero may not settle (near -1 it is seeded apart)
         if np.max(np.abs(theta - last)[:k - (r < 0)], initial=0.0) < 1e-10:
             break
     return np.cos(theta[::-1])
@@ -218,8 +218,8 @@ def _zeros_raw(k: int, d: int, a: int, b: int, num: int, den: int) -> tuple:
     # The k zeros of F = P_k - R P_{k-1}, R = num/den <= 0, ascending, and
     # Q_{k-1}(t, t) there.  Newton steps on F, formed in extended precision
     # and rounded once, run until the next would be far below an ulp, from
-    # seeds: _seeds, and _top_zero on F(-t) for the smallest zero (near -1
-    # as -R (k+alpha)/(k+beta) nears 1); below _DENSE_BELOW, two steps from
+    # seeds: _seeds, and _top_zero on F(-t), whose ratio is R' = -R (k+alpha)
+    # / (k+beta), for the smallest zero near -1; below _DENSE_BELOW, two steps from
     # the eigenvalues of the Golub-Welsch matrix shifted to make monic p_k -
     # gamma p_{k-1} ~ F.  The top node is _top_zero's; a parity of F = P_k
     # is kept to the last bit.  The last pass returns the kernel and checks
@@ -243,6 +243,8 @@ def _zeros_raw(k: int, d: int, a: int, b: int, num: int, den: int) -> tuple:
         nodes = np.linalg.eigvalsh(mat)
     else:
         nodes = _seeds(k, alpha, beta, num / den)
+        # R' < 1; the phase misses the smallest zero once rho (1 - R') / R' is
+        # small against beta, as it nears -1
         shift = -num / den * (k + alpha) / (k + beta)
         if (1.0 - shift) * (k + (alpha + beta + 1.0) / 2.0) < 4.0 * (beta + 2.0) * shift:
             nodes[0] = -_top_zero(k, beta, alpha, -num * round(2 * k + 2 * alpha),

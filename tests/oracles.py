@@ -349,16 +349,21 @@ def lev_root_mp(d: int, tau: int, n, guess: float, dps: int = 50):
         return +root
 
 
-def _jacobi_pair_mp(k: int, alpha, beta, t) -> tuple:
-    # conventional P_{k-1} and P_k of the (alpha, beta) family at t, by the
+def _jacobi_rows_mp(kmax: int, alpha, beta, t) -> list:
+    # conventional P_0..P_kmax of the (alpha, beta) family at t, by the
     # three-term recurrence (DLMF 18.9.1)
-    prev, cur = mp.mpf(1), (alpha + 1) + (alpha + beta + 2) * (t - 1) / 2
-    for j in range(2, k + 1):
+    rows = [mp.mpf(1), (alpha + 1) + (alpha + beta + 2) * (t - 1) / 2]
+    for j in range(2, kmax + 1):
         c = 2 * j + alpha + beta
-        prev, cur = cur, ((c - 1) * (c * (c - 2) * t + alpha ** 2 - beta ** 2) * cur
-                          - 2 * (j + alpha - 1) * (j + beta - 1) * c * prev) / (
-                              2 * j * (j + alpha + beta) * (c - 2))
-    return prev, cur
+        rows.append(((c - 1) * (c * (c - 2) * t + alpha ** 2 - beta ** 2) * rows[-1]
+                     - 2 * (j + alpha - 1) * (j + beta - 1) * c * rows[-2]) / (
+                         2 * j * (j + alpha + beta) * (c - 2)))
+    return rows[:kmax + 1]
+
+
+def _jacobi_pair_mp(k: int, alpha, beta, t) -> tuple:
+    # conventional P_{k-1} and P_k of the (alpha, beta) family at t
+    return tuple(_jacobi_rows_mp(k, alpha, beta, t)[k - 1:k + 1])
 
 
 def rule_node_mp(d: int, tau: int, s, guess: float, dps: int = 40):
@@ -393,24 +398,12 @@ def rule_node_mp(d: int, tau: int, s, guess: float, dps: int = 40):
         return +x1
 
 
-def _jacobi_rows_mp(kmax: int, alpha, beta, t) -> list:
-    # P_0..P_kmax of the (alpha, beta) family at t, normalized to 1 at t = 1,
-    # by the three-term recurrence (DLMF 18.9.1) at the working precision
-    rows = [mp.mpf(1), (alpha + 1) + (alpha + beta + 2) * (t - 1) / 2]
-    for j in range(2, kmax + 1):
-        c = 2 * j + alpha + beta
-        rows.append(((c - 1) * (c * (c - 2) * t + alpha ** 2 - beta ** 2) * rows[-1]
-                     - 2 * (j + alpha - 1) * (j + beta - 1) * c * rows[-2])
-                    / (2 * j * (j + alpha + beta) * (c - 2)))
-    return [p / mp.binomial(j + alpha, j) for j, p in enumerate(rows[:kmax + 1])]
-
-
 def kernel_mp(k: int, d: int, a: int, b: int, x, y):
     """Q_k(x, y) = sum_{i<=k} r_i P_i(x) P_i(y) at the working precision.
 
     r_i is the total mass of the weight (1-t)^alpha (1+t)^beta times
-    P_i(1)^2 over the classical squared norm, as in cd_kernel_sum, and P_i
-    comes from the three-term recurrence.
+    P_i(1)^2 over the classical squared norm, as in cd_kernel_sum, and P_i,
+    normalized to 1 at t = 1, comes from the three-term recurrence.
     """
     al, be = mp.mpf(d - 2) / 2 + a, mp.mpf(d - 2) / 2 + b
     two = mp.mpf(2) ** (al + be + 1)
@@ -420,7 +413,7 @@ def kernel_mp(k: int, d: int, a: int, b: int, x, y):
     for i in range(k + 1):
         h = (two / (2 * i + al + be + 1) * mp.gamma(i + al + 1) * mp.gamma(i + be + 1)
              / (mp.gamma(i + al + be + 1) * mp.factorial(i)))
-        total += mass * mp.binomial(i + al, i) ** 2 / h * px[i] * py[i]
+        total += mass / h * px[i] * py[i]
     return total
 
 

@@ -313,9 +313,9 @@ def test_eigen_solve_budget_checked_before_allocation():
 def test_recurrence_and_eigen_solve_memory_peaks(monkeypatch):
     # _rows keeps one extended-precision row per order and converts the
     # list once (the output alone is 7.6 MiB); largest_zero runs one-point
-    # recurrences and no matrix; the full solve seeds its nodes with no
-    # matrix (the dense one took 7.6 MiB at k = 999), and its Newton polish
-    # and last pass keep orders k-1 and k.  Each peak is taken above what was
+    # recurrences and no matrix; from order 64 on the full solve seeds its
+    # nodes with no matrix, and its Newton polish and last pass keep orders
+    # k-1 and k.  Each peak is taken above what was
     # traced when the call began, so the tables earlier calls left in the
     # cache (0.5 MiB) do not count
     import tracemalloc
