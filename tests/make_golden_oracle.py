@@ -23,7 +23,6 @@ Rerun it whenever tests/golden_cli.json is regenerated.
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 import mpmath as mp
@@ -31,14 +30,6 @@ import mpmath as mp
 import oracles
 
 HERE = Path(__file__).parent
-
-
-def design_size(d: int, tau: int) -> int:
-    # D(d, tau), the cardinality at which the strength tau rules end
-    k = (tau + 1) // 2
-    if tau % 2:
-        return 2 * math.comb(d + k - 1, d)
-    return math.comb(d + k, d) + math.comb(d + k - 1, d)
 
 
 def printed_rule(argv: list[str], result: dict) -> tuple[list[str], list[str]]:
@@ -71,11 +62,11 @@ def potential_mp(text: str):
 
 def quadrature_case(argv: list[str], result: dict) -> dict:
     d, n = int(argv[argv.index("--d") + 1]), int(argv[argv.index("--N") + 1])
-    tau = next(t for t in range(1, n) if n <= design_size(d, t + 1))
+    tau = next(t for t in range(1, n) if n <= oracles.design_size(d, t + 1))
     k, b = (tau + 1) // 2, 1 - tau % 2
     nodes, weights = printed_rule(argv, result)
     entry = {"argv": argv, "d": d, "N": n, "tau": tau, "family": [1, b],
-             "endpoint": n == design_size(d, tau + 1)}
+             "endpoint": n == oracles.design_size(d, tau + 1)}
     if entry["endpoint"]:
         zeros = [oracles.jacobi_zero_mp(k, d, 1, b, float(x)) for x in nodes[b:]]
     else:
@@ -91,7 +82,7 @@ def quadrature_case(argv: list[str], result: dict) -> dict:
 def ulb_case(argv: list[str], result: dict) -> dict:
     d, n = int(argv[argv.index("--d") + 1]), int(argv[argv.index("--N") + 1])
     potential = argv[argv.index("--potential") + 1]
-    exact = oracles.ulb_mp(d, n, potential_mp(potential), design_size)
+    exact = oracles.ulb_mp(d, n, potential_mp(potential))
     return {"argv": argv, "d": d, "N": n, "potential": potential,
             "value": printed_value(argv, result), "exact": mp.nstr(exact, 50)}
 

@@ -349,21 +349,16 @@ def lev_root_mp(d: int, tau: int, n, guess: float, dps: int = 50):
         return +root
 
 
-def _jacobi_rows_mp(kmax: int, alpha, beta, t) -> list:
-    # conventional P_0..P_kmax of the (alpha, beta) family at t, by the
-    # three-term recurrence (DLMF 18.9.1)
-    rows = [mp.mpf(1), (alpha + 1) + (alpha + beta + 2) * (t - 1) / 2]
-    for j in range(2, kmax + 1):
-        c = 2 * j + alpha + beta
-        rows.append(((c - 1) * (c * (c - 2) * t + alpha ** 2 - beta ** 2) * rows[-1]
-                     - 2 * (j + alpha - 1) * (j + beta - 1) * c * rows[-2]) / (
-                         2 * j * (j + alpha + beta) * (c - 2)))
-    return rows[:kmax + 1]
-
-
 def _jacobi_pair_mp(k: int, alpha, beta, t) -> tuple:
-    # conventional P_{k-1} and P_k of the (alpha, beta) family at t
-    return tuple(_jacobi_rows_mp(k, alpha, beta, t)[k - 1:k + 1])
+    # conventional P_{k-1} and P_k of the (alpha, beta) family at t, by the
+    # three-term recurrence (DLMF 18.9.1)
+    prev, cur = mp.mpf(1), (alpha + 1) + (alpha + beta + 2) * (t - 1) / 2
+    for j in range(2, k + 1):
+        c = 2 * j + alpha + beta
+        prev, cur = cur, ((c - 1) * (c * (c - 2) * t + alpha ** 2 - beta ** 2) * cur
+                          - 2 * (j + alpha - 1) * (j + beta - 1) * c * prev) / (
+                              2 * j * (j + alpha + beta) * (c - 2))
+    return prev, cur
 
 
 def rule_node_mp(d: int, tau: int, s, guess: float, dps: int = 40):
@@ -398,25 +393,6 @@ def rule_node_mp(d: int, tau: int, s, guess: float, dps: int = 40):
         return +x1
 
 
-def kernel_mp(k: int, d: int, a: int, b: int, x, y):
-    """Q_k(x, y) = sum_{i<=k} r_i P_i(x) P_i(y) at the working precision.
-
-    r_i is the total mass of the weight (1-t)^alpha (1+t)^beta times
-    P_i(1)^2 over the classical squared norm, as in cd_kernel_sum, and P_i,
-    normalized to 1 at t = 1, comes from the three-term recurrence.
-    """
-    al, be = mp.mpf(d - 2) / 2 + a, mp.mpf(d - 2) / 2 + b
-    two = mp.mpf(2) ** (al + be + 1)
-    mass = two * mp.gamma(al + 1) * mp.gamma(be + 1) / mp.gamma(al + be + 2)
-    px, py = _jacobi_rows_mp(k, al, be, mp.mpf(x)), _jacobi_rows_mp(k, al, be, mp.mpf(y))
-    total = mp.mpf(0)
-    for i in range(k + 1):
-        h = (two / (2 * i + al + be + 1) * mp.gamma(i + al + 1) * mp.gamma(i + be + 1)
-             / (mp.gamma(i + al + be + 1) * mp.factorial(i)))
-        total += mass / h * px[i] * py[i]
-    return total
-
-
 def rule_weights_mp(d: int, tau: int, zeros: list, dps: int = 40) -> list:
     """Weights of the Levenshtein rule at its nodes below 1, ascending.
 
@@ -443,6 +419,14 @@ def rule_weights_mp(d: int, tau: int, zeros: list, dps: int = 40) -> list:
         return [+w for w in out]
 
 
+def design_size(d: int, tau: int) -> int:
+    """D(d, tau), the cardinality at which the strength-tau rules end."""
+    k = (tau + 1) // 2
+    if tau % 2:
+        return 2 * math.comb(d + k - 1, d)
+    return math.comb(d + k, d) + math.comb(d + k - 1, d)
+
+
 def _largest_root_mp(coeffs: list):
     # the largest real root of the polynomial with these ascending
     # coefficients, all of whose roots are real
@@ -462,7 +446,7 @@ def _jacobi_coeffs_mp(kmax: int, alpha, beta) -> list:
     return [[x / mp.binomial(j + alpha, j) for x in row] for j, row in enumerate(rows[:kmax + 1])]
 
 
-def ulb_mp(d: int, n: int, h, design_size, dps: int = 50):
+def ulb_mp(d: int, n: int, h, dps: int = 50):
     """N^2 sum w_i h(t_i) over the exact Levenshtein rule for N points on S^d.
 
     The nodes below 1 are the roots (mpmath polyroots, then Newton) of P_k
@@ -497,30 +481,35 @@ def ulb_mp(d: int, n: int, h, design_size, dps: int = 50):
 # Christoffel-Darboux kernel by its defining sum, in mpmath.
 
 
-def cd_kernel_sum(k: int, d: int, a: int, b: int, x: float, y: float) -> float:
-    """Q_k(x, y) = sum_{i<=k} r_i P_i(x) P_i(y) term by term at 30 digits.
+def kernel_mp(k: int, d: int, a: int, b: int, x, y):
+    """Q_k(x, y) = sum_{i<=k} r_i P_i(x) P_i(y) term by term at the working precision.
 
     P_i is the Jacobi polynomial of parameters alpha = (d-2)/2 + a,
     beta = (d-2)/2 + b normalized to 1 at t = 1, from mpmath's
     hypergeometric evaluation; r_i is the total mass of the weight
     (1-t)^alpha (1+t)^beta times P_i(1)^2 over the classical squared norm.
     """
+    al = mp.mpf(d - 2) / 2 + a
+    be = mp.mpf(d - 2) / 2 + b
+    two = mp.mpf(2) ** (al + be + 1)
+    mass = two * mp.gamma(al + 1) * mp.gamma(be + 1) / mp.gamma(al + be + 2)
+    total = mp.mpf(0)
+    for i in range(k + 1):
+        at_one = mp.binomial(i + al, i)
+        h = (two / (2 * i + al + be + 1) * mp.gamma(i + al + 1) * mp.gamma(i + be + 1)
+             / (mp.gamma(i + al + be + 1) * mp.factorial(i)))
+        # a value cancelling past zeroprec bits is an exact zero such
+        # as P_1(0), on which hypsum would otherwise raise
+        px = mp.jacobi(i, al, be, x, zeroprec=4 * mp.mp.prec) / at_one
+        py = mp.jacobi(i, al, be, y, zeroprec=4 * mp.mp.prec) / at_one
+        total += mass * at_one**2 / h * px * py
+    return total
+
+
+def cd_kernel_sum(k: int, d: int, a: int, b: int, x: float, y: float) -> float:
+    """kernel_mp at 30 digits, rounded to a double."""
     with mp.workdps(30):
-        al = mp.mpf(d - 2) / 2 + a
-        be = mp.mpf(d - 2) / 2 + b
-        two = mp.mpf(2) ** (al + be + 1)
-        mass = two * mp.gamma(al + 1) * mp.gamma(be + 1) / mp.gamma(al + be + 2)
-        total = mp.mpf(0)
-        for i in range(k + 1):
-            at_one = mp.binomial(i + al, i)
-            h = (two / (2 * i + al + be + 1) * mp.gamma(i + al + 1) * mp.gamma(i + be + 1)
-                 / (mp.gamma(i + al + be + 1) * mp.factorial(i)))
-            # a value cancelling past zeroprec bits is an exact zero such
-            # as P_1(0), on which hypsum would otherwise raise
-            px = mp.jacobi(i, al, be, x, zeroprec=4 * mp.mp.prec) / at_one
-            py = mp.jacobi(i, al, be, y, zeroprec=4 * mp.mp.prec) / at_one
-            total += mass * at_one**2 / h * px * py
-        return float(total)
+        return float(kernel_mp(k, d, a, b, x, y))
 
 
 def e8_coset_counts(m_max: int) -> list[int]:
