@@ -406,6 +406,18 @@ def test_rule_node_near_zero_lies_within_half_an_ulp():
     assert abs(mp.mpf(x) - oracles.rule_node_mp(3, rule.tau, s, x)) <= 0.5 * math.ulp(x)
 
 
+@pytest.mark.parametrize("d, tau", [(8, 593), (12, 307), (48, 339)])
+def test_rules_near_the_bottom_of_an_interval_build(d, tau):
+    # as N nears D(d, tau) from above the smallest node nears -1, where no
+    # asymptotic phase reaches it (3% into the interval at d = 48 its phase
+    # seed is 1.6 rad off): every rule builds with k nodes, the smallest at
+    # -1 or above (at d = 12 and the first N, -1 itself)
+    lo, hi = quadrature.dgs_bound(d, tau), quadrature.dgs_bound(d, tau + 1)
+    for f in (0.0, 1e-6, 1e-3, 0.03, 0.1):
+        rule = quadrature.build_rule(d, lo + 1 + int((hi - lo) * f))
+        assert len(rule.nodes) == (tau + 1) // 2 and rule.nodes[-1] >= -1.0, f
+
+
 def test_n_near_the_order_budget_answers(monkeypatch):
     # R = P_k(s)/P_{k-1}(s) comes from N exactly, so no N inside the budget
     # stalls: a search on the sign of L - N refused N = 1.6e6 and 2,000,003
