@@ -315,9 +315,9 @@ def test_recurrence_and_eigen_solve_memory_peaks(monkeypatch):
     # list once (the output alone is 7.6 MiB); largest_zero runs one-point
     # recurrences and no matrix; from order 64 on the full solve seeds its
     # nodes with no matrix, and its Newton polish and last pass keep orders
-    # k-1 and k.  Each peak is taken above what was
-    # traced when the call began, so the tables earlier calls left in the
-    # cache (0.5 MiB) do not count
+    # k-1 and k.  Each peak is taken above what was traced when the call
+    # began, so the tables earlier calls left in the cache (0.5 MiB) do not
+    # count
     import tracemalloc
 
     pts = np.linspace(-0.999, 0.999, 999)
@@ -351,9 +351,9 @@ def test_seeded_nodes_match_the_dense_reference(d, a, b, orders):
 
 
 def test_two_seeds_in_one_gap_refuse(monkeypatch):
-    # a seed set that leaves one zero without a seed, two seeds sharing the
-    # gap above it, must end in NumericalError and never in a rule that has
-    # a zero twice and another not at all
+    # seeds 40 and 41 moved into the gap above zero 41, so zero 40 has no
+    # seed and that gap two: the solve must end in NumericalError, never in
+    # a rule that has one zero twice and another not at all
     from rieszbounds import quadrature
     from rieszbounds.errors import NumericalError
 
