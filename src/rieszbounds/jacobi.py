@@ -29,7 +29,7 @@ __all__ = ["cd_kernel", "family_params", "jacobi_values", "largest_zero", "norm_
 # before anything is allocated (a rule at the budget takes about 0.5 s), and
 # the order from which node seeds take no matrix.  Recurrence tables stop at
 # _MAX_ROW = 2 _MAX_ORDER + 1, the largest exact degree of a rule, which
-# verify_exactness reads: 660 kB a family, grown as far as asked.
+# verify_exactness reads: 190 kB a family, grown as far as asked.
 _MAX_ORDER, _DENSE_BELOW = 2000, 64
 _MAX_ROW = 2 * _MAX_ORDER + 1
 _COEFFS: dict[tuple[float, float], tuple] = {}
@@ -56,13 +56,14 @@ def _coeffs(kmax: int, alpha: float, beta: float) -> tuple:
         k = np.arange(kmax + 1.0)
         s = alpha + beta
         q = 2.0 * k + s
-        scale = [np.longdouble(1.0)]
+        from array import array
+        scale = np.ones(kmax + 1, dtype=np.longdouble)
         for j in range(1, kmax + 1):
-            scale.append(scale[-1] * (j + alpha) / j)
-        table = _COEFFS[alpha, beta] = (
-            (2.0 * k * (k + s) * (q - 2.0)).tolist(), ((q - 1.0) * q * (q - 2.0)).tolist(),
-            ((q - 1.0) * (alpha * alpha - beta * beta)).tolist(),
-            (2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * q).tolist(), scale)
+            scale[j] = scale[j - 1] * (j + alpha) / j
+        table = _COEFFS[alpha, beta] = (*(array("d", c.tobytes()) for c in (
+            2.0 * k * (k + s) * (q - 2.0), (q - 1.0) * q * (q - 2.0),
+            (q - 1.0) * (alpha * alpha - beta * beta),
+            2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * q)), scale)
     return table
 
 
@@ -86,9 +87,9 @@ def _rows(kmax: int, alpha: float, beta: float, t: np.ndarray, first: int = 0, k
     keep = out.append if weights is None else lambda row: out.append(np.dot(weights, row))
     # orders k-1 and k before rescaling; order 0 is ones shaped like tl
     prev, cur = tl ** 0, (alpha + 1.0) + (alpha + beta + 2.0) * (tl - 1.0) / 2.0
-    for k in range(kmax + 1):
+    for k, a0, a1, a2, a3 in zip(range(kmax + 1), c0, c1, c2, c3):
         if k > 1:
-            prev, cur = cur, ((c1[k] * tl + c2[k]) * cur - c3[k] * prev) / c0[k]
+            prev, cur = cur, ((a1 * tl + a2) * cur - a3 * prev) / a0
         if k >= lo:
             row = cur / scale[k] if k else prev
             if k < len(r):
