@@ -222,14 +222,17 @@ def _zeros_raw(k: int, d: int, a: int, b: int, num: int, den: int) -> tuple:
     # seeds: _seeds, and _top_zero on F(-t), whose ratio is R' = -R (k+alpha)
     # / (k+beta), for the smallest zero near -1; below _DENSE_BELOW, two steps from
     # the eigenvalues of the Golub-Welsch matrix shifted to make monic p_k -
-    # gamma p_{k-1} ~ F.  The top node is _top_zero's; a parity of F = P_k
-    # is kept to the last bit.  The last pass returns the kernel and checks
-    # that F changes sign between a point below -1, the nodes' midpoints and 1.
+    # gamma p_{k-1} ~ F.  At k = 1, F is linear and its root in integers is
+    # kept (Newton moves it up to 11.1 ulp from d = 25), as is a parity of F =
+    # P_k.  The last pass returns the kernel and certifies every node: F
+    # changes sign between a point below -1 and the midpoints, F(1) = 1 - R > 0.
     alpha, beta = family_params(d, a, b)
-    top = _top_zero(k, alpha, beta, num, den)
+    _check_order(k)
     import numpy as np
     dense = k < _DENSE_BELOW
-    if dense:
+    if k == 1:
+        nodes = np.array([_top_zero(1, alpha, beta, num, den)])
+    elif dense:
         # p_{j+1} = (t - a_j) p_j - b_j p_{j-1}: a_j on the diagonal, sqrt(b_j) off it
         s_ab, j = alpha + beta, np.arange(1.0, k)
         q = 2.0 * j + s_ab
@@ -253,22 +256,19 @@ def _zeros_raw(k: int, d: int, a: int, b: int, num: int, den: int) -> tuple:
     gap = np.abs(np.diff(nodes))
     gap = np.minimum(np.append(gap, 2.0), np.append(2.0, gap))
     tol = np.sqrt(gap * np.spacing(np.abs(nodes))) / 16.0
-    r, live = _ratio(num, den), np.arange(k)
+    r, live = _ratio(num, den), np.arange(k if k > 1 else 0)
     for i in range(12):
+        if not live.size:
+            break
         x = nodes[live]
         pv = _rows(k, alpha, beta, x, k - 1, dtype=np.longdouble)
         dv = _deriv_rows(k, alpha, beta, x, k - 1, dtype=np.longdouble)
         step = (pv[1] - r * pv[0]) / (dv[1] - r * dv[0])
         nodes[live] = (x - step).astype(float)
         live = live[(np.abs(step) > tol[live]) | (i < dense)]
-        if not live.size:
-            break
-    else:
-        raise NumericalError(f"node polish failed at polynomial degree {k}")
+    if live.size:
+        raise NumericalError(f"node polish ran out of Newton passes at polynomial degree {k}")
     nodes.sort()
-    if abs(nodes[-1] - top) > 5e-11:
-        raise NumericalError(f"largest node drifted from its zero at polynomial degree {k}")
-    nodes[-1] = top
     if num == 0 and alpha == beta:
         nodes = (nodes - nodes[::-1]) / 2.0
     pts = np.concatenate((nodes, [-1.0 - 2.0 ** -20], (nodes[1:] + nodes[:-1]) / 2.0))
@@ -276,10 +276,15 @@ def _zeros_raw(k: int, d: int, a: int, b: int, num: int, den: int) -> tuple:
                      dtype=np.longdouble)
     f = pv[1] - r * pv[0]
     if np.any(np.abs(f[:k]) > 1e-10 * max(1.0, abs(num / den))):
-        raise NumericalError(f"node polish failed at polynomial degree {k}")
+        raise NumericalError(f"node residual above its gate at polynomial degree {k}")
     if not (nodes[0] >= -1.0 and np.all(np.sign(f[k:]) == (-1.0) ** np.arange(k, 0, -1))):
         raise NumericalError(f"node solve lost a zero at polynomial degree {k}")
     return nodes, diag
+
+
+def _check_order(k: int) -> None:
+    if k > _MAX_ORDER:
+        raise ResourceError(f"polynomial degree {k} exceeds the eigen-solve budget of {_MAX_ORDER}")
 
 
 def _ratio(num: int, den: int):
@@ -298,9 +303,7 @@ def _top_zero(k: int, alpha: float, beta: float, num: int = 0, den: int = 1) -> 
     # loop, and the value there must be within 1e-13 of the slope; F is
     # evaluated in extended precision, and of t and its two neighbouring
     # doubles the one with the least |F| is returned.  Order 1 is linear.
-    if k > _MAX_ORDER:
-        raise ResourceError(
-            f"polynomial degree {k} exceeds the eigen-solve budget of {_MAX_ORDER}")
+    _check_order(k)
     if k == 1:
         # P_1(t) = 1 + (t - 1)(alpha + beta + 2) / (2 alpha + 2) = R, in integers
         p, q = round(2.0 * alpha + 2.0), round(alpha + beta + 2.0)

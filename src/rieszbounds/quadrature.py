@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError, NumericalError, ResourceError, _integer
 from . import jacobi
-from .jacobi import cd_kernel, family_params
+from .jacobi import family_params
 
 __all__ = ["QuadratureRule", "build_rule", "dgs_bound", "lev_branch", "lev_function",
            "solve_s_for_n", "verify_exactness"]
@@ -197,37 +197,34 @@ def build_rule(d: int, n: int) -> QuadratureRule:
     """Construct the 1/N-quadrature rule for N points on S^d.
 
     Resolves tau with N in (D(d,tau), D(d,tau+1)], takes the ratio R of
-    N = L(d,s) exactly from N, and places the interior nodes (the largest
-    is s) and weights of the matching parity case.  Even strength appends
-    the node -1.  The returned rule is validated: positive weights,
-    decreasing nodes, weight sum 1 - 1/N.
+    N = L(d,s) exactly from N, and places the interior nodes (the largest,
+    s, polished with the rest: near 0 it may miss solve_s_for_n by 1-4 ulp)
+    and weights of the matching parity case, plus the node -1 for even tau.
+    The rule is validated: positive weights, decreasing nodes, sum 1 - 1/N.
     """
     n = _integer(n, 2, "build_rule requires N >= 2, got {}")
     tau = _resolve_tau(d, n)
-    k = (tau + 1) // 2
-    odd = tau % 2 == 1
+    k, odd = (tau + 1) // 2, tau % 2 == 1
     # interior nodes: zeros of the shifted (1, 0) family polynomial for odd
-    # tau, of the (1, 1) family for even tau, the largest of them s
-    interior, diag = jacobi._zeros_raw(k, d, 1, 1 - tau % 2, *_node_ratio(d, n, tau))
-    s = interior[-1]
+    # tau, of the (1, 1) family for even tau
+    num, den = _node_ratio(d, n, tau)
+    interior, diag = jacobi._zeros_raw(k, d, 1, 1 - tau % 2, num, den)
     import numpy as np
     # Christoffel weights of the family measure (1 - t)(1 + t)^b dmu_d,
     # whose mass is 1 for odd tau and 1 - mu_2 = d/(d+1) for even tau,
-    # from the order-(k-1) kernel matching the node polynomial (at s for the
-    # top node), in extended precision, which halves the worst error to 1 ulp
+    # from the order-(k-1) kernel matching the node polynomial, in extended
+    # precision, which halves the worst error to 1 ulp
     t = interior.astype(np.longdouble)
     mass = np.longdouble(1.0) if odd else np.longdouble(d) / (d + 1)
     factor = (1.0 - t) if odd else (1.0 - t) * (1.0 + t)
     weights = (mass / (factor * diag)).astype(float)[::-1]
     nodes = interior[::-1]
     if not odd:
-        # weight at the node -1 from the Gegenbauer kernel determinant.
-        # q_m1 q_sm < 0 on the even-strength intervals (pinned by a test
-        # up to degree 300), so den > q_mm q_s1 > 0 and cannot cancel
-        q_s1, q_mm, q_m1, q_sm = cd_kernel(k, d, 0, 0, [s, -1.0, -1.0, s], [1.0, -1.0, 1.0, -1.0])
-        den = q_mm * q_s1 - q_m1 * q_sm
+        # from the rule's sum of (1 - t) F(t), zero at the other nodes: w_-1 =
+        # (1/C(k+d, k) + R/C(k+d-1, k-1)) / (2 (1 + R)), with 1 + R > d/(k+d)
+        a, b = math.comb(k + d, k), math.comb(k + d - 1, k - 1)
         nodes = np.concatenate((nodes, [-1.0]))
-        weights = np.concatenate((weights, [q_s1 / den]))
+        weights = np.concatenate((weights, [(den * b + num * a) / (2 * a * b * (den + num))]))
     rule = QuadratureRule(d=d, n=n, tau=tau, nodes=tuple(float(x) for x in nodes),
                           weights=tuple(float(w) for w in weights))
     rule.validate()

@@ -60,6 +60,7 @@ ARGVS = (
     ("quadrature", "--d", "3", "--N", "14", "--format", "json"),
     ("quadrature", "--d", "4", "--N", "7"),
     ("quadrature", "--d", "8", "--N", "50", "--format", "json"),
+    ("quadrature", "--d", "24", "--N", "1205640294021801"),
     ("ulb", "--d", "2", "--N", "6", "--potential", "riesz:4"),
     ("ulb", "--d", "2", "--N", "961", "--potential", "riesz:1", "--format", "json"),
     ("ulb", "--d", "3", "--N", "120", "--potential", "gauss:1.5"),
@@ -137,8 +138,10 @@ def test_endpoint_rule_nodes_are_correctly_rounded():
 # rules were first built from N alone.  Built for L(s) at the rounded s,
 # they read 11,010, 1.32 and 0.81 ulp.  At (2, 20000) the node 0.0992, whose
 # ulp is 1.4e-17, lay 0.504 ulp off while the Newton step was formed from
-# rows rounded to double.
-_INTERIOR_WORST_ULP = {(2, 20000): 0.4963, (4, 7): 0.3201, (8, 50): 0.2158}
+# rows rounded to double.  (24, 1205640294021801) is N = D(24, 58) + 1, which
+# was refused while the weight of -1 came from a kernel determinant.
+_INTERIOR_WORST_ULP = {(2, 20000): 0.4963, (4, 7): 0.3201, (8, 50): 0.2158,
+                       (24, 1205640294021801): 0.4828}
 
 
 def test_interior_rule_nodes_lie_within_their_measured_ulp():

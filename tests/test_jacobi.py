@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from rieszbounds import jacobi
-from rieszbounds.errors import DomainError, ResourceError
+from rieszbounds.errors import DomainError, NumericalError, ResourceError
 
 
 def _plain_zeros(k, d, a, b):
@@ -374,6 +374,26 @@ def test_two_seeds_in_one_gap_refuse(monkeypatch):
             quadrature.build_rule(2, n)
     monkeypatch.undo()
     assert len(quadrature.build_rule(2, 20000).nodes) == 141
+
+
+def test_polish_refuses_a_residual_above_its_gate(monkeypatch):
+    # a derivative 1e12 times too large makes every Newton step negligible,
+    # so the polish stops at the phase seeds, whose |F| the last pass refuses
+    deriv = jacobi._deriv_rows
+    monkeypatch.setattr(jacobi, "_deriv_rows", lambda *args, **kw: 1e12 * deriv(*args, **kw))
+    with pytest.raises(NumericalError, match="node residual above its gate at polynomial degree 100"):
+        jacobi._zeros_raw(100, 2, 1, 0, -1, 2)
+
+
+def test_polish_refuses_when_its_newton_passes_run_out(monkeypatch):
+    # with the derivative halved each step overshoots a zero by as much as it
+    # missed it, so nodes seeded 1e-4 off oscillate about their zeros
+    seeds, deriv = jacobi._seeds, jacobi._deriv_rows
+    monkeypatch.setattr(jacobi, "_seeds", lambda *args: seeds(*args) + 1e-4)
+    monkeypatch.setattr(jacobi, "_deriv_rows", lambda *args, **kw: deriv(*args, **kw) / 2.0)
+    with pytest.raises(NumericalError, match="node polish ran out of Newton passes at polynomial "
+                                             "degree 100"):
+        jacobi._zeros_raw(100, 2, 1, 0, -1, 2)
 
 
 def test_no_dense_solve_from_the_dense_order_on(monkeypatch):

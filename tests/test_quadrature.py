@@ -123,8 +123,10 @@ def test_rule_validation_invariants():
 @pytest.mark.parametrize("k", [5, 50, 300])
 def test_minus_one_weight_denominator_cannot_cancel(d, k):
     # even strength 2k: s runs over (gamma_k^{1,0}, gamma_k^{1,1}], and the
-    # weight at -1 is q_s1 / (q_mm q_s1 - q_m1 q_sm).  q_m1 q_sm < 0 there,
-    # so the denominator exceeds q_mm q_s1 > 0 and needs no fallback
+    # kernel determinant q_s1 / (q_mm q_s1 - q_m1 q_sm) is the weight at -1.
+    # build_rule takes that weight from integers; oracles.rule_weights_mp,
+    # the golden generator's independent reference for it, takes the
+    # determinant, whose denominator exceeds q_mm q_s1 > 0 since q_m1 q_sm < 0
     lo = jacobi.largest_zero(k, d, 1, 0)
     hi = jacobi.largest_zero(k, d, 1, 1)
     q_mm = jacobi.cd_kernel(k, d, 0, 0, -1.0, -1.0)
@@ -137,11 +139,23 @@ def test_minus_one_weight_denominator_cannot_cancel(d, k):
         assert q_mm * q_s1 - q_m1 * q_sm > q_mm * q_s1
 
 
+def _minus_one_weight_mp(rule):
+    # the weight of -1 in the exact rule: oracles.rule_weights_mp's 60-digit
+    # kernel determinant at the exact s, not at the rule's rounded s (at
+    # (2, 20000) and (8, 20000) those two differ by 4.6e-14 and 2.2e-14)
+    k, s = (rule.tau + 1) // 2, rule.nodes[0]
+    s = (oracles.jacobi_zero_mp(k, rule.d, 1, 1, s) if rule.endpoint
+         else oracles.lev_root_mp(rule.d, rule.tau, rule.n, s))
+    return oracles.rule_weights_mp(rule.d, rule.tau, [-1, s])[0]
+
+
 @pytest.mark.parametrize("d,n", [(2, 6), (2, 20000), (3, 200003), (8, 20000)])
 def test_weights_match_kernel_oracle(d, n):
     # w = M / (f(x) Q_{k-1}(x, x)) in the (1, b) family, M = 1 (odd tau) or
     # d/(d+1) (even tau), f = 1 - t or 1 - t^2, at the rule's own nodes;
-    # the smallest nodes carry the smallest weights
+    # the smallest nodes carry the smallest weights.  The weight of -1 is
+    # correctly rounded: 0.33, 0.16 and 0.19 ulp off at (2, 6), (2, 20000)
+    # and (8, 20000), 337 ulp at (2, 20000) from the double kernel determinant
     rule = quadrature.build_rule(d, n)
     k = (rule.tau + 1) // 2
     odd = rule.parity == "odd"
@@ -152,11 +166,8 @@ def test_weights_match_kernel_oracle(d, n):
         want = mass / (factor * oracles.cd_kernel_sum(k - 1, d, 1, b, x, x))
         assert abs(rule.weights[i] / want - 1.0) < 1e-14, (i, x)
     if not odd:
-        s = rule.nodes[0]
-        q_s1, q_mm, q_m1, q_sm = (oracles.cd_kernel_sum(k, d, 0, 0, x, y) for x, y in
-                                  ((s, 1.0), (-1.0, -1.0), (-1.0, 1.0), (s, -1.0)))
-        want = q_s1 / (q_mm * q_s1 - q_m1 * q_sm)
-        assert abs(rule.weights[-1] / want - 1.0) < 1e-14
+        w = rule.weights[-1]
+        assert abs(mp.mpf(w) - _minus_one_weight_mp(rule)) <= 0.5 * math.ulp(w)
 
 
 def test_weights_are_the_public_kernel_bit_for_bit():
@@ -406,16 +417,33 @@ def test_rule_node_near_zero_lies_within_half_an_ulp():
     assert abs(mp.mpf(x) - oracles.rule_node_mp(3, rule.tau, s, x)) <= 0.5 * math.ulp(x)
 
 
-@pytest.mark.parametrize("d, tau", [(8, 593), (12, 307), (48, 339)])
+def test_order_one_rule_node_is_its_root_in_integers():
+    # at k = 1 F is linear and the node is its root from integers, rounded
+    # once; polished by Newton in extended precision instead, 618 of the
+    # 14,396 such rules at d = 2..119 moved, up to 11.1 ulp off at (97, 195)
+    for d, n in ((25, 47), (70, 141), (97, 195), (115, 231)):
+        rule = quadrature.build_rule(d, n)
+        x = rule.nodes[0]
+        assert (rule.tau + 1) // 2 == 1
+        assert abs(mp.mpf(x) - oracles.lev_root_mp(d, rule.tau, n, x)) <= 0.5 * math.ulp(x), d
+
+
+@pytest.mark.parametrize("d, tau", [(8, 593), (12, 307), (48, 339),
+                                    (24, 58), (16, 86), (8, 594), (24, 156)])
 def test_rules_near_the_bottom_of_an_interval_build(d, tau):
     # as N nears D(d, tau) from above the smallest node nears -1, where no
     # asymptotic phase reaches it (3% into the interval at d = 48 its phase
     # seed is 1.6 rad off): every rule builds with k nodes, the smallest at
-    # -1 or above (at d = 12 and the first N, -1 itself)
+    # -1 or above (at d = 12 and the first N, -1 itself), and with even tau
+    # the node -1.  There its weight tends to 0: taken from a kernel
+    # determinant, it rounded to 0 or below at the even cases' first N
     lo, hi = quadrature.dgs_bound(d, tau), quadrature.dgs_bound(d, tau + 1)
     for f in (0.0, 1e-6, 1e-3, 0.03, 0.1):
         rule = quadrature.build_rule(d, lo + 1 + int((hi - lo) * f))
-        assert len(rule.nodes) == (tau + 1) // 2 and rule.nodes[-1] >= -1.0, f
+        assert len(rule.nodes) == (tau + 1) // 2 + 1 - tau % 2 and rule.nodes[-1] >= -1.0, f
+        if f == 0.0 and tau % 2 == 0:
+            w = rule.weights[-1]
+            assert abs(mp.mpf(w) - _minus_one_weight_mp(rule)) <= 0.5 * math.ulp(w)
 
 
 def test_n_near_the_order_budget_answers(monkeypatch):
